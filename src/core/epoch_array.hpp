@@ -1,12 +1,14 @@
 // Epoch-stamped per-node value arrays.
 //
-// TC resets *all* counters when a new phase starts. A phase restart already
-// pays Θ(|cache|) for the eviction, but the tree may be much larger than the
-// cache, so an O(|T|) memset per restart would break the Theorem 6.1 bound.
-// EpochArray gives O(1) bulk reset: each slot carries the epoch it was last
-// written in, and reads from older epochs observe the default value.
+// Per-phase state resets in bulk whenever a new phase starts. A phase
+// restart already pays Θ(|cache|) for the eviction, but the tree may be
+// much larger than the cache, so an O(|T|) memset per restart would break
+// the Theorem 6.1 bound. EpochArray gives O(1) bulk reset: each slot
+// carries the epoch it was last written in, and reads from older epochs
+// observe the default value.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -62,29 +64,6 @@ class EpochArray {
   std::vector<std::uint32_t> stamp_;
   T default_;
   std::uint32_t epoch_ = 1;
-};
-
-/// Per-node request counters with phase-reset semantics (§4 of the paper):
-/// zero at phase start, incremented when the algorithm pays for a request at
-/// the node, reset to zero when the node is fetched or evicted.
-class CounterTable {
- public:
-  explicit CounterTable(std::size_t n) : counters_(n) {}
-
-  [[nodiscard]] std::uint64_t get(std::size_t v) const {
-    return counters_.get(v);
-  }
-
-  /// Returns the new counter value.
-  std::uint64_t increment(std::size_t v) { return counters_.add(v, 1); }
-
-  void reset(std::size_t v) { counters_.set(v, 0); }
-
-  /// New phase: all counters back to zero in O(1).
-  void reset_all() { counters_.reset_all(); }
-
- private:
-  EpochArray<std::uint64_t> counters_;
 };
 
 }  // namespace treecache

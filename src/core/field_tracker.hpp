@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/counter_table.hpp"
+#include "core/epoch_array.hpp"
 #include "core/online_algorithm.hpp"
 #include "tree/tree.hpp"
 

@@ -1,40 +1,22 @@
-// Branch-light, vectorizable primitives over the NodeState stripes.
+// The two slice scans behind every TC subtree collection.
 //
-// PR 7 turned every TC subtree operation into a contiguous rank-slice scan;
-// this layer turns those scans into kernels: each primitive has a portable
-// scalar reference and SSE2/AVX2 paths selected once per process by runtime
-// CPU dispatch (a function-pointer table). The kernels are *bit-identical*
-// by contract — same output ranks, same counter totals, same visit counts
-// (the Theorem 6.1 work unit) — so the dispatched set is interchangeable
-// with the scalar reference everywhere; tests/test_kernels.cpp enforces
-// this differentially and the layout suite vs tc-legacy covers the
-// end-to-end algorithm.
+// In the preorder layout (core/node_state.hpp) every subtree T(u) is the
+// contiguous rank slice [ru, ru + |T(u)|), so a collection is one linear
+// scan of that slice, and a subtree the scan must not enter is skipped as
+// one jump (r += size(r)). Each scan appends the collected ranks in
+// ascending order and returns their epoch-valid counter mass plus its
+// visit count (pushes + subtree-skip jumps) — the unit TreeCache::work()
+// counts for Theorem 6.1's O(h + max{h,deg}·|X|) round bound.
 //
-//  * scan_missing  — collect the uncached ranks of a rank slice honoring
-//    descendant-closure skips (a cached node's whole subtree is skipped as
-//    one jump). The cached set is a word-packed bitmap, so uncached runs
-//    are found by bit scanning and emitted with SIMD iota stores; the
-//    epoch-valid counter mass of the run is summed with masked 64-bit
-//    adds instead of a byte-at-a-time walk.
-//  * scan_h_candidates — collect H(u): the slice scan over the NegEntry
-//    stripe that skips subtrees with I < 0, with block-wise sign tests
-//    (movemask over the packed I values) fast-pathing all-included runs,
-//    plus the same masked counter sum over the epoch-stamped stripe.
-//  * range_epoch_reset — the O(n) stripe clear behind NodeState's
-//    clear-on-wrap branch and full reset, as wide zero stores.
-//  * emit_iota     — append [begin, end) as consecutive ranks (the phase
-//    restart collects whole cached subtrees this way).
-//
-// Dispatch: the active table resolves once from CPUID on first use;
-// TREECACHE_FORCE_KERNELS=scalar|sse2|avx2 overrides it (tests, CI A/B
-// runs), and set_active() swaps it in-process (bench, differential
-// suites). Swapping is not thread-safe against concurrently *running*
-// scans — force a set before constructing algorithm instances.
+//  * scan_missing — the uncached ranks of a slice: a cached node's whole
+//    subtree is cached (descendant-closure), so it is skipped as one jump.
+//    Each visited rank costs one bit test on the word-packed cached bitmap.
+//  * scan_h_candidates — H(u): the scan root, then every rank none of
+//    whose strict ancestors inside the slice has I < 0; a subtree whose
+//    root has I < 0 is skipped as one jump.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "core/node_state.hpp"
@@ -43,8 +25,7 @@ namespace treecache::kernels {
 
 /// Result of a collection scan: the epoch-valid counter mass of the
 /// collected ranks plus the number of loop visits (pushes + subtree-skip
-/// jumps) — kept bit-compatible with the scalar loops the kernels replace
-/// so TreeCache::work() is identical under every dispatched set.
+/// jumps), which TreeCache adds to work().
 struct ScanResult {
   std::uint64_t total = 0;
   std::uint64_t visits = 0;
@@ -72,62 +53,16 @@ struct HScan {
 /// Collected ranks land in a plain vector (appended, ascending).
 using RankVec = std::vector<std::uint32_t>;
 
-/// One kernel set. All entries are non-null in every table.
-struct Table {
-  std::string_view name;
-  /// Appends the uncached ranks of [ru, end) to `out` (ascending), jumping
-  /// over cached subtrees (r += sizes[r]); returns their epoch-valid
-  /// counter mass and the visit count.
-  ScanResult (*scan_missing)(const MissingScan& s, std::uint32_t ru,
+/// Appends the uncached ranks of [ru, end) to `out` (ascending), jumping
+/// over cached subtrees (r += sizes[r]); returns their epoch-valid counter
+/// mass and the visit count.
+ScanResult scan_missing(const MissingScan& s, std::uint32_t ru,
+                        std::uint32_t end, RankVec& out);
+
+/// Appends H(u) over [ru, end) to `out` (ascending): ru always, below it
+/// every rank whose NegEntry value is >= 0, skipping I < 0 subtrees as one
+/// jump; returns counter mass + visits.
+ScanResult scan_h_candidates(const HScan& s, std::uint32_t ru,
                              std::uint32_t end, RankVec& out);
-  /// Appends H(u) over [ru, end) to `out` (ascending): ru always, below it
-  /// every rank whose NegEntry value is >= 0, skipping I < 0 subtrees as
-  /// one jump; returns counter mass + visits.
-  ScanResult (*scan_h_candidates)(const HScan& s, std::uint32_t ru,
-                                  std::uint32_t end, RankVec& out);
-  /// Hard-clears `n` Counter and PosEntry slots to the all-zero state (the
-  /// epoch-wrap fallback and full reset).
-  void (*range_epoch_reset)(NodeState::Counter* cnt, NodeState::PosEntry* pos,
-                            std::size_t n);
-  /// Appends begin, begin+1, ..., end-1 to `out`.
-  void (*emit_iota)(RankVec& out, std::uint32_t begin, std::uint32_t end);
-};
-
-enum class Kind { kScalar, kSse2, kAvx2 };
-
-/// True iff this build/CPU can run the kind (kScalar always can).
-[[nodiscard]] bool supported(Kind kind);
-
-/// The table for `kind`; requires supported(kind).
-[[nodiscard]] const Table& table(Kind kind);
-
-/// The dispatched table: best supported set, unless
-/// TREECACHE_FORCE_KERNELS or set_active() overrode it.
-[[nodiscard]] const Table& active();
-[[nodiscard]] Kind active_kind();
-
-/// Swaps the active table (bench / test hook); returns the previous kind.
-/// Must not race running scans — set it before building instances.
-Kind set_active(Kind kind);
-
-/// Best kind the current CPU supports.
-[[nodiscard]] Kind best_supported();
-
-[[nodiscard]] std::string_view kind_name(Kind kind);
-
-/// Parses "scalar" / "sse2" / "avx2" (the TREECACHE_FORCE_KERNELS values).
-[[nodiscard]] std::optional<Kind> parse_kind(std::string_view name);
-
-/// RAII force for tests and benches: activates `kind`, restores on exit.
-class ForceGuard {
- public:
-  explicit ForceGuard(Kind kind) : previous_(set_active(kind)) {}
-  ~ForceGuard() { set_active(previous_); }
-  ForceGuard(const ForceGuard&) = delete;
-  ForceGuard& operator=(const ForceGuard&) = delete;
-
- private:
-  Kind previous_;
-};
 
 }  // namespace treecache::kernels

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/kernels.hpp"
-
 namespace treecache {
 
 NodeState::NodeState(std::size_t n)
@@ -28,14 +26,16 @@ void NodeState::clear_cached_range(std::uint32_t begin, std::uint32_t end) {
 void NodeState::new_phase() {
   ++epoch_;
   if (epoch_ == 0) {  // wrapped: stamps are ambiguous, really clear
-    kernels::active().range_epoch_reset(cnt_.data(), pos_.data(), cnt_.size());
+    std::fill(cnt_.begin(), cnt_.end(), Counter{});
+    std::fill(pos_.begin(), pos_.end(), PosEntry{});
     epoch_ = 1;
   }
 }
 
 void NodeState::reset() {
   std::fill(cached_.begin(), cached_.end(), std::uint64_t{0});
-  kernels::active().range_epoch_reset(cnt_.data(), pos_.data(), cnt_.size());
+  std::fill(cnt_.begin(), cnt_.end(), Counter{});
+  std::fill(pos_.begin(), pos_.end(), PosEntry{});
   std::fill(neg_.begin(), neg_.end(), NegEntry{});
   epoch_ = 1;
 }

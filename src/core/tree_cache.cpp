@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "core/kernels.hpp"
 #include "sim/registry.hpp"
 
 namespace treecache {
@@ -11,7 +12,6 @@ TreeCache::TreeCache(const Tree& tree, TreeCacheConfig config)
     : tree_(&tree),
       config_(config),
       sizes_(tree.preorder_sizes().data()),
-      kernels_(&kernels::active()),
       cache_(tree),
       state_(tree.size()) {
   TC_CHECK(config_.alpha >= 1, "alpha must be a positive integer");
@@ -28,7 +28,6 @@ TreeCache::TreeCache(const Tree& tree, TreeCacheConfig config)
 }
 
 void TreeCache::reset() {
-  kernels_ = &kernels::active();
   cache_.clear();
   state_.reset();
   root_hints_.clear();
@@ -191,14 +190,13 @@ std::uint32_t TreeCache::propagate_negative_increment(std::uint32_t rv) {
 std::uint64_t TreeCache::collect_missing(std::uint32_t ru) {
   rank_changeset_.clear();
   // T(u) is the slice [ru, ru + |T(u)|); a cached node's subtree is fully
-  // cached (descendant-closure), so the kernel skips it as one jump and
-  // emits the uncached runs with bit scans over the packed bitmap.
+  // cached (descendant-closure), so the scan skips it as one jump.
   const kernels::MissingScan scan{.cached_bits = state_.cached_bits(),
                                   .sizes = sizes_,
                                   .cnt = state_.counters(),
                                   .epoch = state_.epoch()};
   const kernels::ScanResult res =
-      kernels_->scan_missing(scan, ru, ru + sizes_[ru], rank_changeset_);
+      kernels::scan_missing(scan, ru, ru + sizes_[ru], rank_changeset_);
   work_ += res.visits;
   return res.total;
 }
@@ -206,7 +204,7 @@ std::uint64_t TreeCache::collect_missing(std::uint32_t ru) {
 std::uint64_t TreeCache::collect_h_set(std::uint32_t ru) {
   rank_changeset_.clear();
   // H(u) is u plus, per child w with I(w) ≥ 0, the set H(w): a node belongs
-  // iff no strict ancestor inside T(u) has I < 0, so the kernel skips a
+  // iff no strict ancestor inside T(u) has I < 0, so the scan skips a
   // subtree whose root has I < 0 as one contiguous jump.
   TC_DCHECK(state_.cached(ru), "H-set root must be cached");
   const kernels::HScan scan{.neg = state_.neg_entries(),
@@ -214,7 +212,7 @@ std::uint64_t TreeCache::collect_h_set(std::uint32_t ru) {
                             .cnt = state_.counters(),
                             .epoch = state_.epoch()};
   const kernels::ScanResult res =
-      kernels_->scan_h_candidates(scan, ru, ru + sizes_[ru], rank_changeset_);
+      kernels::scan_h_candidates(scan, ru, ru + sizes_[ru], rank_changeset_);
   work_ += res.visits;
   return res.total;
 }
@@ -321,7 +319,7 @@ void TreeCache::phase_restart(std::uint32_t aborted_fetch_size) {
     const std::uint32_t p = tree_->preorder_parent(r);
     if (p != kNoNode && state_.cached(p)) continue;  // no longer maximal
     const std::uint32_t end = r + sizes_[r];
-    kernels_->emit_iota(rank_changeset_, r, end);
+    for (std::uint32_t x = r; x < end; ++x) rank_changeset_.push_back(x);
     work_ += end - r;
     // Clearing the slice here (instead of in a second pass) is safe: the
     // hints are ascending, so a hint nested inside this slice is visited
@@ -330,9 +328,13 @@ void TreeCache::phase_restart(std::uint32_t aborted_fetch_size) {
   }
   root_hints_.clear();
 
+  // Ascending rank is top-down within each collected subtree, the order
+  // Subforest::erase needs. Erasing just the evicted nodes keeps the
+  // restart O(|cache|); Subforest::clear() would touch all |T| flags.
+  const auto from = tree_->from_preorder();
+  for (const std::uint32_t r : rank_changeset_) cache_.erase(from[r]);
+  TC_DCHECK(cache_.empty(), "restart must evict the whole cache");
   const auto evicted = static_cast<std::uint32_t>(rank_changeset_.size());
-  TC_DCHECK(evicted == cache_.size(), "restart must evict the whole cache");
-  cache_.clear();
   cost_.reorg += config_.alpha * evicted;
 
   PhaseStats& phase = phases_.back();

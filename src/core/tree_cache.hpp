@@ -32,14 +32,12 @@
 // sibling c+size(c)), and changesets are translated back rank → NodeId once
 // on exit. A NodeId-keyed Subforest mirror is kept in step for the public
 // cache() view; it is written only on changesets, never read on the hot
-// path. The pre-SoA layout survives as LegacyTreeCache ("tc-legacy") for
-// before/after benchmarking and differential testing.
+// path.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/kernels.hpp"
 #include "core/node_state.hpp"
 #include "core/online_algorithm.hpp"
 #include "tree/tree.hpp"
@@ -155,10 +153,6 @@ class TreeCache final : public OnlineAlgorithm {
   /// once so the scan loops index it directly instead of bouncing through
   /// an accessor call per rank.
   const std::uint32_t* sizes_;
-  /// The kernel set every slice scan of this instance runs on, captured at
-  /// construction (and re-captured on reset()) from kernels::active() —
-  /// all sets are bit-identical by contract, so this only picks the speed.
-  const kernels::Table* kernels_;
 
   /// NodeId-keyed mirror of the cached set, maintained for the public
   /// cache() view (AccountingSink reads its size every round); the hot path

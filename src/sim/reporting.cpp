@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <string>
 
-#include "core/kernels.hpp"
 #include "engine/sharded_engine.hpp"
 #include "util/check.hpp"
 
@@ -151,7 +150,7 @@ util::Json throughput_json(const Scenario& scenario,
   util::Json affinity = util::Json::array();
   for (const int cpu : result.worker_cpus) affinity.push(cpu);
   return util::Json::object()
-      .set("schema", "treecache.throughput/1")
+      .set("schema", "treecache.throughput/2")
       .set("scenario", std::move(scenario_doc))
       .set("engine",
            util::Json::object()
@@ -160,8 +159,7 @@ util::Json throughput_json(const Scenario& scenario,
                .set("threads", std::uint64_t{result.threads})
                .set("batch", std::uint64_t{config.batch})
                .set("pin", result.pinned)
-               .set("affinity", std::move(affinity))
-               .set("kernels", std::string(kernels::active().name)))
+               .set("affinity", std::move(affinity)))
       .set("result", to_json(result.total))
       .set("per_shard", std::move(per_shard));
 }

@@ -12,8 +12,9 @@
 //   treecache.fib/2    closed-loop FIB sweep        {schema, cells: [...]}
 //                      (v2: every cell carries an "engine" object — the
 //                      closed loop now shards by top-level prefix)
-//   treecache.throughput/1   sharded-engine run
+//   treecache.throughput/2   sharded-engine run
 //                      {schema, scenario, engine, result, per_shard: [...]}
+//                      (v2: engine no longer names a scan-kernel set)
 //   treecache.bench/1  bench table   {schema, experiment, title, rows: [...]}
 // The bench emitter writes BENCH_<id>.json into $TREECACHE_BENCH_JSON_DIR,
 // which is how CI captures the perf trajectory as artifacts.
@@ -67,7 +68,7 @@ void print_note(std::string_view label, std::string_view value);
 [[nodiscard]] util::Json fib_sweep_json(
     const std::vector<FibScenarioResult>& cells);
 
-/// Full sharded-engine document (schema treecache.throughput/1): the
+/// Full sharded-engine document (schema treecache.throughput/2): the
 /// scenario, the engine geometry (requested and planned shard counts,
 /// workers, batch), the aggregate result and one entry per shard. A
 /// trace-driven run (empty scenario.workload) passes the file in

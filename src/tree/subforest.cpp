@@ -114,16 +114,16 @@ void Subforest::missing_subtree(NodeId u, std::vector<NodeId>& out) const {
   TC_CHECK(!contains(u), "P_t(u) is defined for non-cached u only");
   out.clear();
   // T(u) is a contiguous preorder-rank slice; a cached node's subtree is
-  // entirely cached (descendant-closure), so the scan kernel skips it as
-  // one jump and bit-scans the uncached runs off the rank bitmap. The
-  // kernel appends ranks (= preorder, parents first); they are translated
-  // to NodeIds in place, so a reused `out` means no allocation at all.
+  // entirely cached (descendant-closure), so the scan skips it as one
+  // jump. The scan appends ranks (= preorder, parents first); they are
+  // translated to NodeIds in place, so a reused `out` means no allocation
+  // at all.
   const std::uint32_t ru = tree_->preorder_index(u);
   const kernels::MissingScan scan{.cached_bits = rank_bits_.data(),
                                   .sizes = tree_->preorder_sizes().data(),
                                   .cnt = nullptr,
                                   .epoch = 0};
-  kernels::active().scan_missing(scan, ru, ru + tree_->subtree_size(u), out);
+  kernels::scan_missing(scan, ru, ru + tree_->subtree_size(u), out);
   const auto from = tree_->from_preorder();
   for (NodeId& v : out) v = from[v];
 }

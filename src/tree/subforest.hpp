@@ -95,8 +95,8 @@ class Subforest {
   const Tree* tree_;
   std::vector<std::uint8_t> cached_;
   /// Preorder-rank-indexed mirror of the membership flags as a word-packed
-  /// bitmap, so missing_subtree runs on the scan_missing kernel
-  /// (core/kernels.hpp) instead of a per-rank byte walk.
+  /// bitmap: the layout scan_missing (core/kernels.hpp) reads, so
+  /// missing_subtree is the same slice scan TC runs.
   std::vector<std::uint64_t> rank_bits_;
   std::size_t size_ = 0;
 };

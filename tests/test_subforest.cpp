@@ -208,5 +208,68 @@ TEST(Subforest, RandomChurnKeepsValidity) {
   }
 }
 
+/// Random universes for the randomized case: bushy and narrow random
+/// trees, paths, stars and a complete tree, of varied sizes.
+Tree random_universe(std::size_t which, Rng& rng) {
+  switch (which % 5) {
+    case 0:
+      return trees::random_recursive(2 + rng.below(300), rng);
+    case 1:
+      return trees::random_bounded_degree(2 + rng.below(200), 3, rng);
+    case 2:
+      return trees::path(1 + rng.below(150));
+    case 3:
+      return trees::star(1 + rng.below(150));
+    default:
+      return trees::complete_kary(4, 3);
+  }
+}
+
+/// Reference P_t(u): walks T(u)'s preorder slice rank by rank off the
+/// contains() flags, skipping each cached subtree as one jump.
+std::vector<NodeId> naive_missing(const Subforest& sub, NodeId u) {
+  const Tree& tree = sub.tree();
+  std::vector<NodeId> out;
+  const auto from = tree.from_preorder();
+  const std::uint32_t ru = tree.preorder_index(u);
+  const std::uint32_t end = ru + tree.subtree_size(u);
+  for (std::uint32_t r = ru; r < end;) {
+    const NodeId v = from[r];
+    if (sub.contains(v)) {
+      r += tree.preorder_subtree_size(r);
+      continue;
+    }
+    out.push_back(v);
+    ++r;
+  }
+  return out;
+}
+
+TEST(Subforest, MissingSubtreeMatchesNaiveOnRandomUniverses) {
+  Rng rng(413);
+  for (std::size_t round = 0; round < 25; ++round) {
+    const Tree tree = random_universe(round, rng);
+    const std::uint32_t n = tree.size();
+    // A random descendant-closed set: a union of whole-subtree rank
+    // slices, inserted children first (descending rank) as fetches are.
+    const auto sizes = tree.preorder_sizes();
+    std::vector<bool> cached(n, false);
+    for (std::size_t i = rng.below(8); i > 0; --i) {
+      const auto r = static_cast<std::uint32_t>(rng.below(n));
+      std::fill(cached.begin() + r, cached.begin() + r + sizes[r], true);
+    }
+    Subforest sub(tree);
+    const auto from = tree.from_preorder();
+    for (std::uint32_t r = n; r-- > 0;) {
+      if (cached[r]) sub.insert(from[r]);
+    }
+    for (std::size_t probe = 0; probe < 4; ++probe) {
+      const auto u = static_cast<NodeId>(rng.below(n));
+      if (sub.contains(u)) continue;  // P_t(u) needs non-cached u
+      EXPECT_EQ(sub.missing_subtree(u), naive_missing(sub, u));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace treecache

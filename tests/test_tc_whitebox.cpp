@@ -114,8 +114,10 @@ TEST(TcWhitebox, PhaseStatsConsistentWithOutcomes) {
   std::uint64_t fetched = 0;
   std::uint64_t evicted = 0;
   std::uint64_t restarts = 0;
+  std::uint64_t round = 0;
   for (const Request& r : trace) {
     const StepOutcome out = tc.step(r);
+    ++round;
     switch (out.change) {
       case ChangeKind::kFetch:
         fetched += out.changed.size();
@@ -123,13 +125,25 @@ TEST(TcWhitebox, PhaseStatsConsistentWithOutcomes) {
       case ChangeKind::kEvict:
         evicted += out.changed.size();
         break;
-      case ChangeKind::kPhaseRestart:
+      case ChangeKind::kPhaseRestart: {
         ++restarts;
+        // The restart closes the phase at this round and opens the next
+        // one on the round after; k_P counts the evicted cache plus the
+        // fetch that did not fit (Section 5).
+        const std::vector<PhaseStats>& phases = tc.phases();
+        ASSERT_EQ(phases.size(), restarts + 1);
+        const PhaseStats& closed = phases[phases.size() - 2];
+        EXPECT_EQ(closed.last_round, round);
+        EXPECT_EQ(phases.back().first_round, round + 1);
+        EXPECT_EQ(closed.k_end, out.changed.size() + out.aborted_fetch_size);
         break;
+      }
       case ChangeKind::kNone:
         break;
     }
   }
+  EXPECT_GT(restarts, 0u);
+  EXPECT_EQ(tc.phases().back().last_round, 0u);  // the open phase
   std::uint64_t phase_fetched = 0;
   std::uint64_t phase_evicted = 0;
   std::uint64_t finished = 0;

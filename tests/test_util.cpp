@@ -7,7 +7,7 @@
 #include <limits>
 #include <set>
 
-#include "core/counter_table.hpp"
+#include "core/epoch_array.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -63,19 +63,6 @@ TEST(EpochArray, EpochWraparoundClearsStaleSlots) {
   EXPECT_EQ(arr.get(0), 1);
   arr.reset_all();
   EXPECT_EQ(arr.get(0), -5);
-}
-
-TEST(CounterTable, IncrementAndPhaseReset) {
-  CounterTable counters(3);
-  EXPECT_EQ(counters.increment(1), 1u);
-  EXPECT_EQ(counters.increment(1), 2u);
-  counters.reset(1);
-  EXPECT_EQ(counters.get(1), 0u);
-  counters.increment(0);
-  counters.increment(2);
-  counters.reset_all();
-  EXPECT_EQ(counters.get(0), 0u);
-  EXPECT_EQ(counters.get(2), 0u);
 }
 
 TEST(Rng, DeterministicForSeed) {

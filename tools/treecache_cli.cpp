@@ -49,12 +49,10 @@
 //              costs are identical for every --threads value (per-shard
 //              routing is deterministic). --pin on pins shard workers to
 //              cores and first-touches shard state on its worker; the
-//              JSON echoes the effective affinity and the dispatched
-//              kernel set (TREECACHE_FORCE_KERNELS=scalar|sse2|avx2
-//              overrides). --algos a,b,... instead of --algo runs a
-//              side-by-side comparison over the same stream (speedup vs
-//              the first name — `--algos tc-legacy,tc` measures the
-//              preorder-SoA layout win)
+//              JSON echoes the effective affinity. --algos a,b,...
+//              instead of --algo runs a side-by-side comparison over the
+//              same stream (speedup vs the first name — `--algos none,tc`
+//              reads TC against the generation-plus-driver floor)
 //   sweep      --tree tree.txt --algos a,b,... --workloads w1,w2,...
 //              [shared params] [--seed S] [--json out.json]
 //   fib        closed-loop router simulation (switch + controller) on a
@@ -94,7 +92,6 @@
 
 #include "analysis/opt_bound.hpp"
 #include "core/field_tracker.hpp"
-#include "core/kernels.hpp"
 #include "core/request_source.hpp"
 #include "core/tree_cache.hpp"  // `fields` instruments TC specifically
 #include "engine/sharded_engine.hpp"
@@ -535,10 +532,11 @@ int cmd_run(const Flags& flags) {
 /// `throughput --algos a,b,...`: the comparison mode. Every named
 /// algorithm runs through an identically configured engine over the same
 /// stream; the speedup column divides by the FIRST name, so
-/// `--algos tc-legacy,tc` reads directly as the memory-layout win (same
-/// decisions bit for bit, only the state layout differs). The single-algo
-/// path (`--algo`, schema treecache.throughput/1) is untouched; this mode
-/// writes treecache.throughput-compare/1 {schema, scenario, rows: [...]}.
+/// `--algos none,tc` reads TC against the generation-plus-driver floor
+/// (`none` never caches, so its row times the stream and the engine
+/// alone). The single-algo path (`--algo`, schema treecache.throughput/2)
+/// is untouched; this mode writes treecache.throughput-compare/1
+/// {schema, scenario, rows: [...]}.
 template <typename MakeSource>
 int cmd_throughput_compare(const Flags& flags, const Tree& tree,
                            const sim::Params& params,
@@ -676,7 +674,6 @@ int cmd_throughput(const Flags& flags) {
     std::cout << "shards:          " << result.shards << " (requested "
               << config.shards << ")\n"
               << "threads:         " << result.threads << "\n"
-              << "kernels:         " << kernels::active().name << "\n"
               << "pinned:          " << (result.pinned ? "yes" : "no");
     if (result.pinned) {
       std::cout << " (cpus:";
