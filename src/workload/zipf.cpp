@@ -1,6 +1,5 @@
 #include "workload/zipf.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace treecache {
@@ -15,7 +14,9 @@ std::vector<double> zipf_weights(std::size_t n, double skew) {
   return weights;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double skew) {
+ZipfSampler::ZipfSampler(std::size_t n, double skew)
+    : buckets_(static_cast<double>(n)) {
+  TC_CHECK(n <= UINT32_MAX, "guide table entries are 32-bit ranks");
   const auto weights = zipf_weights(n, skew);
   cdf_.resize(n);
   double acc = 0.0;
@@ -24,7 +25,15 @@ ZipfSampler::ZipfSampler(std::size_t n, double skew) {
     cdf_[r] = acc;
   }
   for (double& c : cdf_) c /= acc;
-  cdf_.back() = 1.0;  // guard against rounding
+  cdf_.back() = 1.0;  // guard against rounding; also ends every probe
+
+  // key(cdf_.back()) = m, so the scan stops at a rank for every j <= m.
+  guide_.resize(n + 1);
+  std::size_t r = 0;
+  for (std::size_t j = 0; j <= n; ++j) {
+    while (key(cdf_[r]) < j) ++r;
+    guide_[j] = static_cast<std::uint32_t>(r);
+  }
 }
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
@@ -32,9 +41,11 @@ std::size_t ZipfSampler::sample(Rng& rng) const {
 }
 
 std::size_t ZipfSampler::sample_at(double u) const {
+  // Also bounds the table index: u < 1 gives key(u) <= m.
   TC_CHECK(u >= 0.0 && u < 1.0, "u must lie in [0, 1)");
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  std::size_t r = guide_[key(u)];
+  while (cdf_[r] < u) ++r;
+  return r;
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -228,6 +230,64 @@ TEST(RegisteredWorkloads, SplitKindAdvisesHowEachSourceScalesOut) {
   const fib::RuleTree rt = fib::rule_tree_from_params(params);
   const fib::RouterSource source(rt, sim::fib_router_config(params, 5));
   EXPECT_EQ(source.split_kind(), SplitKind::kShared);
+}
+
+/// FNV-1a-64 over each request's node (4 bytes, little-endian) and sign.
+std::uint64_t stream_digest(const Trace& trace) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint8_t byte) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  };
+  for (const Request& r : trace) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      mix(static_cast<std::uint8_t>(r.node >> shift));
+    }
+    mix(static_cast<std::uint8_t>(r.sign));
+  }
+  return hash;
+}
+
+// Every seeded stream, pinned request for request. A sampler that draws
+// the right distribution but different ranks (a reordered CDF, a changed
+// search, an extra uniform01() per draw) keeps every statistical test
+// green and fails here. The goldens were recorded with the binary-search
+// Zipf sampler; a new registered workload needs its own entry.
+TEST(RegisteredWorkloads, SeededStreamsArePinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"churn", 0x8868c91771f334baULL},
+      {"churn-inject", 0xf713c97a922c70d1ULL},
+      {"concat", 0x2899d6e427d3466aULL},
+      {"fib", 0xe6753b13ff6015a9ULL},
+      {"fib-churn", 0xa31424591388de06ULL},
+      {"fib-real", 0x2a7404edc78c3aa4ULL},
+      {"fib-stable", 0x19554dcf03ecddffULL},
+      {"hotspot", 0xa7f198a0a351c364ULL},
+      {"mix", 0x79145fdecc2fb0a4ULL},
+      {"uniform", 0x68a05ffbe4845d0aULL},
+      {"zipf", 0x31047aa090470160ULL},
+      {"zipfleaf", 0x67e58ea124e2d5d7ULL},
+  };
+  Rng rng(41);
+  const Tree generic_tree = trees::random_recursive(256, rng);
+  const sim::Params params = smoke_params();
+  const fib::RuleTree rule_tree = fib::rule_tree_from_params(params);
+
+  for (const std::string& name : sim::WorkloadRegistry::instance().names()) {
+    SCOPED_TRACE("workload: " + name);
+    const Tree& tree =
+        tree_for_workload(name, params, rule_tree.tree, generic_tree);
+    const auto source = sim::make_source(name, tree, params, 21);
+    const std::uint64_t digest = stream_digest(materialize(*source));
+    const auto it = golden.find(name);
+    if (it == golden.end()) {
+      ADD_FAILURE() << "no golden digest for " << name << " (digest 0x"
+                    << std::hex << digest << ")";
+      continue;
+    }
+    EXPECT_EQ(digest, it->second) << std::hex << "0x" << digest;
+  }
+  EXPECT_EQ(golden.size(), sim::WorkloadRegistry::instance().names().size())
+      << "a golden names a workload that is no longer registered";
 }
 
 TEST(RegisteredWorkloads, StreamedAndMaterializedRunsAreIdentical) {

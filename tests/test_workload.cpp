@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "baselines/paging.hpp"
 #include "core/tree_cache.hpp"
@@ -64,6 +67,44 @@ TEST(Zipf, BoundaryDrawsLandOnCdfSteps) {
   // uniform01() never returns 1.0; sample_at enforces the same domain.
   EXPECT_THROW((void)sampler.sample_at(1.0), CheckFailure);
   EXPECT_THROW((void)sampler.sample_at(-0.001), CheckFailure);
+}
+
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  // The guide-table probe must return exactly the binary search's index
+  // for every u: on each CDF step and both of its neighbours (where ties
+  // and bucket edges live), at both ends of [0, 1), and on seeded draws.
+  Rng rng(77);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 100u, 4096u, 37449u}) {
+    for (const double skew : {0.0, 0.5, 1.0, 1.2, 3.0, 8.0}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " skew " +
+                   std::to_string(skew));
+      const ZipfSampler sampler(n, skew);
+      const std::span<const double> cdf = sampler.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      ASSERT_EQ(cdf.back(), 1.0);
+      const auto oracle = [&cdf](double u) {
+        return static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+      std::vector<double> probes{0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : cdf) {
+        if (c >= 1.0) continue;
+        probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+        probes.push_back(std::nextafter(c, 1.0));
+      }
+      for (int i = 0; i < 100000; ++i) probes.push_back(rng.uniform01());
+      std::size_t mismatches = 0;
+      for (const double u : probes) {
+        if (u >= 1.0) continue;  // the step just below 1 steps up to 1
+        if (sampler.sample_at(u) != oracle(u) && ++mismatches <= 5) {
+          ADD_FAILURE() << "u " << u << ": probe " << sampler.sample_at(u)
+                        << ", lower_bound " << oracle(u);
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 TEST(Zipf, ChiSquaredAgainstPmf) {
