@@ -209,8 +209,9 @@ int main() {
        .closed_loop = true,
        .baseline = "fib-closed-1x1"},
       // Real-feed rows: the fib-real workload over the ingested fixture
-      // table — open loop, so sharding scales it like the Zipf rows, but
-      // the stream is a real dump+update churn mix.
+      // table — open loop, so it shards through the same demux as the Zipf
+      // rows, but the stream is a real dump+update churn mix whose
+      // generation, on the one demux thread, bounds the 8xN row.
       {.name = "fib-real-1x1", .shards = 1, .real_feed = true,
        .baseline = "fib-real-1x1"},
       {.name = "fib-real-8xN",

@@ -50,16 +50,15 @@ class ShardPlan;  // engine/shard_plan.hpp
 
 namespace treecache {
 
-/// How RequestSource::split produced its per-shard parts — queryable so an
-/// engine can tell a genuine shared-generation split from the generic
-/// fork-per-shard fallback, which replays the FULL stream once per shard
-/// (an S× generation tax that silently eats the parallel speedup).
+/// How RequestSource::split produced its per-shard parts — queryable so a
+/// caller can tell a genuine shared-generation split from the generic
+/// fork-per-shard replay, which regenerates the FULL stream once per shard.
 enum class SplitKind : std::uint8_t {
   /// split() returns empty: the source only runs single-shard.
   kUnsplittable,
   /// Each part independently replays the whole stream behind a filter
-  /// (the default fork()-based split). Correct, but generation cost
-  /// scales with the shard count.
+  /// (the default fork()-based split, open loops only): a per-shard
+  /// reference replay whose generation cost scales with the shard count.
   kReplicated,
   /// The parts share one generation pass over the stream (e.g. the FIB
   /// router's producer-fed mirrors). Shared-generation parts must all be
@@ -114,8 +113,8 @@ class RequestSource {
   /// A fresh instance that replays this source's stream from the very
   /// beginning (independent of how far `this` has been consumed), or
   /// nullptr when the source cannot duplicate itself. The default split()
-  /// below is built on this hook, so implementing fork() makes an
-  /// open-loop source shardable for free.
+  /// below is built on this hook. Sharding an open loop does not need it:
+  /// the engine's demux reads the stream through fill() alone.
   [[nodiscard]] virtual std::unique_ptr<RequestSource> fork() const {
     return nullptr;
   }
@@ -132,9 +131,12 @@ class RequestSource {
   /// independent replay of the whole stream behind a filter, so no state
   /// is shared between the parts and they may be consumed from different
   /// threads (SplitKind::kReplicated — generation cost scales with the
-  /// shard count). Closed-loop sources must override this with genuine
-  /// per-shard mirrors (e.g. fib::RouterSource, whose mirrors share one
-  /// event producer — SplitKind::kShared) whose observe_batch() accepts
+  /// shard count). The engine never splits an open loop (its demux routes
+  /// one pass over the stream); this replay is a per-shard reference for
+  /// benchmarks and tests that step one shard's subsequence on its own.
+  /// Closed-loop sources must override this with genuine per-shard
+  /// mirrors (e.g. fib::RouterSource, whose mirrors share one event
+  /// producer — SplitKind::kShared) whose observe_batch() accepts
   /// shard-local outcomes; the default refuses them. An empty result
   /// means "cannot split".
   ///
@@ -147,11 +149,11 @@ class RequestSource {
   [[nodiscard]] virtual std::vector<std::unique_ptr<RequestSource>> split(
       const engine::ShardPlan& plan) const;
 
-  /// What kind of parts split() would produce (advisory — diagnostics and
-  /// scheduling hints, not a correctness contract). The default matches
-  /// the generic split() above: open-loop sources replicate via fork(),
-  /// closed-loop sources cannot split. Sources overriding split() should
-  /// override this to match.
+  /// What kind of parts split() would produce (advisory, not a
+  /// correctness contract — e.g. a decorator uses it to split the way its
+  /// inner source would). The default matches the generic split() above:
+  /// open-loop sources replicate via fork(), closed-loop sources cannot
+  /// split. Sources overriding split() should override this to match.
   [[nodiscard]] virtual SplitKind split_kind() const {
     return is_closed_loop() ? SplitKind::kUnsplittable
                             : SplitKind::kReplicated;
@@ -164,10 +166,10 @@ class RequestSource {
   }
 };
 
-/// Open-loop per-shard view used by the default RequestSource::split: owns
-/// an independent replay of the whole stream and keeps only the requests
-/// owned by one shard, remapped to shard-local ids. `plan` must outlive
-/// the source.
+/// Open-loop per-shard reference replay, the part type of the default
+/// RequestSource::split: owns an independent replay of the whole stream
+/// and keeps only the requests owned by one shard, remapped to shard-local
+/// ids. `plan` must outlive the source.
 class ShardFilterSource final : public RequestSource {
  public:
   ShardFilterSource(std::unique_ptr<RequestSource> inner,

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <iostream>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -40,10 +39,12 @@ int pin_to_cpu(std::size_t w) {
   return -1;
 }
 
-/// Bound on chunks buffered per worker: enough to keep workers busy while
-/// the demux refills, small enough that a slow shard backpressures the
-/// producer instead of ballooning memory.
-constexpr std::size_t kMaxQueuedChunks = 16;
+/// Bound on chunks buffered per worker by the open-loop demux. Generation
+/// outruns stepping, so every queue sits at this bound and it sets the
+/// demux's resident memory (workers × bound × EngineConfig::batch
+/// requests). A slow shard backpressures the producer instead of growing
+/// memory; four chunks already keep a worker fed through each refill.
+constexpr std::size_t kMaxQueuedChunks = 4;
 
 /// FIFO of (shard, chunk) pairs feeding one worker. A shard is pinned to
 /// exactly one worker, so per-shard order is the queue order.
@@ -140,30 +141,7 @@ class FeedbackSink final : public OutcomeSink {
   OutcomeBuffer* local_;
 };
 
-/// The once-per-process latch for warn_replicated_split below; the rearm
-/// hook (tests) lives in the header.
-std::atomic<bool> g_replicated_split_warned{false};
-
-/// stderr diagnostic for the split_kind() satellite contract: a replicated
-/// split is correct but regenerates the whole stream once per shard.
-/// Deduplicated process-wide — a sweep or multi-run process hitting the
-/// fallback at several call sites (closed-loop split, threaded open-loop
-/// split) or across many runs prints it once, not once per run.
-void warn_replicated_split(std::size_t shards) {
-  if (g_replicated_split_warned.exchange(true)) return;
-  std::cerr << "treecache: warning: multi-shard run falls back to "
-               "replicated generation (RequestSource::split cloned the "
-               "stream for each of "
-            << shards
-            << " shards); generation cost scales with the shard count — "
-               "see RequestSource::split_kind() (warned once per process)\n";
-}
-
 }  // namespace
-
-void rearm_replicated_split_warning() {
-  g_replicated_split_warned.store(false);
-}
 
 ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
                              const sim::Params& params, EngineConfig config)
@@ -244,15 +222,13 @@ EngineResult ShardedEngine::run(RequestSource& source) {
   const std::size_t num_shards = plan_.num_shards();
   if (num_shards > 1 && source.is_closed_loop()) {
     // Closed loop: split into one mirror per shard, so each shard's
-    // feedback stays local (see the header comment). The split replays
-    // the stream from the start, which is what run() means anyway.
+    // feedback stays local (see the header comment). The mirrors replay
+    // the stream from its start; open loops below run on from the
+    // source's current position.
     const auto mirrors = source.split(plan_);
     TC_CHECK(mirrors.size() == num_shards,
              "closed-loop source cannot split into per-shard mirrors "
              "(RequestSource::split); run it with a single shard");
-    if (source.split_kind() == SplitKind::kReplicated) {
-      warn_replicated_split(num_shards);
-    }
     return run_split(mirrors);
   }
   for (auto& alg : algs_) alg->reset();
@@ -278,24 +254,6 @@ EngineResult ShardedEngine::run(RequestSource& source) {
   const std::size_t workers = effective_threads();
   out.threads = workers;
   out.per_shard.resize(num_shards);
-
-  // Open-loop scale-out: with more than one worker, prefer splitting the
-  // source so generation itself runs on the workers — the demux below
-  // serializes fill() on this thread. Shared-generation parts must stay
-  // on one thread, so only independent (non-kShared) splits qualify; a
-  // source that cannot split falls through to the demux.
-  if (workers > 1 && source.split_kind() != SplitKind::kShared) {
-    const auto parts = source.split(plan_);
-    if (parts.size() == num_shards) {
-      if (source.split_kind() == SplitKind::kReplicated) {
-        warn_replicated_split(num_shards);
-      }
-      run_parts_threaded(parts, out, workers);
-      finalize(out);
-      out.total.wall_seconds = timer.seconds();
-      return out;
-    }
-  }
 
   std::vector<sim::AccountingSink> sinks;
   sinks.reserve(num_shards);
@@ -661,42 +619,6 @@ void ShardedEngine::run_split_threaded(
   for (auto& worker : pool) worker.join();
   if (producer_error) std::rethrow_exception(producer_error);
   if (worker_error) std::rethrow_exception(worker_error);
-}
-
-void ShardedEngine::run_parts_threaded(
-    std::span<const std::unique_ptr<RequestSource>> parts,
-    EngineResult& out, std::size_t workers) {
-  const std::size_t num_shards = plan_.num_shards();
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-      try {
-        std::vector<Request> buffer(config_.batch);
-        // Shard s is pinned to worker s % workers, like the demux path, so
-        // per-shard order is trivially the part's stream order. Parts are
-        // already shard-local (RequestSource::split remaps ids), so the
-        // loop is the plain fill → step_batch driver, one shard at a time.
-        for (std::size_t s = w; s < num_shards; s += workers) {
-          sim::AccountingSink sink(out.per_shard[s], *algs_[s], nullptr);
-          for (;;) {
-            const std::size_t n =
-                parts[s]->fill({buffer.data(), buffer.size()});
-            if (n == 0) break;
-            step_shard(s, {buffer.data(), n}, sink);
-          }
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : pool) worker.join();
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace treecache::engine

@@ -16,15 +16,14 @@
 // threads=1 demux. Tests enforce equality against independent per-shard
 // sequential runs and across thread counts.
 //
-// Open loops at scale: when the source can split (RequestSource::split)
-// and more than one worker is available, each worker self-drives its
-// shards' parts through fill → step_batch — request generation itself
-// runs on the workers instead of serializing on a demux thread. Sources
-// that cannot split keep the demux path (the caller thread routes batches
-// to per-shard queues). A multi-shard run over a replicated split
-// (SplitKind::kReplicated — every part replays the whole stream) logs a
-// warning to stderr: it is correct, but pays the generation cost once per
-// shard.
+// Open loops: every multi-shard open loop takes the demux, whatever the
+// worker count. The caller thread fills each batch once, routes each
+// request with ShardPlan::shard_of/to_local into per-shard chunks, and
+// hands every full chunk to the worker that owns the shard (a bounded
+// FIFO per worker; with one worker it steps the chunk inline). Each
+// request is generated exactly once, and the source is consumed from
+// wherever it stands — the engine never calls fork() or split() on an
+// open loop.
 //
 // Closed loops: with one shard the engine delegates to sim::run_source,
 // which feeds outcomes back to the source, so closed-loop sources (the FIB
@@ -118,11 +117,13 @@ class ShardedEngine {
                 const sim::Params& params, EngineConfig config);
 
   /// Resets every instance and runs `source` to exhaustion. See the header
-  /// comment for the determinism and closed-loop contracts. A multi-shard
-  /// closed-loop source is split() into mirrors and routed through
-  /// run_split; it must be shardable or the run is refused. Paths that
-  /// split (closed loops; open loops with more than one worker) replay
-  /// the stream from its very beginning — pass a fresh or reset source.
+  /// comment for the determinism and closed-loop contracts. An open loop
+  /// is consumed from the source's current position at every geometry, so
+  /// a partly consumed source yields the same result at every thread
+  /// count. Only a multi-shard closed loop is split() into mirrors and
+  /// routed through run_split (it must be shardable or the run is
+  /// refused); its mirrors replay the stream from the very beginning —
+  /// pass a fresh or reset source.
   [[nodiscard]] EngineResult run(RequestSource& source);
 
   /// Resets every instance and runs one pre-split per-shard source per
@@ -158,13 +159,6 @@ class ShardedEngine {
   void run_split_threaded(
       std::span<const std::unique_ptr<RequestSource>> mirrors,
       EngineResult& out, std::size_t workers);
-  /// Open-loop scale-out over split() parts: worker w self-drives the
-  /// parts of shards w, w+workers, ... to exhaustion — generation runs on
-  /// the workers, no demux in the middle. Parts must be independently
-  /// consumable (any SplitKind but kShared).
-  void run_parts_threaded(
-      std::span<const std::unique_ptr<RequestSource>> parts,
-      EngineResult& out, std::size_t workers);
 
   ShardPlan plan_;
   EngineConfig config_;
@@ -177,9 +171,5 @@ class ShardedEngine {
   /// concrete TreeCache (the step_shard fast path), non-owning.
   std::vector<TreeCache*> tc_;
 };
-
-/// Re-arms the once-per-process "replicated generation" stderr warning
-/// (it deduplicates across runs and call sites). Test hook only.
-void rearm_replicated_split_warning();
 
 }  // namespace treecache::engine

@@ -11,9 +11,11 @@
 //   ... [tail lookups]
 //
 // Open loop with an exact size_hint; fork() replays the identical stream
-// (the replay itself is shared immutably), so the default fork-based
-// split makes the source shardable (SplitKind::kReplicated) and runs
-// bit-identically across every shard/thread geometry.
+// (the replay itself is shared immutably). Like every open loop it shards
+// through the engine's demux, which generates it once, and runs
+// bit-identically across every shard/thread geometry; the default
+// fork-based split() is a per-shard reference replay
+// (SplitKind::kReplicated) that the engine does not use.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -384,33 +386,89 @@ TEST(ShardedEngine, PinningIsNormalizedOffForSequentialRuns) {
   EXPECT_TRUE(result.worker_cpus.empty());
 }
 
-TEST(ShardedEngine, WarnsWhenSplitFallsBackToReplication) {
-  // An open-loop source whose split() merely forks the stream per shard
-  // (SplitKind::kReplicated) regenerates it S times; the engine says so
-  // on stderr — once per process, however many runs replicate (a sweep
-  // over a replicating workload must not spam one line per cell).
-  // Shared-generation splits stay quiet.
-  const Tree tree = trees::complete_kary(3, 4);
+TEST(ShardedEngine, PartiallyConsumedOpenLoopMatchesAcrossThreadCounts) {
+  // run() consumes an open loop from wherever the source stands, at every
+  // geometry: after 5,000 of 20,000 requests were drained elsewhere, every
+  // worker count runs exactly the remaining 15,000 — and bit-identically.
+  const Tree tree = trees::complete_kary(4, 8);
   const sim::Params params = engine_params();
-  {
+
+  std::vector<engine::EngineResult> results;
+  for (const std::size_t threads : {1u, 4u}) {
     engine::ShardedEngine eng(tree, "tc", params,
-                              {.shards = 4, .threads = 2});
-    // Other tests in this binary may already have consumed the
-    // once-per-process warning; re-arm so this run is the first.
-    engine::rearm_replicated_split_warning();
-    const auto source = sim::make_source("zipf", tree, params, 7);
-    EXPECT_EQ(source->split_kind(), SplitKind::kReplicated);
+                              {.shards = 8, .threads = threads});
+    ASSERT_EQ(eng.plan().num_shards(), 8u);
+    const auto source = sim::make_source("zipf", tree, params, 23);
+    ASSERT_EQ(materialize(*source, 5000).size(), 5000u);
+    results.push_back(eng.run(*source));
+    EXPECT_EQ(results.back().threads, threads);
+    EXPECT_EQ(results.back().total.rounds, 15000u) << threads << " threads";
+  }
+  EXPECT_EQ(results[1].total, results[0].total);
+  ASSERT_EQ(results[1].per_shard.size(), results[0].per_shard.size());
+  for (std::size_t s = 0; s < results[0].per_shard.size(); ++s) {
+    EXPECT_EQ(results[1].per_shard[s], results[0].per_shard[s])
+        << "shard " << s;
+  }
+}
+
+/// What a source handed out, summed over the source and every replay
+/// forked from it (they share one tally): fork() calls and requests
+/// delivered by fill(). Atomic, so a run that fills replays on worker
+/// threads is counted, not raced.
+struct SourceTally {
+  std::atomic<std::size_t> forks{0};
+  std::atomic<std::uint64_t> delivered{0};
+};
+
+/// Counts fork() calls and delivered requests of an inner stream into a
+/// SourceTally, and forks into counting replays.
+class TallyingSource final : public RequestSource {
+ public:
+  TallyingSource(std::unique_ptr<RequestSource> inner, SourceTally& tally)
+      : inner_(std::move(inner)), tally_(&tally) {}
+  [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
+    const std::size_t n = inner_->fill(buffer);
+    tally_->delivered += n;
+    return n;
+  }
+  void reset() override { inner_->reset(); }
+  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override {
+    ++tally_->forks;
+    auto replay = inner_->fork();
+    if (replay == nullptr) return nullptr;
+    return std::make_unique<TallyingSource>(std::move(replay), *tally_);
+  }
+
+ private:
+  std::unique_ptr<RequestSource> inner_;
+  SourceTally* tally_;
+};
+
+TEST(ShardedEngine, GeneratesEachRequestOnceAndRunsSilently) {
+  {
+    // A multi-worker open loop goes through the demux: one fill per batch
+    // on the caller thread, routed to the shards. Nothing forks the
+    // source, and every generated request is stepped exactly once — a
+    // fork-per-shard split would generate the stream once per shard.
+    const Tree tree = trees::complete_kary(4, 8);
+    const sim::Params params = engine_params();
+    engine::ShardedEngine eng(tree, "tc", params,
+                              {.shards = 8, .threads = 4});
+    ASSERT_EQ(eng.plan().num_shards(), 8u);
+    SourceTally tally;
+    TallyingSource source(sim::make_source("zipf", tree, params, 7), tally);
     testing::internal::CaptureStderr();
-    (void)eng.run(*source);
-    const std::string first = testing::internal::GetCapturedStderr();
-    EXPECT_NE(first.find("replicated generation"), std::string::npos);
-    // Deduplicated: the identical second run stays silent.
-    source->reset();
-    testing::internal::CaptureStderr();
-    (void)eng.run(*source);
+    const engine::EngineResult result = eng.run(source);
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(result.threads, 4u);
+    EXPECT_EQ(tally.forks.load(), 0u);
+    EXPECT_EQ(tally.delivered.load(), result.total.rounds);
+    EXPECT_EQ(result.total.rounds, 20000u);  // engine_params()'s length
   }
   {
+    // A closed loop splits into mirrors fed by one shared event producer,
+    // so it too generates its stream once, and stays silent.
     const sim::Params fib_params = smoke_params();
     const fib::RuleTree rt = fib::rule_tree_from_params(fib_params);
     engine::ShardedEngine eng(rt.tree, "tc", fib_params,
@@ -423,9 +481,9 @@ TEST(ShardedEngine, WarnsWhenSplitFallsBackToReplication) {
   }
 }
 
-/// Strips fork() (and with it the default split()) off an inner stream, so
-/// the engine's threaded split fast path cannot apply and it must fall
-/// back to demuxing on the caller's thread.
+/// Strips fork() (and with it the default split()) off an inner stream.
+/// The engine's demux reads an open loop through fill() alone, so such a
+/// source must shard exactly like its forkable original.
 class ForklessSource final : public RequestSource {
  public:
   explicit ForklessSource(std::unique_ptr<RequestSource> inner)
@@ -439,27 +497,29 @@ class ForklessSource final : public RequestSource {
   std::unique_ptr<RequestSource> inner_;
 };
 
-TEST(ShardedEngine, ForklessOpenLoopSourceFallsBackToDemux) {
-  // No fork() means split() yields nothing; the threaded run must still
-  // succeed — via the demux path — and stay bit-identical to the split
-  // fast path the plain source takes.
+TEST(ShardedEngine, OpenLoopNeedsNoForkToShardAtAnyThreadCount) {
+  // No fork() means split() yields nothing; an open loop must still shard
+  // at every worker count, bit-identically to the forkable source.
   const Tree tree = trees::complete_kary(4, 8);
   const sim::Params params = engine_params();
 
-  engine::ShardedEngine eng(tree, "tc", params,
-                            {.shards = 8, .threads = 4, .batch = 256});
-  const auto plain = sim::make_source("zipf", tree, params, 23);
-  const engine::EngineResult via_split = eng.run(*plain);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    engine::ShardedEngine eng(tree, "tc", params,
+                              {.shards = 8, .threads = threads,
+                               .batch = 256});
+    const auto plain = sim::make_source("zipf", tree, params, 23);
+    const engine::EngineResult forkable = eng.run(*plain);
 
-  ForklessSource forkless(sim::make_source("zipf", tree, params, 23));
-  EXPECT_TRUE(forkless.split(eng.plan()).empty());
-  const engine::EngineResult via_demux = eng.run(forkless);
+    ForklessSource forkless(sim::make_source("zipf", tree, params, 23));
+    EXPECT_TRUE(forkless.split(eng.plan()).empty());
+    const engine::EngineResult result = eng.run(forkless);
 
-  EXPECT_EQ(via_demux.total, via_split.total);
-  ASSERT_EQ(via_demux.per_shard.size(), via_split.per_shard.size());
-  for (std::size_t s = 0; s < via_split.per_shard.size(); ++s) {
-    EXPECT_EQ(via_demux.per_shard[s], via_split.per_shard[s])
-        << "shard " << s;
+    EXPECT_EQ(result.total, forkable.total);
+    ASSERT_EQ(result.per_shard.size(), forkable.per_shard.size());
+    for (std::size_t s = 0; s < forkable.per_shard.size(); ++s) {
+      EXPECT_EQ(result.per_shard[s], forkable.per_shard[s]) << "shard " << s;
+    }
   }
 }
 

@@ -178,9 +178,10 @@ TEST(RegisteredWorkloads, SplitPartitionsEveryStreamByShard) {
     const Trace whole = materialize(*source);
     ASSERT_FALSE(whole.empty());
 
-    // A shardable stream must say so: split_kind() is the engine's
-    // dispatch signal, and "unsplittable" from a workload whose split()
-    // works would silently refuse multi-shard runs.
+    // A shardable stream must say so: split_kind() tells callers that
+    // decorate or replay a source how its split() behaves, and
+    // "unsplittable" from a workload whose split() works would misreport
+    // it.
     EXPECT_NE(source->split_kind(), SplitKind::kUnsplittable);
 
     // Splitting AFTER the parent was drained: parts replay from round one
