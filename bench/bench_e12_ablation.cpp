@@ -86,8 +86,8 @@ std::vector<Scenario> make_scenarios(std::uint64_t alpha) {
 int main() {
   sim::print_experiment_banner(
       "E12", "Ablation — aggregate saturation & maximality vs local rules",
-      "DESIGN.md S9: quantify the value of counting requests across whole "
-      "candidate changesets instead of per node");
+      "Quantify the value of counting requests across whole candidate "
+      "changesets instead of per node");
 
   const std::uint64_t alpha = 8;
   ConsoleTable table({"scenario", "algorithm", "service", "reorg", "total",

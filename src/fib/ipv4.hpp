@@ -2,7 +2,8 @@
 // application (§2 of the paper) and the rib/ ingest subsystem. The key
 // width is a template parameter: `Prefix` (32-bit IPv4 keys, this header)
 // and `Prefix6` (128-bit IPv6 keys, fib/ipv6.hpp) share one BasicPrefix
-// so the trie, rule-tree, RIB generator and feed machinery stay generic.
+// so the rule tree, packet sampler, RIB generator and feed machinery stay
+// generic.
 #pragma once
 
 #include <charconv>
@@ -60,7 +61,8 @@ template <typename BitsT>
 /// A prefix `bits/length` over a width-parameterized key; bits beyond
 /// `length` are stored as zero. Ordering is (bits, length) via the
 /// defaulted comparison — total and deterministic, which the set-based
-/// RIB generator and the rule-tree build rely on.
+/// RIB generator relies on. It also lists every prefix after the prefixes
+/// that contain it, the preorder the rule-tree build walks.
 template <typename BitsT>
 struct BasicPrefix {
   using Bits = BitsT;

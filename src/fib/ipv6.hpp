@@ -1,5 +1,5 @@
 // IPv6: a 128-bit key type plus the AddressFamily specialization that
-// lets BasicPrefix / BasicPrefixTrie / BasicRuleTree / rib_gen run on
+// lets BasicPrefix / BasicRuleTree / BasicPacketSampler / rib_gen run on
 // IPv6 prefixes unchanged. Text form is RFC 4291 hex groups with a
 // single "::" compression; formatting follows RFC 5952 (lowercase,
 // longest zero run of >= 2 groups compressed, leftmost on ties).

@@ -1,9 +1,9 @@
 // Synthetic RIB (routing table) generator.
 //
-// SUBSTITUTION (documented in DESIGN.md): the paper motivates the problem
-// with real BGP tables (Route-Views) but runs no experiment on them; no
-// public RIB snapshot ships with this repository. The generator reproduces
-// the two structural properties that matter for tree caching:
+// SUBSTITUTION: the paper motivates the problem with real BGP tables
+// (Route-Views) but runs no experiment on them; no public RIB snapshot
+// ships with this repository. The generator reproduces the two structural
+// properties that matter for tree caching:
 //   * a realistic prefix-length histogram (mass peaked at /24, secondary
 //     mass at /16..: the classic BGP shape; for IPv6, peaked at /48 with
 //     ridges at /32 and /64), and

@@ -30,17 +30,20 @@ RouterSimResult run_router_sim(const RuleTree& rules, OnlineAlgorithm& alg,
       continue;
     }
 
-    const Address addr = sampler.sample_address(rng);
-    const NodeId full_match = rules.lpm(addr);
-    // The switch looks up the packet over its cached rules only.
-    const auto cached_match = rules.trie.lookup_if(
-        addr, [&](RuleId rule) { return alg.cache().contains(rule); });
+    const auto [addr, full_match] = sampler.sample_packet(rng);
+    // The switch looks up the packet over its cached rules only: the
+    // deepest cached rule on the address's descent from the root.
+    NodeId cached_match = kNoNode;
+    for (NodeId v = rules.tree.root(); v != kNoNode;
+         v = rules.child_containing(v, addr)) {
+      if (alg.cache().contains(v)) cached_match = v;
+    }
     ++result.packets;
 
-    if (cached_match.has_value()) {
+    if (cached_match != kNoNode) {
       // A cached rule matched: forwarding is only correct if it is the
       // same rule the full table would pick.
-      if (*cached_match == full_match) {
+      if (cached_match == full_match) {
         ++result.hits;
       } else {
         // Mis-forwarded. The controller detects the stray flow and detours

@@ -4,7 +4,8 @@
 // the two is enforced by tests/test_fib_engine.cpp.
 //
 // The switch holds the cached subforest of rules; packets are looked up by
-// LPM over the cached rules only. A miss (no cached rule matches beyond the
+// LPM over the cached rules only: the deepest cached rule on the address's
+// descent through the rule tree. A miss (no cached rule matches beyond the
 // artificial default) costs 1 — the packet detours via the controller,
 // which then feeds the corresponding positive request to the caching
 // algorithm. Rule updates cost α when the rule is cached (a chunk of α
@@ -13,12 +14,15 @@
 // The simulation also *proves the model's point* operationally: it checks
 // on every packet that LPM over the cached subforest never resolves to a
 // wrong (less specific) rule — the subforest invariant makes partial FIBs
-// forwarding-correct. Any violation is counted in forwarding_errors (and
-// must be zero for every subforest-invariant algorithm). If a violation
-// does occur, the controller detects the stray flow and detours it, so the
-// mis-forwarded packet is charged and reported to the caching algorithm
-// exactly like a miss (a positive request for the full-table match) rather
-// than silently disappearing from the online instance.
+// forwarding-correct. It is the oracle for that: it walks the whole
+// descent, where the RouterSource mirror relies on the invariant and reads
+// only the match's cached flag. Any violation is counted in
+// forwarding_errors (and must be zero for every subforest-invariant
+// algorithm). If a violation does occur, the controller detects the stray
+// flow and detours it, so the mis-forwarded packet is charged and
+// reported to the caching algorithm exactly like a miss (a positive
+// request for the full-table match) rather than silently disappearing
+// from the online instance.
 #pragma once
 
 #include <cstdint>

@@ -65,20 +65,20 @@ std::size_t RouterEventProducer::pump(std::size_t budget) {
       const NodeId rule = sampler_.sample_rule(rng_);
       const std::size_t owner = plan_->shard_of(rule);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
-        queues_[owner].events.push_back(RouterEvent{
-            .addr = 0, .node = rule, .kind = RouterEventKind::kUpdate});
+        queues_[owner].events.push_back(
+            RouterEvent{.node = rule, .kind = RouterEventKind::kUpdate});
       }
     } else {
-      const Address addr = sampler_.sample_address(rng_);
-      // The full-table match is resolved here, once — mirrors never rerun
-      // the global LPM. Packets whose match is the default rule belong to
-      // shard 0 (the plan routes the root there), like every other match.
-      const NodeId match = rules_->lpm(addr);
+      // The sampler resolves the full-table match here, once; a mirror
+      // needs nothing else of the packet. Packets whose match is the
+      // default rule belong to shard 0 (the plan routes the root there),
+      // like every other match.
+      const NodeId match = sampler_.sample_packet(rng_).match;
       ++packets_generated_;
       const std::size_t owner = plan_->shard_of(match);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
-        queues_[owner].events.push_back(RouterEvent{
-            .addr = addr, .node = match, .kind = RouterEventKind::kPacket});
+        queues_[owner].events.push_back(
+            RouterEvent{.node = match, .kind = RouterEventKind::kPacket});
       }
     }
     ++generated;
@@ -135,10 +135,17 @@ RouterMirrorSource::RouterMirrorSource(
 
 bool RouterMirrorSource::cached_rule(NodeId v) const {
   if (plan_->shard_of(v) == shard_) return cached_[plan_->to_local(v)] != 0;
-  // An address's trie walk only visits ancestors of its full-table match:
-  // rules of the owning shard, plus the default rule. The latter reads as
-  // this shard's replica root (local node 0), never as foreign state.
+  // The ancestors of an owned rule are rules of this shard, plus the
+  // default rule. The latter reads as this shard's replica root (local
+  // node 0), never as foreign state.
   return v == rules_->tree.root() && cached_[0] != 0;
+}
+
+bool RouterMirrorSource::cached_ancestor(NodeId v) const {
+  for (v = rules_->tree.parent(v); v != kNoNode; v = rules_->tree.parent(v)) {
+    if (cached_rule(v)) return true;
+  }
+  return false;
 }
 
 std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
@@ -170,23 +177,18 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
     }
 
     ++stats_.packets;
-    // The switch looks up the packet over this card's cached rules only;
-    // event.node is the pre-resolved full-table match, in global ids like
-    // the rules the walk visits.
-    const auto cached_match = rules_->trie.lookup_if(
-        event.addr, [&](RuleId rule) { return cached_rule(rule); });
-
-    if (cached_match.has_value() && *cached_match == event.node) {
+    // The switch looks up the packet over this card's cached rules only.
+    // The cache is descendant-closed, so that lookup returns the
+    // full-table match if it is cached and nothing otherwise: a cached
+    // ancestor would have its whole subtree cached, the match included.
+    if (cached_rule(event.node)) {
       ++stats_.hits;
       continue;
     }
-    if (cached_match.has_value()) {
-      // Mis-forwarded by a cached, less specific rule: controller detour,
-      // charged like a miss.
-      ++stats_.forwarding_errors;
-    } else {
-      ++stats_.misses;
-    }
+    TC_DCHECK(!cached_ancestor(event.node),
+              "a cached rule would mis-forward a packet its uncached "
+              "descendant matches: the cache is not descendant-closed");
+    ++stats_.misses;
     buffer[n++] = positive(plan_->to_local(event.node));
     // Stop here: the fetch this request may trigger changes the mirror
     // the next owned packet lookup depends on.

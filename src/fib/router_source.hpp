@@ -8,7 +8,9 @@
 // cached right now?" for LPM over the cached subforest and for the
 // cached-update statistic — is mirrored from the StepOutcome feedback the
 // driver hands to observe_batch() after stepping, so the source never
-// touches the algorithm.
+// touches the algorithm. The cache is descendant-closed, so LPM over the
+// cached rules is the full-table match if that match is cached and
+// nothing otherwise: a packet hits iff its match is cached.
 //
 // Closed-loop batching contract: a pending α-chunk is predetermined and may
 // be batched, but after emitting a packet request fill() returns — the next
@@ -20,15 +22,15 @@
 // are pure RNG, independent of any cache state, so the producer generates
 // the global stream ONCE and routes each event into the queue of the shard
 // owning its full-table match (the plan partitions the rule tree by
-// top-level prefix, and every rule an address's trie walk can touch is an
-// ancestor of its LPM match: same top-level prefix, plus the default rule,
-// whose per-shard replica each line card mirrors locally). A mirror pulls
-// only its own queue; consulting only the shard's own cache mirror, so
-// feedback never crosses shards: each mirror needs exactly its shard's
-// outcomes, in per-shard order, while outcomes may complete out of order
-// globally. Requests are emitted in shard-LOCAL node ids and
-// observe_batch() expects shard-local outcomes — a mirror plugs straight
-// into the shard's algorithm instance with no translation in the engine.
+// top-level prefix: a match's ancestors share its shard, except the
+// default rule, whose per-shard replica each line card mirrors locally).
+// A mirror pulls only its own queue and consults only the shard's own
+// cache mirror, so feedback never crosses shards: each mirror needs
+// exactly its shard's outcomes, in per-shard order, while outcomes may
+// complete out of order globally. Requests are emitted in shard-LOCAL
+// node ids and observe_batch() expects shard-local outcomes — a mirror
+// plugs straight into the shard's algorithm instance with no translation
+// in the engine.
 //
 // Threading: the producer is deliberately lock-free-by-exclusivity — all
 // sibling mirrors must be consumed from one thread (the engine's run_split
@@ -51,11 +53,8 @@ enum class RouterEventKind : std::uint8_t { kPacket, kUpdate };
 
 /// One pre-generated event of the global router stream. `node` is the
 /// GLOBAL id of the packet's full-table LPM match (resp. the updated
-/// rule) — global so the consuming mirror can compare it against its
-/// cached-LPM walk, which sees global rule ids; the mirror localizes it
-/// only when emitting a request.
+/// rule); the mirror localizes it only when emitting a request.
 struct RouterEvent {
-  Address addr = 0;  // packets only: the sampled address
   NodeId node = 0;
   RouterEventKind kind = RouterEventKind::kPacket;
 };
@@ -175,13 +174,16 @@ class RouterMirrorSource final : public RequestSource {
   [[nodiscard]] std::size_t shard() const { return shard_; }
 
  private:
-  /// Cache-mirror lookup by GLOBAL rule id, as the trie walk sees rules.
-  /// Foreign rules read as uncached except the default rule, which reads
-  /// this shard's replica (local node 0) — the line card's own copy.
+  /// Cache-mirror lookup by GLOBAL rule id. Foreign rules read as
+  /// uncached except the default rule, which reads this shard's replica
+  /// (local node 0) — the line card's own copy.
   [[nodiscard]] bool cached_rule(NodeId v) const;
+  /// True iff a proper ancestor of GLOBAL rule `v` reads as cached: the
+  /// debug check that the mirrored cache is descendant-closed.
+  [[nodiscard]] bool cached_ancestor(NodeId v) const;
 
   std::shared_ptr<RouterEventProducer> producer_;
-  const RuleTree* rules_;  // == &producer_->rules(), cached for the walk
+  const RuleTree* rules_;  // == &producer_->rules()
   const engine::ShardPlan* plan_;
   std::size_t shard_;
   std::uint64_t alpha_;

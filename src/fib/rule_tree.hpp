@@ -6,14 +6,22 @@
 // unmatched packets to the controller (Figure 1). Tree caching runs on
 // exactly this tree: caching a rule requires caching all of its
 // more-specific descendants, which is what makes LPM over the cached
-// subset return correct egress ports. Generic over the key width:
-// RuleTree is the IPv4 instantiation, RuleTree6 the IPv6 one.
+// subset return correct egress ports.
+//
+// The tree is also the FIB's only prefix index. The rules containing an
+// address are exactly the nodes of one root path, so longest-prefix match
+// is a descent: a node's children are disjoint prefixes, kept sorted by
+// bits in a child index, and one binary search per level finds the child
+// that contains the address. Generic over the key width: RuleTree is the
+// IPv4 instantiation, RuleTree6 the IPv6 one.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fib/ipv6.hpp"
-#include "fib/prefix_trie.hpp"
 #include "tree/tree.hpp"
 
 namespace treecache::fib {
@@ -24,12 +32,49 @@ struct BasicRuleTree {
 
   Tree tree;                    // node 0 = artificial default rule
   std::vector<PrefixT> prefix;  // per tree node
-  BasicPrefixTrie<PrefixT> trie;  // LPM over ALL rules → tree node id
+  /// The child index: v's children are child_list[child_offset[v] ..
+  /// child_offset[v + 1]), sorted by prefix bits. It holds the same edges
+  /// as `tree`, whose children follow node ids instead.
+  std::vector<std::uint32_t> child_offset;
+  std::vector<NodeId> child_list;
 
-  /// Full-table longest-prefix match; node 0 (default rule) if nothing
-  /// more specific matches.
-  [[nodiscard]] NodeId lpm(const Bits& addr) const {
-    return trie.lookup(addr).value_or(0);
+  /// The child of `v` whose prefix contains `addr`, or kNoNode.
+  [[nodiscard]] NodeId child_containing(NodeId v, const Bits& addr) const {
+    const NodeId* first = child_list.data() + child_offset[v];
+    const NodeId* last = child_list.data() + child_offset[v + 1];
+    // Disjoint prefixes sorted by bits: only the last child starting at
+    // or below `addr` can contain it.
+    const NodeId* next = std::upper_bound(
+        first, last, addr,
+        [this](const Bits& a, NodeId c) { return a < prefix[c].bits; });
+    if (next == first) return kNoNode;
+    const NodeId c = *(next - 1);
+    return prefix[c].contains(addr) ? c : kNoNode;
+  }
+
+  /// Longest-prefix match of `addr`, descending from `from`, which must
+  /// contain it: a rule's match is the rule or one of its descendants.
+  /// From the root, the full-table match (node 0 if nothing more specific
+  /// matches).
+  [[nodiscard]] NodeId lpm(const Bits& addr, NodeId from = 0) const {
+    TC_DCHECK(prefix[from].contains(addr),
+              "the descent must start at a rule containing the address");
+    for (;;) {
+      const NodeId c = child_containing(from, addr);
+      if (c == kNoNode) return from;
+      from = c;
+    }
+  }
+
+  /// The node whose prefix is exactly `p` (the root for /0), if any.
+  [[nodiscard]] std::optional<NodeId> exact(const PrefixT& p) const {
+    NodeId v = 0;
+    while (prefix[v].length < p.length) {
+      const NodeId c = child_containing(v, p.bits);
+      if (c == kNoNode || prefix[c].length > p.length) return std::nullopt;
+      v = c;
+    }
+    return v;
   }
 };
 
@@ -38,7 +83,7 @@ using RuleTree6 = BasicRuleTree<Prefix6>;
 
 /// Builds the rule tree from a set of prefixes. Duplicates are dropped; a
 /// /0 entry, if present, merges into the artificial root. Node ids are
-/// assigned so that parents precede children (sorted by prefix length).
+/// assigned in (length, bits) order, so parents precede children.
 template <typename PrefixT>
 [[nodiscard]] BasicRuleTree<PrefixT> build_rule_tree(
     std::vector<PrefixT> prefixes);

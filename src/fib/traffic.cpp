@@ -4,8 +4,9 @@
 
 namespace treecache::fib {
 
-PacketSampler::PacketSampler(const RuleTree& rules, double zipf_skew,
-                             Rng& rng)
+template <typename PrefixT>
+BasicPacketSampler<PrefixT>::BasicPacketSampler(
+    const BasicRuleTree<PrefixT>& rules, double zipf_skew, Rng& rng)
     : rules_(&rules),
       ranked_([&] {
         // Rank the non-root rules in random order.
@@ -18,28 +19,34 @@ PacketSampler::PacketSampler(const RuleTree& rules, double zipf_skew,
   TC_CHECK(!ranked_.empty(), "rule tree has only the default rule");
 }
 
-NodeId PacketSampler::sample_rule(Rng& rng) const {
+template <typename PrefixT>
+NodeId BasicPacketSampler<PrefixT>::sample_rule(Rng& rng) const {
   return ranked_[sampler_.sample(rng)];
 }
 
-Address PacketSampler::sample_address(Rng& rng) const {
+template <typename PrefixT>
+auto BasicPacketSampler<PrefixT>::sample_packet(Rng& rng) const -> Packet {
   const NodeId rule = sample_rule(rng);
-  const Prefix p = rules_->prefix[rule];
-  const Address span_mask =
-      p.length == 32 ? 0 : ((Address{1} << (32 - p.length)) - 1);
-  // A handful of rejection rounds keeps most packets on the sampled rule;
-  // residual hits land on a more specific child, which is fine.
-  Address addr = p.bits | (static_cast<Address>(rng()) & span_mask);
-  for (int tries = 0; tries < 8 && rules_->lpm(addr) != rule; ++tries) {
-    addr = p.bits | (static_cast<Address>(rng()) & span_mask);
+  const PrefixT p = rules_->prefix[rule];
+  const Bits span_mask = ~prefix_mask<Bits>(p.length);
+  const auto draw = [&] {
+    const Bits addr = p.bits | (AddressFamily<Bits>::random(rng) & span_mask);
+    return Packet{addr, rules_->lpm(addr, rule)};
+  };
+  // A handful of rejection rounds keeps most packets on the sampled rule.
+  Packet packet = draw();
+  for (int tries = 0; tries < 8 && packet.match != rule; ++tries) {
+    packet = draw();
   }
-  return addr;
+  return packet;
 }
+
+template class BasicPacketSampler<Prefix>;
+template class BasicPacketSampler<Prefix6>;
 
 FibTraceSource::FibTraceSource(const RuleTree& rules,
                                const FibWorkloadConfig& config, Rng rng)
-    : rules_(&rules),
-      config_(config),
+    : config_(config),
       sampler_(rules, config.zipf_skew, rng),
       start_rng_(rng),
       rng_(rng) {
@@ -60,8 +67,7 @@ std::size_t FibTraceSource::fill(std::span<Request> buffer) {
       pending_node_ = sampler_.sample_rule(rng_);
       pending_ = config_.alpha;
     } else {
-      buffer[n++] =
-          positive(rules_->lpm(sampler_.sample_address(rng_)));
+      buffer[n++] = positive(sampler_.sample_packet(rng_).match);
     }
   }
   return n;
@@ -94,7 +100,7 @@ ChunkedTrace make_fib_workload(const RuleTree& rules,
       append_repeated(out.trace, negative(rule), config.alpha);
       out.chunks.emplace_back(begin, out.trace.size());
     } else {
-      out.trace.push_back(positive(rules.lpm(packets.sample_address(rng))));
+      out.trace.push_back(positive(packets.sample_packet(rng).match));
     }
   }
   return out;

@@ -2,7 +2,9 @@
 //
 // Traffic is Zipf-distributed over rules (Sarrar et al., cited in §2);
 // updates follow the Appendix-B model: one BGP update to a rule becomes a
-// chunk of α negative requests to its tree node.
+// chunk of α negative requests to its tree node. Every packet stream —
+// this file's, the router's and the fib-real churn replay's — draws its
+// addresses and their full-table matches from one BasicPacketSampler.
 #pragma once
 
 #include <cstdint>
@@ -16,25 +18,46 @@
 namespace treecache::fib {
 
 /// Zipf popularity over rules, with addresses drawn inside the chosen
-/// rule's prefix.
-class PacketSampler {
+/// rule's prefix. Generic over the key width: PacketSampler draws IPv4
+/// packets; the fib-real churn replay draws both families.
+template <typename PrefixT>
+class BasicPacketSampler {
  public:
-  /// Popularity ranks are a random permutation of the non-root rules.
-  PacketSampler(const RuleTree& rules, double zipf_skew, Rng& rng);
+  using Bits = typename PrefixT::Bits;
 
-  /// Draws the tree node a packet's full-table LPM resolves to.
+  /// A drawn packet: its address and the address's full-table match.
+  struct Packet {
+    Bits addr;
+    NodeId match;
+  };
+
+  /// Popularity ranks are a random permutation of the non-root rules.
+  /// `rules` must outlive the sampler.
+  BasicPacketSampler(const BasicRuleTree<PrefixT>& rules, double zipf_skew,
+                     Rng& rng);
+
+  /// Draws a Zipf-popular rule.
   [[nodiscard]] NodeId sample_rule(Rng& rng) const;
 
-  /// Draws an address whose LPM is (usually) the sampled rule; if the
-  /// rule's children cover the sampled address, the packet simply belongs
-  /// to the more specific rule — realistic either way.
-  [[nodiscard]] Address sample_address(Rng& rng) const;
+  /// Draws a rule, then an address inside it whose match is (usually) that
+  /// rule; if the rule's children cover the address, the packet simply
+  /// belongs to the more specific rule — realistic either way. The match
+  /// is the rule tree's descent from the drawn rule, so a leaf rule costs
+  /// no lookup at all.
+  [[nodiscard]] Packet sample_packet(Rng& rng) const;
+
+  /// The address of sample_packet(rng): the same draw, descents included.
+  [[nodiscard]] Bits sample_address(Rng& rng) const {
+    return sample_packet(rng).addr;
+  }
 
  private:
-  const RuleTree* rules_;
+  const BasicRuleTree<PrefixT>* rules_;
   std::vector<NodeId> ranked_;
   ZipfSampler sampler_;
 };
+
+using PacketSampler = BasicPacketSampler<Prefix>;
 
 struct FibWorkloadConfig {
   std::size_t events = 100000;        // packets + update chunks
@@ -69,7 +92,6 @@ class FibTraceSource final : public RequestSource {
   // exact request count is unknown until the stream ends.
 
  private:
-  const RuleTree* rules_;
   FibWorkloadConfig config_;
   PacketSampler sampler_;
   Rng start_rng_;  // state AFTER the sampler's permutation draw

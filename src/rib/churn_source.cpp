@@ -1,7 +1,5 @@
 #include "rib/churn_source.hpp"
 
-#include <numeric>
-
 #include "fib/rule_tree.hpp"
 
 namespace treecache::rib {
@@ -9,15 +7,13 @@ namespace treecache::rib {
 template <typename PrefixT>
 BasicChurnReplay<PrefixT> make_churn_replay(
     const BasicIngest<PrefixT>& ingest) {
-  fib::BasicRuleTree<PrefixT> fib_tree = fib::build_rule_tree(
-      std::vector<PrefixT>(ingest.touched.begin(), ingest.touched.end()));
+  fib::BasicRuleTree<PrefixT> fib_tree = fib::build_rule_tree(ingest.touched);
   std::vector<NodeId> churn_nodes;
   churn_nodes.reserve(ingest.churn.size());
   for (const PrefixT& p : ingest.churn) {
-    const auto node = fib_tree.trie.exact(p);
-    TC_CHECK(node.has_value() || p.length == 0,
-             "churned prefix missing from the replay tree");
-    churn_nodes.push_back(node.value_or(0));
+    const auto node = fib_tree.exact(p);
+    TC_CHECK(node.has_value(), "churned prefix missing from the replay tree");
+    churn_nodes.push_back(*node);
   }
   return BasicChurnReplay<PrefixT>{std::move(fib_tree),
                                    std::move(churn_nodes)};
@@ -28,22 +24,26 @@ template ChurnReplay make_churn_replay<fib::Prefix>(
 template ChurnReplay6 make_churn_replay<fib::Prefix6>(
     const BasicIngest<fib::Prefix6>&);
 
+namespace {
+
+template <typename PrefixT>
+const fib::BasicRuleTree<PrefixT>& replay_tree(
+    const std::shared_ptr<const BasicChurnReplay<PrefixT>>& replay) {
+  TC_CHECK(replay != nullptr, "replay must not be null");
+  TC_CHECK(replay->fib.tree.size() >= 2,
+           "feed produced a table with no routes");
+  return replay->fib;
+}
+
+}  // namespace
+
 template <typename PrefixT>
 BasicRibChurnSource<PrefixT>::BasicRibChurnSource(
     std::shared_ptr<const BasicChurnReplay<PrefixT>> replay,
     const ChurnReplayConfig& config, Rng rng)
     : replay_(std::move(replay)),
       config_(config),
-      ranked_([&] {
-        TC_CHECK(replay_ != nullptr, "replay must not be null");
-        TC_CHECK(replay_->fib.tree.size() >= 2,
-                 "feed produced a table with no routes");
-        std::vector<NodeId> ids(replay_->fib.tree.size() - 1);
-        std::iota(ids.begin(), ids.end(), NodeId{1});
-        rng.shuffle(ids);
-        return ids;
-      }()),
-      zipf_(ranked_.size(), config.zipf_skew),
+      sampler_(replay_tree(replay_), config.zipf_skew, rng),
       start_rng_(rng),
       rng_(rng) {
   TC_CHECK(config_.alpha >= 1, "alpha must be positive");
@@ -54,28 +54,12 @@ BasicRibChurnSource<PrefixT>::BasicRibChurnSource(
 }
 
 template <typename PrefixT>
-NodeId BasicRibChurnSource<PrefixT>::sample_lookup() {
-  using Bits = typename PrefixT::Bits;
-  using Family = fib::AddressFamily<Bits>;
-  const NodeId rule = ranked_[zipf_.sample(rng_)];
-  const PrefixT& p = replay_->fib.prefix[rule];
-  const Bits span_mask = ~fib::prefix_mask<Bits>(p.length);
-  // A handful of rejection rounds keeps most packets on the sampled rule;
-  // residual hits land on a more specific child, which is fine.
-  Bits addr = p.bits | (Family::random(rng_) & span_mask);
-  for (int tries = 0; tries < 8 && replay_->fib.lpm(addr) != rule; ++tries) {
-    addr = p.bits | (Family::random(rng_) & span_mask);
-  }
-  return replay_->fib.lpm(addr);
-}
-
-template <typename PrefixT>
 std::size_t BasicRibChurnSource<PrefixT>::fill(std::span<Request> buffer) {
   std::size_t n = 0;
   while (n < buffer.size()) {
     if (lookups_pending_ > 0) {
       --lookups_pending_;
-      buffer[n++] = positive(sample_lookup());
+      buffer[n++] = positive(sampler_.sample_packet(rng_).match);
       continue;
     }
     if (negatives_pending_ > 0) {
@@ -91,7 +75,7 @@ std::size_t BasicRibChurnSource<PrefixT>::fill(std::span<Request> buffer) {
     }
     if (tail_pending_ > 0) {
       --tail_pending_;
-      buffer[n++] = positive(sample_lookup());
+      buffer[n++] = positive(sampler_.sample_packet(rng_).match);
       continue;
     }
     break;

@@ -22,9 +22,9 @@
 #include <memory>
 
 #include "core/request_source.hpp"
+#include "fib/traffic.hpp"
 #include "rib/ingest.hpp"
 #include "util/rng.hpp"
-#include "workload/zipf.hpp"
 
 namespace treecache::rib {
 
@@ -41,9 +41,9 @@ struct BasicChurnReplay {
 using ChurnReplay = BasicChurnReplay<fib::Prefix>;
 using ChurnReplay6 = BasicChurnReplay<fib::Prefix6>;
 
-/// Builds a family's replay from its ingest: rule tree over `touched`,
-/// churn prefixes resolved to node ids (every churned prefix is in
-/// `touched`, so resolution cannot miss).
+/// Builds a family's replay from its ingest: rule tree over `touched`
+/// (build_rule_tree drops its repeats), churn prefixes resolved to node
+/// ids (every churned prefix is in `touched`, so resolution cannot miss).
 template <typename PrefixT>
 [[nodiscard]] BasicChurnReplay<PrefixT> make_churn_replay(
     const BasicIngest<PrefixT>& ingest);
@@ -68,12 +68,9 @@ class BasicRibChurnSource final : public RequestSource {
   [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
-  [[nodiscard]] NodeId sample_lookup();
-
   std::shared_ptr<const BasicChurnReplay<PrefixT>> replay_;
   ChurnReplayConfig config_;
-  std::vector<NodeId> ranked_;  // Zipf ranks: shuffled non-root rules
-  ZipfSampler zipf_;
+  fib::BasicPacketSampler<PrefixT> sampler_;
   Rng start_rng_;  // state AFTER the rank permutation draw
   Rng rng_;
   std::uint64_t total_ = 0;  // exact stream length in requests

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -30,15 +29,16 @@ struct IngestStats {
 };
 
 /// One family's ingest product: the RIB after all updates, the counters,
-/// every distinct prefix the feed ever named (the replay FIB is built
-/// over this superset, so withdrawn routes keep their tree node — in the
-/// paper's model an update to a rule is an update to its node, whether
-/// the route survives or not), and the churn events in feed order.
+/// every prefix the feed named, once per record and in feed order (the
+/// replay FIB is built over this superset, and its build drops the
+/// repeats; withdrawn routes keep their tree node — in the paper's model
+/// an update to a rule is an update to its node, whether the route
+/// survives or not), and the churn events in feed order.
 template <typename PrefixT>
 struct BasicIngest {
   BasicRibTable<PrefixT> rib;
   IngestStats stats;
-  std::set<PrefixT> touched;
+  std::vector<PrefixT> touched;
   std::vector<PrefixT> churn;
 
   [[nodiscard]] bool empty() const {

@@ -1,9 +1,17 @@
-// FIB substrate: IPv4 parsing, trie LPM vs linear scan, rule-tree
-// structure, synthetic RIB properties, router simulation correctness, and
-// the Appendix B canonicalization bound.
+// FIB substrate: IPv4 parsing, the rule tree's structure and its LPM and
+// exact-match descents (against linear scans, for both families), pinned
+// rule-tree builds, synthetic RIB properties, router simulation
+// correctness, and the Appendix B canonicalization bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "baselines/lru_closure.hpp"
 #include "core/tree_cache.hpp"
@@ -12,6 +20,7 @@
 #include "fib/router_sim.hpp"
 #include "fib/rule_tree.hpp"
 #include "fib/traffic.hpp"
+#include "rib/churn_source.hpp"
 #include "util/rng.hpp"
 
 namespace treecache::fib {
@@ -91,66 +100,107 @@ TEST(Ipv4, ParseErrorsNameTheProblemAndPosition) {
   EXPECT_NE(host.find("10.1.2.3/8"), std::string::npos) << host;
 }
 
-TEST(PrefixTrie, LpmBasics) {
-  PrefixTrie trie;
-  EXPECT_TRUE(trie.insert(Prefix::parse("10.0.0.0/8"), 1));
-  EXPECT_TRUE(trie.insert(Prefix::parse("10.1.0.0/16"), 2));
-  EXPECT_TRUE(trie.insert(Prefix::parse("192.168.0.0/16"), 3));
-  EXPECT_FALSE(trie.insert(Prefix::parse("10.0.0.0/8"), 9));  // duplicate
-
-  EXPECT_EQ(trie.lookup(parse_address("10.1.2.3")).value(), 2u);
-  EXPECT_EQ(trie.lookup(parse_address("10.2.2.3")).value(), 1u);
-  EXPECT_EQ(trie.lookup(parse_address("192.168.9.9")).value(), 3u);
-  EXPECT_FALSE(trie.lookup(parse_address("11.0.0.1")).has_value());
-}
-
-TEST(PrefixTrie, LookupIfRestrictsMatches) {
-  PrefixTrie trie;
-  trie.insert(Prefix::parse("10.0.0.0/8"), 1);
-  trie.insert(Prefix::parse("10.1.0.0/16"), 2);
-  const Address addr = parse_address("10.1.2.3");
-  const auto only_rule_1 =
-      trie.lookup_if(addr, [](RuleId r) { return r == 1; });
-  EXPECT_EQ(only_rule_1.value(), 1u);
-  const auto nothing = trie.lookup_if(addr, [](RuleId) { return false; });
-  EXPECT_FALSE(nothing.has_value());
-}
-
-TEST(PrefixTrie, MatchesLinearScanOnRandomRib) {
-  Rng rng(42);
-  const auto rib = generate_rib({.rules = 400}, rng);
-  PrefixTrie trie;
-  for (std::size_t i = 0; i < rib.size(); ++i) {
-    trie.insert(rib[i], static_cast<RuleId>(i));
+/// A deaggregated synthetic RIB of either family.
+template <typename PrefixT>
+std::vector<PrefixT> deep_rib(std::size_t rules, Rng& rng) {
+  if constexpr (std::is_same_v<PrefixT, Prefix6>) {
+    return generate_rib6(
+        {.rules = rules, .deaggregation = 0.6, .max_length = 64}, rng);
+  } else {
+    return generate_rib({.rules = rules, .deaggregation = 0.6}, rng);
   }
-  for (int round = 0; round < 2000; ++round) {
-    const auto addr = static_cast<Address>(rng());
-    // Linear scan for the longest matching prefix.
-    int best = -1;
-    for (std::size_t i = 0; i < rib.size(); ++i) {
-      if (rib[i].contains(addr) &&
-          (best < 0 ||
-           rib[i].length > rib[static_cast<std::size_t>(best)].length)) {
-        best = static_cast<int>(i);
+}
+
+/// An address inside `p`, with uniform host bits.
+template <typename PrefixT>
+typename PrefixT::Bits address_in(const PrefixT& p, Rng& rng) {
+  using Bits = typename PrefixT::Bits;
+  return p.bits | (AddressFamily<Bits>::random(rng) &
+                   ~prefix_mask<Bits>(p.length));
+}
+
+TEST(RuleTree, LpmAndExactBasics) {
+  const RuleTree rt = build_rule_tree<Prefix>(
+      {Prefix::parse("10.0.0.0/8"), Prefix::parse("10.1.0.0/16"),
+       Prefix::parse("192.168.0.0/16")});
+  // Ids in (length, bits) order: the /8, then the two /16s.
+  EXPECT_EQ(rt.lpm(parse_address("10.1.2.3")), 2u);
+  EXPECT_EQ(rt.lpm(parse_address("10.2.2.3")), 1u);
+  EXPECT_EQ(rt.lpm(parse_address("192.168.9.9")), 3u);
+  EXPECT_EQ(rt.lpm(parse_address("11.0.0.1")), 0u);  // the default rule
+  // Rule-relative: the descent from the /8.
+  EXPECT_EQ(rt.lpm(parse_address("10.1.2.3"), 1), 2u);
+  EXPECT_EQ(rt.exact(Prefix::parse("10.1.0.0/16")), 2u);
+  EXPECT_EQ(rt.exact(Prefix{}), 0u);
+  EXPECT_EQ(rt.exact(Prefix::parse("10.0.0.0/16")), std::nullopt);
+  EXPECT_EQ(rt.exact(Prefix::parse("10.1.0.0/24")), std::nullopt);
+}
+
+// Addresses inside every rule, the root's among them uniform: LPM from
+// the root matches a linear scan over the RIB, and LPM from the rule
+// matches LPM from the root.
+template <typename PrefixT>
+void check_lpm(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<PrefixT> rib = deep_rib<PrefixT>(400, rng);
+  const BasicRuleTree<PrefixT> rt = build_rule_tree(rib);
+  for (NodeId v = 0; v < rt.tree.size(); ++v) {
+    for (int draw = 0; draw < (v == 0 ? 1000 : 4); ++draw) {
+      const auto addr = address_in(rt.prefix[v], rng);
+      PrefixT best{};  // the default rule matches everything
+      for (const PrefixT& p : rib) {
+        if (p.contains(addr) && p.length > best.length) best = p;
       }
-    }
-    const auto got = trie.lookup(addr);
-    if (best < 0) {
-      EXPECT_FALSE(got.has_value());
-    } else {
-      ASSERT_TRUE(got.has_value());
-      // Lengths must agree (several rules may share bits/length shape).
-      EXPECT_EQ(rib[*got].length,
-                rib[static_cast<std::size_t>(best)].length);
-      EXPECT_TRUE(rib[*got].contains(addr));
+      ASSERT_EQ(rt.prefix[rt.lpm(addr)], best) << best.to_string();
+      ASSERT_EQ(rt.lpm(addr, v), rt.lpm(addr)) << "rule " << v;
     }
   }
 }
 
-TEST(RuleTree, ParentIsLongestProperAncestor) {
-  Rng rng(7);
-  const auto rib = generate_rib({.rules = 300, .deaggregation = 0.6}, rng);
-  const RuleTree rt = build_rule_tree(rib);
+TEST(RuleTree, LpmMatchesLinearScan) {
+  check_lpm<Prefix>(42);
+  check_lpm<Prefix6>(43);
+}
+
+template <typename PrefixT>
+void check_exact(std::uint64_t seed) {
+  Rng rng(seed);
+  const BasicRuleTree<PrefixT> rt =
+      build_rule_tree(deep_rib<PrefixT>(1500, rng));
+  std::map<PrefixT, NodeId> present;
+  for (NodeId v = 0; v < rt.tree.size(); ++v) {
+    ASSERT_EQ(rt.exact(rt.prefix[v]), v) << rt.prefix[v].to_string();
+    present.emplace(rt.prefix[v], v);
+  }
+  // Prefixes near the rules: every length of a rule's address, most of
+  // them absent from the table.
+  std::size_t absent = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const auto addr = address_in(rt.prefix[rng.below(rt.tree.size())], rng);
+    const auto length =
+        static_cast<std::uint8_t>(rng.below(PrefixT::kWidth + 1));
+    const PrefixT p = PrefixT::make(addr, length);
+    const auto it = present.find(p);
+    if (it == present.end()) {
+      ++absent;
+      EXPECT_EQ(rt.exact(p), std::nullopt) << p.to_string();
+    } else {
+      EXPECT_EQ(rt.exact(p), it->second) << p.to_string();
+    }
+  }
+  EXPECT_GT(absent, 1000u);
+}
+
+TEST(RuleTree, ExactFindsEveryRuleAndNothingElse) {
+  check_exact<Prefix>(8);
+  check_exact<Prefix6>(9);
+}
+
+template <typename PrefixT>
+void check_parents(std::uint64_t seed) {
+  Rng rng(seed);
+  const BasicRuleTree<PrefixT> rt =
+      build_rule_tree(deep_rib<PrefixT>(300, rng));
   ASSERT_EQ(rt.tree.size(), rt.prefix.size());
   for (NodeId v = 1; v < rt.tree.size(); ++v) {
     const NodeId p = rt.tree.parent(v);
@@ -167,6 +217,67 @@ TEST(RuleTree, ParentIsLongestProperAncestor) {
                             << " and its parent";
     }
   }
+}
+
+TEST(RuleTree, ParentIsLongestProperAncestor) {
+  check_parents<Prefix>(7);
+  check_parents<Prefix6>(11);
+}
+
+/// FNV-1a-64 over every node's parent id (4 bytes, little-endian), its
+/// prefix bits (IPv6: high limb, then low) and its length.
+template <typename PrefixT>
+std::uint64_t rule_tree_digest(const BasicRuleTree<PrefixT>& rt) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash = (hash ^ static_cast<std::uint8_t>(value >> (8 * i))) *
+             0x100000001b3ULL;
+    }
+  };
+  for (NodeId v = 0; v < rt.tree.size(); ++v) {
+    mix(rt.tree.parent(v), 4);
+    const PrefixT& p = rt.prefix[v];
+    if constexpr (std::is_same_v<PrefixT, Prefix6>) {
+      mix(p.bits.hi, 8);
+      mix(p.bits.lo, 8);
+    } else {
+      mix(p.bits, 4);
+    }
+    mix(p.length, 1);
+  }
+  return hash;
+}
+
+// Node ids, parents and prefixes of every rule tree, pinned: the streams,
+// shard plans and costs built on a rule tree all key on its node ids.
+TEST(RuleTree, BuildsArePinned) {
+  const std::uint64_t v4_golden[] = {
+      0x9c79d65c3681ffa8ULL, 0x17704a51e38cbc6dULL, 0xe6f9433a34595837ULL};
+  const std::uint64_t v6_golden[] = {
+      0x73e824f45082038dULL, 0x4a236fc4a18f20c0ULL, 0x90fabd3b5ff38655ULL};
+  const std::uint64_t seeds[] = {3, 101, 20260730};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("seed " + std::to_string(seeds[i]));
+    Rng rng(seeds[i]);
+    const RuleTree v4 = build_rule_tree(
+        generate_rib({.rules = 3000, .deaggregation = 0.6}, rng));
+    EXPECT_EQ(rule_tree_digest(v4), v4_golden[i])
+        << std::hex << "0x" << rule_tree_digest(v4);
+    const RuleTree6 v6 = build_rule_tree(generate_rib6(
+        {.rules = 3000, .deaggregation = 0.6, .max_length = 64}, rng));
+    EXPECT_EQ(rule_tree_digest(v6), v6_golden[i])
+        << std::hex << "0x" << rule_tree_digest(v6);
+  }
+  const std::string data = TREECACHE_TEST_DATA_DIR;
+  const rib::IngestResult feeds =
+      rib::ingest_feed({data + "/rib_v4.feed", data + "/rib_v6.feed"});
+  const std::uint64_t v4_feed =
+      rule_tree_digest(rib::make_churn_replay(feeds.v4).fib);
+  const std::uint64_t v6_feed =
+      rule_tree_digest(rib::make_churn_replay(feeds.v6).fib);
+  EXPECT_EQ(v4_feed, 0xadd1ca81c7d6e273ULL) << std::hex << "0x" << v4_feed;
+  EXPECT_EQ(v6_feed, 0xe3d1b4c6c9ad303dULL) << std::hex << "0x" << v6_feed;
 }
 
 TEST(RuleTree, DropsDuplicatesAndDefaultRoute) {
@@ -218,6 +329,36 @@ TEST(RouterSim, NoForwardingErrorsAndConsistentCounts) {
   EXPECT_GT(result.hits, 0u) << "cache never got hot";
   EXPECT_GT(result.misses, 0u);
   EXPECT_EQ(result.algorithm_cost.total(), tc.cost().total());
+}
+
+// The reference loop's statistics on a deaggregated RIB, pinned for TC
+// and LRU-closure: every packet's sampled address, full-table match and
+// cached-LPM verdict feeds these counters.
+TEST(RouterSim, StatisticsArePinned) {
+  Rng rng(43);
+  const RuleTree rt = build_rule_tree(
+      generate_rib({.rules = 4096, .deaggregation = 0.6}, rng));
+  const RouterSimConfig config{.packets = 60000,
+                               .zipf_skew = 1.0,
+                               .update_probability = 0.02,
+                               .alpha = 8,
+                               .seed = 77};
+  // packets, hits, misses, updates, cached_updates, service, reorg.
+  using Counters = std::array<std::uint64_t, 7>;
+  const auto counters = [](const RouterSimResult& r) {
+    return Counters{r.packets, r.hits, r.misses, r.updates, r.cached_updates,
+                    r.algorithm_cost.service, r.algorithm_cost.reorg};
+  };
+  TreeCache tc(rt.tree, {.alpha = 8, .capacity = 256});
+  const RouterSimResult tc_result = run_router_sim(rt, tc, config);
+  EXPECT_EQ(counters(tc_result),
+            (Counters{60000, 28247, 31753, 1176, 549, 36145, 22224}));
+  LruClosure lru(rt.tree, {.alpha = 8, .capacity = 256});
+  const RouterSimResult lru_result = run_router_sim(rt, lru, config);
+  EXPECT_EQ(counters(lru_result),
+            (Counters{60000, 28462, 31538, 1176, 537, 35834, 803168}));
+  EXPECT_EQ(tc_result.forwarding_errors, 0u);
+  EXPECT_EQ(lru_result.forwarding_errors, 0u);
 }
 
 TEST(RouterSim, LruClosureIsAlsoForwardingCorrect) {
@@ -272,16 +413,15 @@ class PinnedCache final : public OnlineAlgorithm {
 // Subforest-invariant algorithms over a consistent rule tree can never
 // mis-forward, so the test fabricates an *inconsistent* RuleTree: the tree
 // is a star (both rules are leaves, so pinning just the /8 is a legal
-// subforest), while the trie still nests the /16 under the /8 the way real
-// prefixes do.
+// subforest), while the child index still nests the /16 under the /8 the
+// way real prefixes do.
 TEST(RouterSim, ForwardingErrorsDetourViaController) {
-  RuleTree rt{
+  const RuleTree rt{
       .tree = Tree({kNoNode, 0, 0}),  // star: the /16 is NOT a tree child
       .prefix = {Prefix{}, Prefix::parse("10.0.0.0/8"),
                  Prefix::parse("10.0.0.0/16")},
-      .trie = {}};
-  rt.trie.insert(rt.prefix[1], 1);
-  rt.trie.insert(rt.prefix[2], 2);
+      .child_offset = {0, 1, 2, 2},  // the root → the /8 → the /16
+      .child_list = {1, 2}};
 
   PinnedCache pinned(rt.tree, {1});  // the /8 is cached, the /16 is not
   const auto result = run_router_sim(

@@ -289,6 +289,17 @@ TEST(RegisteredWorkloads, SeededStreamsArePinned) {
   }
   EXPECT_EQ(golden.size(), sim::WorkloadRegistry::instance().names().size())
       << "a golden names a workload that is no longer registered";
+
+  // fib-real over the IPv6 fixture: the 128-bit instantiation of the
+  // packet sampler and the rule tree's descent.
+  sim::Params params6 = params;
+  params6.set("rib-feed",
+              std::string(TREECACHE_TEST_DATA_DIR) + "/rib_v6.feed");
+  params6.set("family", "6");
+  const auto source6 = sim::make_source(
+      "fib-real", rib::shared_real_fib(params6).tree(), params6, 21);
+  const std::uint64_t digest6 = stream_digest(materialize(*source6));
+  EXPECT_EQ(digest6, 0x767f94aaf3829e3eULL) << std::hex << "0x" << digest6;
 }
 
 TEST(RegisteredWorkloads, StreamedAndMaterializedRunsAreIdentical) {

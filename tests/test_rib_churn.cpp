@@ -2,7 +2,7 @@
 // ingest, stream shape, source determinism (reset/fork/size_hint),
 // bit-identical engine runs across shard and thread geometries, and the
 // Appendix B canonicalization bound on a real-churn IPv6 trace — the
-// wide-key wind through prefix_trie, rule_tree and canonicalizer.
+// wide-key wind through rule_tree, the packet sampler and canonicalizer.
 #include "rib/churn_source.hpp"
 
 #include <gtest/gtest.h>

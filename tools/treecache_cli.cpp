@@ -87,6 +87,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -342,12 +343,23 @@ int cmd_gen_feed(const Flags& flags) {
   return 0;
 }
 
-/// One family's block of the treecache.ingest/1 document. The tree shape
-/// is reported over the replay FIB — the rule tree the fib-real workload
-/// runs on, rebuilt from every prefix the feed touched — so the numbers
-/// describe exactly what a `--workload fib-real` run would execute.
+/// A family's replay FIB — the rule tree the fib-real workload runs on,
+/// rebuilt from every prefix the feed touched — or nothing for a family
+/// the feed does not carry. Built once and shared by both reports.
 template <typename PrefixT>
-util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family) {
+std::optional<rib::BasicChurnReplay<PrefixT>> ingest_replay(
+    const rib::BasicIngest<PrefixT>& family) {
+  if (family.empty()) return std::nullopt;
+  return rib::make_churn_replay(family);
+}
+
+/// One family's block of the treecache.ingest/1 document. The tree shape
+/// is reported over the replay FIB, so the numbers describe exactly what
+/// a `--workload fib-real` run would execute.
+template <typename PrefixT>
+util::Json ingest_family_json(
+    const rib::BasicIngest<PrefixT>& family,
+    const std::optional<rib::BasicChurnReplay<PrefixT>>& replay) {
   const rib::IngestStats& stats = family.stats;
   util::Json doc =
       util::Json::object()
@@ -361,9 +373,8 @@ util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family) {
                                  ? static_cast<double>(stats.updates()) /
                                        static_cast<double>(stats.dump_routes)
                                  : 0.0);
-  if (!family.empty()) {
-    const auto replay = rib::make_churn_replay(family);
-    const Tree& tree = replay.fib.tree;
+  if (replay.has_value()) {
+    const Tree& tree = replay->fib.tree;
     util::Json histogram = util::Json::array();
     for (const std::uint64_t count : rib::depth_histogram(tree)) {
       histogram.push(count);
@@ -377,9 +388,10 @@ util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family) {
 }
 
 template <typename PrefixT>
-void print_ingest_family(const char* name,
-                         const rib::BasicIngest<PrefixT>& family) {
-  if (family.empty()) return;
+void print_ingest_family(
+    const char* name, const rib::BasicIngest<PrefixT>& family,
+    const std::optional<rib::BasicChurnReplay<PrefixT>>& replay) {
+  if (!replay.has_value()) return;
   const rib::IngestStats& stats = family.stats;
   std::cout << name << ":\n"
             << "  dump routes:     " << stats.dump_routes << "\n"
@@ -387,11 +399,10 @@ void print_ingest_family(const char* name,
             << "  withdraws:       " << stats.withdraws << " ("
             << stats.withdraw_misses << " missed)\n"
             << "  replaced routes: " << stats.replaced_routes << "\n"
-            << "  live routes:     " << family.rib.size() << "\n";
-  const auto replay = rib::make_churn_replay(family);
-  std::cout << "  replay tree:     " << replay.fib.tree.size()
-            << " nodes, height " << replay.fib.tree.height() << ", "
-            << replay.churn_nodes.size() << " churn events\n";
+            << "  live routes:     " << family.rib.size() << "\n"
+            << "  replay tree:     " << replay->fib.tree.size()
+            << " nodes, height " << replay->fib.tree.height() << ", "
+            << replay->churn_nodes.size() << " churn events\n";
 }
 
 int cmd_ingest(const Flags& flags) {
@@ -413,6 +424,8 @@ int cmd_ingest(const Flags& flags) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   TC_CHECK(result.records > 0, "the feed carries no records");
+  const auto v4 = ingest_replay(result.v4);
+  const auto v6 = ingest_replay(result.v6);
 
   if (flags.has("json")) {
     util::Json feed = util::Json::array();
@@ -428,17 +441,18 @@ int cmd_ingest(const Flags& flags) {
             .set("routes_per_second",
                  elapsed > 0.0 ? static_cast<double>(result.records) / elapsed
                                : 0.0)
-            .set("families", util::Json::object()
-                                 .set("ipv4", ingest_family_json(result.v4))
-                                 .set("ipv6", ingest_family_json(result.v6))));
+            .set("families",
+                 util::Json::object()
+                     .set("ipv4", ingest_family_json(result.v4, v4))
+                     .set("ipv6", ingest_family_json(result.v6, v6))));
   }
   if (stdout_is_human(flags)) {
     std::cout << "feed: " << result.records << " records ("
               << result.bytes << " bytes) from " << paths.size() << " file"
               << (paths.size() == 1 ? "" : "s") << " in " << elapsed
               << " s\n";
-    print_ingest_family("IPv4", result.v4);
-    print_ingest_family("IPv6", result.v6);
+    print_ingest_family("IPv4", result.v4, v4);
+    print_ingest_family("IPv6", result.v6, v6);
   }
   return 0;
 }
