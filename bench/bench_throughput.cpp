@@ -1,7 +1,7 @@
 // Throughput trajectory: requests/sec of the driver stack, from the
 // legacy per-round observer loop through the batched hot path to the
 // sharded engine at 8 shards — plus the closed loop: the FIB router
-// source sharded into per-shard mirrors with outcome feedback queues.
+// source sharded into per-shard mirrors, each shard's loop on its worker.
 // Open-loop rows share one Zipf stream over a tree with eight equal
 // top-level subtrees; closed-loop rows run the router event loop on a
 // synthetic RIB. The fib-real rows replay the checked-in RIB feed fixture
@@ -155,10 +155,9 @@ int main() {
               tree.size(), levels, params.get("length", "?").c_str(), reps);
 
   // Closed-loop substrate: the FIB router event loop on a synthetic RIB.
-  // Sharded runs generate the event stream ONCE on the producer thread and
-  // route per-shard chunks into the mirrors; stepping parallelizes across
-  // the workers while feedback flows back through batched per-shard
-  // outcome rings.
+  // Sharded runs generate the event stream ONCE, behind the shared
+  // producer's mutex, and each worker runs the fill → step → observe loops
+  // of the shards it owns, so feedback never leaves its worker.
   sim::Params fib_params;
   fib_params.set("alpha", "16");
   fib_params.set("capacity", "512");
@@ -383,11 +382,12 @@ int main() {
       "8 contiguous-preorder shards keep the aggregate cost bit-identical "
       "across thread counts while requests/sec scales with the worker "
       "count (bounded by the machine's cores — see the threads column). "
-      "The fib-closed rows shard the feedback loop itself: one producer "
-      "generates the event stream once and feeds per-shard mirrors, whose "
-      "outcomes flow back through batched per-shard rings — so the sharded "
-      "closed loop pays one generation pass plus parallel stepping; its "
-      "ratio to the 1x1 row measures whether that pays on this machine. "
+      "The fib-closed rows shard the closed loop itself: one producer "
+      "generates the event stream once, behind a mutex, and each worker "
+      "runs the fill/step/observe loops of the shards it owns — so the "
+      "sharded closed loop pays one serialized generation pass plus "
+      "parallel stepping and mirroring; its ratio to the 1x1 row measures "
+      "whether that pays on this machine. "
       "The fib-real rows swap the synthetic stream for replayed RIB-feed "
       "churn. The tc-deep rows run TC on a 13-level universe where the "
       "subtree slice scans are long (tc-deep-8xN adds pinned, "

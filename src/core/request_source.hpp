@@ -61,8 +61,7 @@ enum class SplitKind : std::uint8_t {
   /// reference replay whose generation cost scales with the shard count.
   kReplicated,
   /// The parts share one generation pass over the stream (e.g. the FIB
-  /// router's producer-fed mirrors). Shared-generation parts must all be
-  /// consumed from a single thread — the engine's producer.
+  /// router's producer-fed mirrors); see the kShared contract on split().
   kShared,
 };
 
@@ -141,11 +140,12 @@ class RequestSource {
   /// means "cannot split".
   ///
   /// Shared-generation contract (kShared): the parts pull events from one
-  /// producer, so ALL of them must be consumed from a single thread —
-  /// interleaving fill() calls across parts is fine (the engine's
-  /// producer does exactly that), concurrent calls are not — and reset()
-  /// on any part rewinds the shared stream, so resetting one part mid-run
-  /// invalidates its siblings.
+  /// producer that serializes generation. Each part is driven by one
+  /// thread at a time; siblings may run on different threads (the
+  /// engine's run_split drives each on the worker that owns its shard).
+  /// All parts are reset together while none runs: reset() on any part
+  /// rewinds the shared stream, so resetting one part mid-run invalidates
+  /// its siblings.
   [[nodiscard]] virtual std::vector<std::unique_ptr<RequestSource>> split(
       const engine::ShardPlan& plan) const;
 

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/outcome_buffer.hpp"
 #include "core/tree_cache.hpp"
 #include "util/stopwatch.hpp"
 
@@ -56,99 +55,12 @@ struct WorkerQueue {
   bool done = false;
 };
 
-/// Per-shard outcome feedback of a closed-loop run, shared by the producer
-/// (drains into the mirrors' observe_batch()) and the workers (publish
-/// flattened sub-chunks, blocking while the shard's single ring slot is
-/// occupied). One mutex guards all rings: feedback traffic is sub-chunk
-/// grained, never per outcome.
-struct Feedback {
-  explicit Feedback(std::size_t shards, std::size_t bound)
-      : rings(shards), bound(bound) {}
-
-  std::mutex mutex;
-  std::condition_variable ready;  // producer: outcomes to drain, or abort
-  std::condition_variable space;  // workers: the shard's ring was drained
-  std::vector<OutcomeBuffer> rings;  // one published sub-chunk per shard
-  std::size_t pending = 0;  // total buffered outcomes across shards
-  std::size_t bound;        // worker-side flush threshold (outcomes)
-  bool aborted = false;
-
-  /// Producer-side shutdown: discard everything and release every blocked
-  /// worker. Without the drain a worker waiting out an occupied ring would
-  /// never observe shutdown and the join below would deadlock.
-  void abort_and_drain() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      aborted = true;
-      for (auto& ring : rings) ring.clear();
-      pending = 0;
-    }
-    space.notify_all();
-    ready.notify_all();
-  }
-};
-
-/// Thrown out of a worker's sink when the run is being torn down; filtered
-/// by the worker loop (it is shutdown, not an error to report).
-struct AbortRun {};
-
-/// The worker-side sink of a closed-loop shard: accounts every round into
-/// the shard's RunResult (worker-local — the shard is pinned) and appends
-/// the outcome to a flattened worker-local OutcomeBuffer — no per-outcome
-/// heap copies — published to the shard's feedback ring in sub-chunks of
-/// at most `feedback.bound` outcomes.
-class FeedbackSink final : public OutcomeSink {
- public:
-  FeedbackSink(sim::RunResult& result, const OnlineAlgorithm& alg,
-               Feedback& feedback, std::size_t shard, OutcomeBuffer& local)
-      : result_(&result),
-        alg_(&alg),
-        feedback_(&feedback),
-        shard_(shard),
-        local_(&local) {}
-
-  void on_outcome(const Request& request,
-                  const StepOutcome& outcome) override {
-    sim::accumulate_outcome(*result_, request, outcome,
-                            alg_->cache().size());
-    local_->append(outcome);
-    if (local_->size() >= feedback_->bound) publish();
-  }
-
-  /// Hands the buffered outcomes to the shard's ring slot — an O(1) buffer
-  /// swap (the drained slot's storage comes back as the new local buffer),
-  /// waiting out the producer when the previous sub-chunk is still there.
-  /// The worker loop calls this once more after each chunk for the tail.
-  void publish() {
-    if (local_->empty()) return;
-    {
-      std::unique_lock<std::mutex> lock(feedback_->mutex);
-      feedback_->space.wait(lock, [&] {
-        return feedback_->rings[shard_].empty() || feedback_->aborted;
-      });
-      if (feedback_->aborted) throw AbortRun{};
-      feedback_->rings[shard_].swap(*local_);
-      feedback_->pending += feedback_->rings[shard_].size();
-    }
-    feedback_->ready.notify_one();
-  }
-
- private:
-  sim::RunResult* result_;
-  const OnlineAlgorithm* alg_;
-  Feedback* feedback_;
-  std::size_t shard_;
-  OutcomeBuffer* local_;
-};
-
 }  // namespace
 
 ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
                              const sim::Params& params, EngineConfig config)
     : plan_(tree, config.shards), config_(config) {
   TC_CHECK(config_.batch >= 1, "engine batch size must be at least 1");
-  TC_CHECK(config_.feedback >= 1,
-           "engine feedback bound must be at least 1");
   // Single-shard plans delegate to run_source, whose batch is fixed:
   // normalize so config() never claims a geometry that was not used.
   if (plan_.num_shards() == 1) config_.batch = sim::kDriverBatchSize;
@@ -435,190 +347,68 @@ EngineResult ShardedEngine::run_split(
   const std::size_t workers = num_shards == 1 ? 1 : effective_threads();
   out.threads = workers;
 
-  if (workers <= 1) {
-    // Sequential reference shape: each shard's loop is the exact
-    // fill → step → observe alternation of sim::run_source. Shards are
-    // interleaved round-robin, one chunk per pass, rather than run to
-    // exhaustion one by one: mirrors of a shared-generation split
-    // (SplitKind::kShared) pull from one producer, and draining shard 0
-    // first would buffer almost the whole stream for its siblings —
-    // interleaving keeps the producer's queues bounded by the inter-shard
-    // skew. Shards share no state, so the order is free and per-shard
-    // results are unchanged.
+  std::vector<sim::AccountingSink> sinks;
+  sinks.reserve(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    sinks.emplace_back(out.per_shard[s], *algs_[s], mirrors[s].get());
+  }
+
+  // Worker w runs the closed loops of the shards it owns (s % workers == w):
+  // each is the exact fill → step → observe alternation of sim::run_source,
+  // and the worker interleaves them round-robin, one chunk per pass, rather
+  // than running them to exhaustion one by one — mirrors of a
+  // shared-generation split (SplitKind::kShared) pull from one producer,
+  // and draining one shard first would queue most of the stream for its
+  // siblings. Shards share no state but that producer, so the order is
+  // free and per-shard results are unchanged; no outcome crosses a thread.
+  std::atomic<bool> failed{false};
+  const auto drive = [&](std::size_t w) {
     std::vector<Request> buffer(config_.batch);
-    std::vector<sim::AccountingSink> sinks;
-    sinks.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      sinks.emplace_back(out.per_shard[s], *algs_[s], mirrors[s].get());
-    }
-    std::vector<bool> done(num_shards, false);
-    std::size_t remaining = num_shards;
-    while (remaining > 0) {
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (done[s]) continue;
-        const std::size_t n =
-            mirrors[s]->fill({buffer.data(), buffer.size()});
+    std::vector<std::size_t> live;
+    for (std::size_t s = w; s < num_shards; s += workers) live.push_back(s);
+    while (!live.empty() && !failed.load(std::memory_order_relaxed)) {
+      for (std::size_t i = 0; i < live.size();) {
+        const std::size_t s = live[i];
+        const std::size_t n = mirrors[s]->fill(buffer);
         if (n == 0) {
           // fill() contract: 0 is final until reset — the shard is done
           // even while its siblings keep consuming the shared stream.
-          done[s] = true;
-          --remaining;
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
           continue;
         }
         step_shard(s, {buffer.data(), n}, sinks[s]);
+        ++i;
       }
     }
+  };
+
+  if (workers <= 1) {
+    drive(0);
   } else {
-    run_split_threaded(mirrors, out, workers);
+    // A throw on one worker stops its siblings at their next pass; the
+    // first error is rethrown once every worker has joined.
+    std::exception_ptr error;
+    std::mutex error_mutex;
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
+        try {
+          drive(w);
+        } catch (...) {
+          failed.store(true, std::memory_order_relaxed);
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
+      });
+    }
+    for (auto& worker : pool) worker.join();
+    if (error) std::rethrow_exception(error);
   }
   finalize(out);
   out.total.wall_seconds = timer.seconds();
   return out;
-}
-
-void ShardedEngine::run_split_threaded(
-    std::span<const std::unique_ptr<RequestSource>> mirrors,
-    EngineResult& out, std::size_t workers) {
-  const std::size_t num_shards = plan_.num_shards();
-  // Worker chunk queues carry at most one in-flight chunk per pinned shard
-  // (the producer refills a mirror only after draining its feedback), so
-  // unlike the open-loop demux they need no capacity bound — and must not
-  // have one: a producer blocked on chunk space could never drain the
-  // feedback a blocked worker is waiting on.
-  std::vector<WorkerQueue> queues(workers);
-  Feedback feedback(num_shards, config_.feedback);
-  std::exception_ptr worker_error;
-  std::mutex error_mutex;
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-      WorkerQueue& queue = queues[w];
-      // One recycled flat buffer per worker: the publish() swap protocol
-      // rotates storage between worker and producer, so the steady state
-      // allocates nothing. A worker drains it fully after every chunk, so
-      // sharing it across this worker's pinned shards cannot mix outcomes.
-      OutcomeBuffer scratch;
-      for (;;) {
-        std::pair<std::size_t, std::vector<Request>> item;
-        {
-          std::unique_lock<std::mutex> lock(queue.mutex);
-          queue.ready.wait(lock, [&] {
-            return !queue.chunks.empty() || queue.done;
-          });
-          if (queue.chunks.empty()) return;  // done and drained
-          item = std::move(queue.chunks.front());
-          queue.chunks.pop_front();
-        }
-        const std::size_t s = item.first;
-        FeedbackSink sink(out.per_shard[s], *algs_[s], feedback, s,
-                          scratch);
-        try {
-          step_shard(s, item.second, sink);
-          sink.publish();  // the sub-bound tail of the chunk
-        } catch (const AbortRun&) {
-          return;  // torn down mid-chunk: shutdown, not an error
-        } catch (...) {
-          {
-            const std::lock_guard<std::mutex> lock(error_mutex);
-            if (!worker_error) worker_error = std::current_exception();
-          }
-          // Wake the producer (waiting on feedback.ready) and any peers
-          // blocked on a full outcome queue.
-          feedback.abort_and_drain();
-          return;
-        }
-      }
-    });
-  }
-
-  // Producer: fill every mirror whose previous chunk has fully fed back,
-  // dispatch to the shard's pinned worker, then drain the feedback rings
-  // into the mirrors' observe_batch() — per-shard FIFO order, one swap and
-  // one virtual call per published sub-chunk — which readies the next
-  // fill. Closed-loop strict alternation per shard, pipelined across
-  // shards.
-  enum class MirrorState : std::uint8_t { kReady, kInFlight, kDone };
-  std::vector<MirrorState> state(num_shards, MirrorState::kReady);
-  std::vector<std::size_t> expected(num_shards, 0);  // outcomes to drain
-  std::size_t active = num_shards;
-  std::size_t in_flight = 0;
-  std::vector<Request> chunk(config_.batch);
-  std::vector<OutcomeBuffer> drained(num_shards);
-  std::exception_ptr producer_error;
-  try {
-    while (active > 0) {
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (state[s] != MirrorState::kReady) continue;
-        const std::size_t n = mirrors[s]->fill({chunk.data(), chunk.size()});
-        if (n == 0) {
-          state[s] = MirrorState::kDone;
-          --active;
-          continue;
-        }
-        WorkerQueue& queue = queues[s % workers];
-        {
-          const std::lock_guard<std::mutex> lock(queue.mutex);
-          queue.chunks.emplace_back(
-              s, std::vector<Request>(chunk.begin(),
-                                      chunk.begin() +
-                                          static_cast<std::ptrdiff_t>(n)));
-        }
-        queue.ready.notify_one();
-        expected[s] = n;
-        state[s] = MirrorState::kInFlight;
-        ++in_flight;
-      }
-      // Every active shard is now in flight (fills above leave a shard
-      // either dispatched or done), so in_flight == 0 implies active == 0.
-      if (in_flight == 0) break;
-      {
-        std::unique_lock<std::mutex> lock(feedback.mutex);
-        feedback.ready.wait(lock, [&] {
-          return feedback.pending > 0 || feedback.aborted;
-        });
-        if (feedback.aborted) break;  // a worker failed; rethrown below
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          // O(1) swap: the ring slot's storage moves out for draining and
-          // the (empty, capacity-bearing) drained buffer moves in, to be
-          // recycled by the next worker publish.
-          if (!feedback.rings[s].empty()) feedback.rings[s].swap(drained[s]);
-        }
-        feedback.pending = 0;
-      }
-      feedback.space.notify_all();
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (drained[s].empty()) continue;
-        mirrors[s]->observe_batch(drained[s].views());
-        expected[s] -= drained[s].size();
-        drained[s].clear();
-        if (expected[s] == 0 && state[s] == MirrorState::kInFlight) {
-          state[s] = MirrorState::kReady;
-          --in_flight;
-        }
-      }
-    }
-  } catch (...) {
-    producer_error = std::current_exception();
-  }
-  // Shutdown. Drain the per-shard outcome queues and flip the abort flag
-  // BEFORE joining: a worker waiting out a full queue never checks the
-  // chunk queue's `done`, so joining without the drain deadlocks when the
-  // producer bailed mid-run (fill() threw, a worker failed, ...). Tested
-  // by the fault-injection case in tests/test_engine_closed_loop.cpp.
-  feedback.abort_and_drain();
-  for (auto& queue : queues) {
-    {
-      const std::lock_guard<std::mutex> lock(queue.mutex);
-      queue.done = true;
-    }
-    queue.ready.notify_one();
-  }
-  for (auto& worker : pool) worker.join();
-  if (producer_error) std::rethrow_exception(producer_error);
-  if (worker_error) std::rethrow_exception(worker_error);
 }
 
 }  // namespace treecache::engine

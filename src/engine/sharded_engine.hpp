@@ -30,19 +30,15 @@
 // router) run unchanged. With multiple shards a closed-loop source is
 // split into per-shard mirrors (RequestSource::split — for the FIB router
 // a SplitKind::kShared split: one event producer generates the stream
-// once, mirrors consume per-shard event queues) and run through a
-// per-shard outcome feedback loop: the producer thread fills each mirror
-// and dispatches the chunk to the shard's pinned worker; the worker steps
-// it, accumulating outcomes into a flattened OutcomeBuffer, and publishes
-// sub-chunks of at most EngineConfig::feedback outcomes into the shard's
-// single-slot feedback ring (an O(1) buffer swap — no per-outcome heap
-// copies); the producer drains the rings into the mirrors' observe_batch()
-// — in per-shard order — and refills a mirror only once its whole chunk
-// has fed back. Feedback never crosses shards, outcomes may complete out
-// of order globally, and each shard's closed loop is exactly the
-// sequential fill → step → observe alternation, so per-shard results are
-// bit-identical for every thread count and equal to independent per-shard
-// sequential runs (the differential suite in
+// once, in reference order, and hands each mirror its shard's events) and
+// run through run_split, which gives worker w the shards it owns
+// (s % workers == w). On that worker each shard runs the exact
+// fill → step → observe alternation of sim::run_source, the worker's shards
+// interleaved round-robin one chunk per pass. No outcome crosses a thread:
+// the one structure sibling mirrors share is the producer, which
+// serializes generation behind its own mutex. Per-shard results are
+// therefore bit-identical for every thread count and equal to independent
+// per-shard sequential runs (the differential suite in
 // tests/test_engine_closed_loop.cpp enforces this for every registered
 // algorithm). A closed-loop source whose split() returns empty is refused
 // with more than one shard.
@@ -76,12 +72,6 @@ struct EngineConfig {
   /// kDriverBatchSize — the constructor normalizes this field accordingly,
   /// so config() reports the geometry actually used.
   std::size_t batch = sim::kDriverBatchSize;
-  /// Closed-loop runs only: a worker publishes its flattened outcomes to
-  /// the shard's feedback ring whenever this many have accumulated (and at
-  /// the end of each chunk), then waits for the producer to drain the ring
-  /// before publishing more. Small values backpressure workers instead of
-  /// growing memory; must be >= 1 (1 = per-outcome handoff).
-  std::size_t feedback = 1024;
   /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
   /// a no-op elsewhere and when affinity is denied). Shard instances are
   /// then also *constructed* on their pinned worker, so each shard's
@@ -128,10 +118,12 @@ class ShardedEngine {
 
   /// Resets every instance and runs one pre-split per-shard source per
   /// shard (mirrors[s] feeds shard s's instance, already in shard-local
-  /// ids). Callers that need mirror-side state afterwards — e.g. per-shard
-  /// router statistics — split themselves and keep the mirrors; run() is
-  /// sugar over this for everyone else. Mirrors must be fresh (or reset)
-  /// and are run to exhaustion.
+  /// ids), each on the worker that owns its shard. Callers that need
+  /// mirror-side state afterwards — e.g. per-shard router statistics —
+  /// split themselves and keep the mirrors; run() is sugar over this for
+  /// everyone else. Mirrors must be fresh (or reset) and are run to
+  /// exhaustion; a throw from any mirror or instance stops every worker
+  /// and is rethrown after they join.
   [[nodiscard]] EngineResult run_split(
       std::span<const std::unique_ptr<RequestSource>> mirrors);
 
@@ -156,9 +148,6 @@ class ShardedEngine {
   /// Sums per-shard results (already finalized from the instances) into
   /// out.total, in shard order — fixed order, bit-reproducible totals.
   void finalize(EngineResult& out) const;
-  void run_split_threaded(
-      std::span<const std::unique_ptr<RequestSource>> mirrors,
-      EngineResult& out, std::size_t workers);
 
   ShardPlan plan_;
   EngineConfig config_;

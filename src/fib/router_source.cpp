@@ -9,8 +9,8 @@
 namespace treecache::fib {
 namespace {
 
-/// Events generated per pump_for round: large enough to amortize the call,
-/// small enough that a mirror never runs far ahead of its siblings.
+/// Events generated per pump round of take(): large enough to amortize the
+/// loop, small enough that a mirror never runs far ahead of its siblings.
 constexpr std::size_t kPumpChunk = 256;
 
 std::shared_ptr<RouterEventProducer> require_producer(
@@ -55,17 +55,23 @@ RouterEventProducer::RouterEventProducer(const RuleTree& rules,
 
 void RouterEventProducer::discard_foreign(std::size_t shard) {
   TC_CHECK(shard < queues_.size(), "shard index outside the plan");
+  const std::lock_guard<std::mutex> lock(mutex_);
   solo_shard_ = shard;
 }
 
 std::size_t RouterEventProducer::pump(std::size_t budget) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return generate(budget);
+}
+
+std::size_t RouterEventProducer::generate(std::size_t budget) {
   std::size_t generated = 0;
   while (generated < budget && packets_generated_ < config_.packets) {
     if (rng_.chance(config_.update_probability)) {
       const NodeId rule = sampler_.sample_rule(rng_);
       const std::size_t owner = plan_->shard_of(rule);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
-        queues_[owner].events.push_back(
+        queues_[owner].push_back(
             RouterEvent{.node = rule, .kind = RouterEventKind::kUpdate});
       }
     } else {
@@ -77,7 +83,7 @@ std::size_t RouterEventProducer::pump(std::size_t budget) {
       ++packets_generated_;
       const std::size_t owner = plan_->shard_of(match);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
-        queues_[owner].events.push_back(
+        queues_[owner].push_back(
             RouterEvent{.node = match, .kind = RouterEventKind::kPacket});
       }
     }
@@ -86,31 +92,35 @@ std::size_t RouterEventProducer::pump(std::size_t budget) {
   return generated;
 }
 
-bool RouterEventProducer::pump_for(std::size_t shard) {
-  while (!has_event(shard) && !exhausted()) pump(kPumpChunk);
-  return has_event(shard);
+bool RouterEventProducer::take(std::size_t shard,
+                               std::vector<RouterEvent>& events) {
+  events.clear();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<RouterEvent>& queue = queues_[shard];
+  while (queue.empty() && packets_generated_ < config_.packets) {
+    generate(kPumpChunk);
+  }
+  // The caller's drained storage becomes the queue, so the steady state
+  // allocates nothing.
+  queue.swap(events);
+  return !events.empty();
 }
 
-RouterEvent RouterEventProducer::pop(std::size_t shard) {
-  Queue& q = queues_[shard];
-  TC_CHECK(q.head < q.events.size(), "pop from an empty shard queue");
-  const RouterEvent event = q.events[q.head++];
-  if (q.head == q.events.size()) {
-    // Recycle the storage: queues stay sized to the inter-shard skew of
-    // one pump round, not the stream length.
-    q.events.clear();
-    q.head = 0;
-  }
-  return event;
+std::size_t RouterEventProducer::buffered(std::size_t shard) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return queues_[shard].size();
+}
+
+bool RouterEventProducer::exhausted() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return packets_generated_ >= config_.packets;
 }
 
 void RouterEventProducer::reset() {
+  const std::lock_guard<std::mutex> lock(mutex_);
   rng_ = start_rng_;
   packets_generated_ = 0;
-  for (Queue& q : queues_) {
-    q.events.clear();
-    q.head = 0;
-  }
+  for (std::vector<RouterEvent>& queue : queues_) queue.clear();
 }
 
 // --- RouterMirrorSource ---------------------------------------------------
@@ -159,11 +169,16 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
   }
   if (n > 0) return n;
 
-  // Consume this shard's slice of the pre-generated global stream. The
-  // producer's termination is global — all mirrors stop after the same
-  // event — while stats_ counts only the events this shard owns.
-  while (producer_->pump_for(shard_)) {
-    const RouterEvent event = producer_->pop(shard_);
+  // Consume this shard's slice of the pre-generated global stream, one
+  // take() at a time. The producer's termination is global — all mirrors
+  // stop after the same event — while stats_ counts only the events this
+  // shard owns.
+  for (;;) {
+    if (next_event_ == events_.size()) {
+      next_event_ = 0;
+      if (!producer_->take(shard_, events_)) return 0;
+    }
+    const RouterEvent event = events_[next_event_++];
     if (event.kind == RouterEventKind::kUpdate) {
       ++stats_.updates;
       if (cached_rule(event.node)) ++stats_.cached_updates;
@@ -194,7 +209,6 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
     // the next owned packet lookup depends on.
     return n;
   }
-  return 0;
 }
 
 void RouterMirrorSource::reset() {
@@ -202,6 +216,8 @@ void RouterMirrorSource::reset() {
   std::ranges::fill(cached_, 0);
   stats_ = {};
   pending_ = 0;
+  events_.clear();
+  next_event_ = 0;
 }
 
 void RouterMirrorSource::observe_batch(

@@ -57,16 +57,23 @@ enum class RouterEventKind : std::uint8_t { kPacket, kUpdate };
 struct RouterEvent {
   NodeId node = 0;
   RouterEventKind kind = RouterEventKind::kPacket;
+
+  friend bool operator==(const RouterEvent&, const RouterEvent&) = default;
 };
 
 /// Generates the global event stream ONCE — in exactly the RNG order of
 /// the reference loop — and routes every event into a per-shard queue
 /// keyed by the shard owning `node`. Generation is pull-driven: a mirror
-/// that finds its queue empty pumps the producer until an owned event
-/// appears or the stream ends, so memory stays bounded by the skew between
-/// shards, not the stream length (drained queues recycle their storage).
+/// that has consumed its events calls take(), which pumps the stream while
+/// the shard's queue is empty and hands the whole queue over. Consumption
+/// is paced by misses, so buffering is NOT bounded by the inter-shard
+/// skew: a shard whose mirror consumes fewer events per fill than its
+/// siblings (a lower hit rate, a busier worker) sees its queue grow with
+/// the stream.
 ///
-/// Single-threaded by design: all consumers share the caller's thread.
+/// Thread-safe: every public call holds one mutex, so sibling mirrors may
+/// take() from different threads and generation still runs once, in
+/// reference order, whichever thread pumps it.
 class RouterEventProducer {
  public:
   /// `rules` and `plan` must outlive the producer.
@@ -80,28 +87,19 @@ class RouterEventProducer {
   /// per-shard queues; returns how many were generated (0 = exhausted).
   std::size_t pump(std::size_t budget);
 
-  /// Pumps until `shard` has a queued event or the stream ends; true when
-  /// an event is available.
-  bool pump_for(std::size_t shard);
+  /// Replaces `events` with every event queued for `shard`, pumping the
+  /// stream first while that queue is empty. The previous contents of
+  /// `events` are dropped and its storage becomes the shard's new queue.
+  /// Returns false once the stream is exhausted and nothing is left for
+  /// `shard`.
+  bool take(std::size_t shard, std::vector<RouterEvent>& events);
 
-  /// Pops the next event owned by `shard` (callers check pump_for first).
-  RouterEvent pop(std::size_t shard);
-
-  [[nodiscard]] bool has_event(std::size_t shard) const {
-    const Queue& q = queues_[shard];
-    return q.head < q.events.size();
-  }
-  /// Events generated but not yet consumed by `shard` — test hook for the
+  /// Events generated but not yet taken by `shard` — test hook for the
   /// stable-partition property.
-  [[nodiscard]] std::size_t buffered(std::size_t shard) const {
-    const Queue& q = queues_[shard];
-    return q.events.size() - q.head;
-  }
+  [[nodiscard]] std::size_t buffered(std::size_t shard) const;
   /// True once the global stream has generated its last event. Queues may
-  /// still hold unconsumed events.
-  [[nodiscard]] bool exhausted() const {
-    return packets_generated_ >= config_.packets;
-  }
+  /// still hold untaken events.
+  [[nodiscard]] bool exhausted() const;
 
   /// Rewinds generation to the first event and drops every queued one.
   /// All sibling mirrors must be reset together (the kShared contract).
@@ -118,21 +116,20 @@ class RouterEventProducer {
   [[nodiscard]] const engine::ShardPlan& plan() const { return *plan_; }
 
  private:
-  struct Queue {
-    std::vector<RouterEvent> events;
-    std::size_t head = 0;  // consumed prefix; storage recycled when drained
-  };
-
   static constexpr std::size_t kAllShards =
       std::numeric_limits<std::size_t>::max();
+
+  /// pump() without the lock; the caller holds mutex_.
+  std::size_t generate(std::size_t budget);
 
   const RuleTree* rules_;
   RouterSimConfig config_;
   const engine::ShardPlan* plan_;
+  mutable std::mutex mutex_;  // guards everything below
   Rng rng_;        // seeded, then consumed by the sampler's setup
   PacketSampler sampler_;
   Rng start_rng_;  // rng_ state AFTER the sampler's permutation draw
-  std::vector<Queue> queues_;         // one per shard of the plan
+  std::vector<std::vector<RouterEvent>> queues_;  // one per shard
   std::uint64_t packets_generated_ = 0;  // global termination condition
   std::size_t solo_shard_ = kAllShards;  // discard_foreign() mode
 };
@@ -189,6 +186,8 @@ class RouterMirrorSource final : public RequestSource {
   std::uint64_t alpha_;
   std::vector<std::uint8_t> cached_;  // by LOCAL id, incl. replica root
   RouterSimResult stats_;             // owned events only
+  std::vector<RouterEvent> events_;   // the last take(), consumed in order
+  std::size_t next_event_ = 0;        // first unconsumed entry of events_
   NodeId pending_local_ = 0;
   std::uint64_t pending_ = 0;  // negatives left in the current α-chunk
 };

@@ -23,10 +23,10 @@ FibScenarioResult run_fib_scenario(const fib::RuleTree& rules,
                                    const FibScenario& scenario) {
   // The closed-loop router is just another RequestSource. With one shard
   // the engine delegates to run_source (outcomes feed back after every
-  // round); with more, the source splits into per-shard mirrors and the
-  // engine runs them through the outcome-feedback queues — we split here
-  // rather than inside run() so the mirrors' router statistics survive
-  // the run and can be aggregated into the result.
+  // round); with more, the source splits into per-shard mirrors and each
+  // engine worker runs the closed loops of the shards it owns — we split
+  // here rather than inside run() so the mirrors' router statistics
+  // survive the run and can be aggregated into the result.
   engine::ShardedEngine eng(rules.tree, scenario.algorithm, scenario.params,
                             scenario.engine);
   fib::RouterSource source(rules,
@@ -97,11 +97,10 @@ std::vector<FibScenarioResult> run_fib_sweep(const fib::RuleTree& rules,
     return run_fib_scenario(rules, cell);
   };
   // One level of parallelism at a time: a multi-worker sharded cell
-  // already owns the cores (engine workers + its sweep thread blocked as
-  // producer), so sweeping such cells in parallel would run up to
-  // ncores × (threads + 1) live threads. Cells are order-independent
-  // (pre-derived per-point seeds), so running them in sequence changes
-  // nothing but the thread count.
+  // already owns the cores (its engine workers), so sweeping such cells
+  // in parallel would run up to ncores × threads live threads. Cells are
+  // order-independent (pre-derived per-point seeds), so running them in
+  // sequence changes nothing but the thread count.
   if (engine.shards > 1 && engine.threads != 1) {
     std::vector<FibScenarioResult> out;
     out.reserve(cells);

@@ -28,14 +28,14 @@ struct FibScenario {
   std::string algorithm;   // AlgorithmRegistry key
   Params params;           // RIB + traffic + algorithm knobs, one bag
   std::uint64_t seed = 1;  // traffic seed ("rib-seed" seeds the table)
-  /// Engine geometry, the full knob set — shards/threads/batch/feedback —
+  /// Engine geometry, the full knob set — shards/threads/batch/pin —
   /// shared verbatim with the open-loop `treecache throughput` path (not
   /// part of the scenario semantics; the line-card model: each shard runs
   /// its own instance with the full capacity over its top-level-prefix
   /// slice, fed by a per-shard router mirror off one shared event
   /// producer). With shards > 1 the closed loop runs through
   /// ShardedEngine::run_split; results are bit-identical for every
-  /// `threads`/`batch`/`feedback` value.
+  /// `threads`/`batch` value.
   engine::EngineConfig engine;
 };
 
@@ -78,7 +78,7 @@ struct FibSweepAxes {
 /// (skew, capacity, alpha) point share a traffic seed, so the sweep
 /// compares algorithms on identical packet streams. `engine` sets the
 /// geometry of every cell (CLI: `treecache fib --shards S --threads T
-/// --batch B --feedback F`).
+/// --batch B`).
 [[nodiscard]] std::vector<FibScenarioResult> run_fib_sweep(
     const fib::RuleTree& rules, const FibSweepAxes& axes, const Params& base,
     std::uint64_t seed, engine::EngineConfig engine = {});

@@ -96,19 +96,16 @@ util::Json to_json(const FibScenarioResult& result) {
       .set("algorithm", result.scenario.algorithm)
       .set("seed", result.scenario.seed)
       .set("params", params_json(result.scenario.params))
-      // Geometry of the closed-loop run (fib/2): planned shard count, the
-      // workers actually used, and the batching knobs. Results are
-      // invariant to threads/batch/feedback; shards > 1 reports the
-      // line-card model's aggregate.
+      // Geometry of the closed-loop run: planned shard count, the workers
+      // actually used, and the batch size. Results are invariant to
+      // threads/batch; shards > 1 reports the line-card model's aggregate.
       .set("engine",
            util::Json::object()
                .set("shards_requested",
                     std::uint64_t{result.scenario.engine.shards})
                .set("shards", std::uint64_t{result.shards})
                .set("threads", std::uint64_t{result.threads})
-               .set("batch", std::uint64_t{result.scenario.engine.batch})
-               .set("feedback",
-                    std::uint64_t{result.scenario.engine.feedback}))
+               .set("batch", std::uint64_t{result.scenario.engine.batch}))
       .set("result", util::Json::object()
                          .set("packets", r.packets)
                          .set("hits", r.hits)
@@ -126,7 +123,7 @@ util::Json fib_sweep_json(const std::vector<FibScenarioResult>& cells) {
   util::Json rows = util::Json::array();
   for (const FibScenarioResult& cell : cells) rows.push(to_json(cell));
   return util::Json::object()
-      .set("schema", "treecache.fib/2")
+      .set("schema", "treecache.fib/3")
       .set("cells", std::move(rows));
 }
 

@@ -9,9 +9,10 @@
 //                      (v2: result gained wall_seconds/requests_per_second,
 //                      so every --json run doubles as a perf sample)
 //   treecache.grid/1   algorithm × workload grid    {schema, cells: [...]}
-//   treecache.fib/2    closed-loop FIB sweep        {schema, cells: [...]}
+//   treecache.fib/3    closed-loop FIB sweep        {schema, cells: [...]}
 //                      (v2: every cell carries an "engine" object — the
-//                      closed loop now shards by top-level prefix)
+//                      closed loop now shards by top-level prefix;
+//                      v3: "engine" no longer has a "feedback" bound)
 //   treecache.throughput/2   sharded-engine run
 //                      {schema, scenario, engine, result, per_shard: [...]}
 //                      (v2: engine no longer names a scan-kernel set)
@@ -60,11 +61,11 @@ void print_note(std::string_view label, std::string_view value);
 [[nodiscard]] util::Json grid_json(const std::vector<ScenarioResult>& cells);
 
 /// One closed-loop FIB cell: {algorithm, seed, params, engine, result} —
-/// "engine" (fib/2) is {shards_requested, shards, threads}, the closed
+/// "engine" is {shards_requested, shards, threads, batch}, the closed
 /// loop's sharding geometry (results are thread-count invariant).
 [[nodiscard]] util::Json to_json(const FibScenarioResult& result);
 
-/// Full FIB sweep document (schema treecache.fib/2).
+/// Full FIB sweep document (schema treecache.fib/3).
 [[nodiscard]] util::Json fib_sweep_json(
     const std::vector<FibScenarioResult>& cells);
 

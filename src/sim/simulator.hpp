@@ -97,9 +97,10 @@ inline void accumulate_outcome(RunResult& result, const Request& request,
 /// observe() — i.e. an observe_batch() of one, straight from the
 /// algorithm's scratch, no copies; sources must accept any feedback
 /// granularity. This is what run_source hands to step_batch when no
-/// observer is set; the sharded engine attaches one per shard, without a
-/// source (its threaded closed-loop path batches feedback through
-/// OutcomeBuffer rings instead — see engine/sharded_engine.hpp).
+/// observer is set. The sharded engine attaches one per shard: without a
+/// source on the open-loop demux, and with the shard's mirror in
+/// run_split, whose closed loops step and observe on the same worker —
+/// see engine/sharded_engine.hpp.
 class AccountingSink final : public OutcomeSink {
  public:
   AccountingSink(RunResult& result, const OnlineAlgorithm& alg,

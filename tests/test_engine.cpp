@@ -543,10 +543,10 @@ TEST(ShardedEngine, RunsClosedLoopSourcesThroughTheMirrorSplit) {
   const sim::Params params = smoke_params();
   const fib::RuleTree rt = fib::rule_tree_from_params(params);
   const fib::RouterSimConfig router{.packets = 200};
-  // Multi-shard closed loops split into per-shard mirrors (per-shard
-  // outcome feedback; tests/test_engine_closed_loop.cpp is the full
-  // differential suite) — the run is accepted and bit-identical for every
-  // thread count.
+  // Multi-shard closed loops split into per-shard mirrors, each run on
+  // the worker that owns its shard (tests/test_engine_closed_loop.cpp is
+  // the full differential suite) — the run is accepted and bit-identical
+  // for every thread count.
   engine::ShardedEngine sharded(rt.tree, "tc", params,
                                 {.shards = 4, .threads = 2});
   fib::RouterSource closed(rt, router);

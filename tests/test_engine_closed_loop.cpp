@@ -1,9 +1,10 @@
 // Closed-loop sharding, proven differentially: the sharded engine run of
-// the FIB router source — per-shard mirrors fed by per-shard outcome
-// feedback queues — must be bit-identical to the single-threaded
-// reference (each shard's mirror driven through sim::run_source on a
-// fresh instance, no engine machinery at all) for every registered
-// algorithm × shard count × thread count × traffic shape. Feedback-
+// the FIB router source — per-shard mirrors off one shared event
+// producer, each shard's closed loop on the worker that owns it — must be
+// bit-identical to the single-threaded reference (each shard's mirror
+// driven through sim::run_source on a fresh instance, no engine machinery
+// at all) for every registered algorithm × shard count × thread count ×
+// traffic shape. Feedback-
 // dependent streams are where parallel caching goes subtly wrong, so
 // nothing here is spot-checked: the sweep is exhaustive over the
 // registry, the seeds are randomized (override TREECACHE_DIFF_SEED to
@@ -11,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include "core/outcome_buffer.hpp"
 
 #include "engine/shard_plan.hpp"
 #include "engine/sharded_engine.hpp"
@@ -41,7 +44,8 @@ struct TrafficShape {
 constexpr TrafficShape kShapes[] = {{"fib", "0.01"}, {"fib-churn", "0.10"}};
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
-constexpr std::size_t kThreadCounts[] = {1, 2, 4};
+// 3 threads over 8 shards is the uneven geometry perfbench runs.
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4};
 
 sim::Params diff_params(const TrafficShape& shape) {
   sim::Params p;
@@ -229,48 +233,102 @@ TEST(ClosedLoopSharding, StatelessAlgorithmAggregateIsShardCountInvariant) {
 
 // --- Shared generation & the batched feedback API -------------------------
 
+/// Writes into `out` the single-thread partition of the global event
+/// stream over `plan`: a sharded producer pumped one event at a time, each
+/// event taken from its owner's queue right away. Checks, event by event,
+/// that the sharded producer emits exactly the unsharded stream — same
+/// order, same kinds, same payloads — with each event routed to exactly
+/// one queue, the one of the shard owning its full-table match.
+void single_thread_partition(const fib::RuleTree& rules,
+                             const fib::RouterSimConfig& router,
+                             const engine::ShardPlan& plan,
+                             std::vector<std::vector<fib::RouterEvent>>& out) {
+  const engine::ShardPlan global_plan(rules.tree, 1);
+  fib::RouterEventProducer global(rules, router, global_plan);
+  fib::RouterEventProducer sharded(rules, router, plan);
+  out.assign(plan.num_shards(), {});
+  std::vector<fib::RouterEvent> expected;
+  std::vector<fib::RouterEvent> got;
+  std::uint64_t events = 0;
+  while (true) {
+    const std::size_t generated = global.pump(1);
+    ASSERT_EQ(sharded.pump(1), generated);
+    if (generated == 0) break;
+    ASSERT_TRUE(global.take(0, expected));
+    ASSERT_EQ(expected.size(), 1u) << "event " << events;
+    const std::size_t owner = plan.shard_of(expected.front().node);
+    // Exactly one queue grew, and it is the owner's.
+    std::size_t buffered = 0;
+    for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+      buffered += sharded.buffered(s);
+    }
+    ASSERT_EQ(buffered, 1u) << "event " << events;
+    ASSERT_EQ(sharded.buffered(owner), 1u) << "event " << events;
+    ASSERT_TRUE(sharded.take(owner, got));
+    ASSERT_EQ(got, expected) << "event " << events;
+    out[owner].push_back(expected.front());
+    ++events;
+  }
+  EXPECT_TRUE(global.exhausted());
+  EXPECT_TRUE(sharded.exhausted());
+  EXPECT_GT(events, 0u);
+}
+
 TEST(ClosedLoopSharding, ProducerPartitionsTheGlobalEventStream) {
-  // The stable-partition property of shared generation: event by event, a
-  // sharded producer emits exactly the unsharded global stream — same
-  // order, same kinds, same payloads — with each event routed to exactly
-  // one queue, the one of the shard owning its full-table match.
+  // The stable-partition property of shared generation.
   for (const TrafficShape& shape : kShapes) {
     sim::Params params = diff_params(shape);
     const fib::RuleTree rules = fib::rule_tree_from_params(params);
     const fib::RouterSimConfig router = sim::fib_router_config(params, 21);
-    const engine::ShardPlan global_plan(rules.tree, 1);
-
     for (const std::size_t shards : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(shape.name) + " x " + std::to_string(shards) +
                    " shards");
       const engine::ShardPlan plan(rules.tree, shards);
-      fib::RouterEventProducer global(rules, router, global_plan);
-      fib::RouterEventProducer sharded(rules, router, plan);
-
-      std::uint64_t events = 0;
-      while (true) {
-        const std::size_t generated = global.pump(1);
-        ASSERT_EQ(sharded.pump(1), generated);
-        if (generated == 0) break;
-        ASSERT_TRUE(global.has_event(0));
-        const fib::RouterEvent expected = global.pop(0);
-        const std::size_t owner = plan.shard_of(expected.node);
-        // Exactly one queue grew, and it is the owner's.
-        std::size_t buffered = 0;
-        for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-          buffered += sharded.buffered(s);
-        }
-        ASSERT_EQ(buffered, 1u) << "event " << events;
-        ASSERT_TRUE(sharded.has_event(owner)) << "event " << events;
-        const fib::RouterEvent got = sharded.pop(owner);
-        ASSERT_EQ(got.kind, expected.kind) << "event " << events;
-        ASSERT_EQ(got.node, expected.node) << "event " << events;
-        ++events;
-      }
-      EXPECT_TRUE(global.exhausted());
-      EXPECT_TRUE(sharded.exhausted());
-      EXPECT_GT(events, 0u);
+      std::vector<std::vector<fib::RouterEvent>> partition;
+      ASSERT_NO_FATAL_FAILURE(
+          single_thread_partition(rules, router, plan, partition));
     }
+  }
+}
+
+TEST(ClosedLoopSharding, ConcurrentTakeMatchesTheSingleThreadPartition) {
+  // Sibling mirrors take() from different threads: whichever thread pumps,
+  // the stream is generated once in reference order, so every shard gets
+  // exactly its events of the single-thread partition, in order.
+  sim::Params params = diff_params(kShapes[1]);
+  params.set("packets", "20000");
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  const fib::RouterSimConfig router = sim::fib_router_config(params, 5);
+  const engine::ShardPlan plan(rules.tree, 8);
+  ASSERT_EQ(plan.num_shards(), 8u);
+  std::vector<std::vector<fib::RouterEvent>> want;
+  ASSERT_NO_FATAL_FAILURE(single_thread_partition(rules, router, plan, want));
+
+  constexpr std::size_t kThreads = 4;
+  fib::RouterEventProducer producer(rules, router, plan);
+  std::vector<std::vector<fib::RouterEvent>> got(plan.num_shards());
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      // Each thread drains its shards round-robin, one take() per pass.
+      std::vector<fib::RouterEvent> events;
+      std::vector<std::size_t> live;
+      for (std::size_t s = t; s < plan.num_shards(); s += kThreads) {
+        live.push_back(s);
+      }
+      while (!live.empty()) {
+        std::erase_if(live, [&](std::size_t s) {
+          if (!producer.take(s, events)) return true;
+          got[s].insert(got[s].end(), events.begin(), events.end());
+          return false;
+        });
+      }
+    });
+  }
+  for (auto& thread : pool) thread.join();
+  EXPECT_TRUE(producer.exhausted());
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    EXPECT_EQ(got[s], want[s]) << "shard " << s;
   }
 }
 
@@ -279,8 +337,8 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
   // source fed one observe_batch per fill()-chunk stays in request-level
   // lockstep with a twin fed every outcome individually through the
   // scalar observe() forwarder, for the whole source and for every shard
-  // mirror. The batched side buffers its outcomes through an
-  // OutcomeBuffer, exactly as the engine's feedback rings do.
+  // mirror. The batched side keeps owned copies of a chunk's outcomes —
+  // their spans die at the next step — and hands them over at once.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
   const fib::RouterSimConfig router = sim::fib_router_config(params, 33);
@@ -291,19 +349,29 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
     const auto alg_batched = sim::make_algorithm("tc", tree, params);
     std::array<Request, 64> buf_scalar{};
     std::array<Request, 64> buf_batched{};
-    OutcomeBuffer chunk;
+    std::vector<StepOutcome> chunk;
+    std::deque<std::vector<NodeId>> nodes;  // what the chunk's spans view
+    const auto own = [&nodes](std::span<const NodeId> span) {
+      return std::span<const NodeId>(
+          nodes.emplace_back(span.begin(), span.end()));
+    };
     std::uint64_t requests = 0;
     while (true) {
       const std::size_t n = unit.fill(buf_scalar);
       ASSERT_EQ(batched.fill(buf_batched), n);
       if (n == 0) break;
       chunk.clear();
+      nodes.clear();
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(buf_batched[i], buf_scalar[i]) << "request " << requests + i;
         unit.observe(alg_scalar->step(buf_scalar[i]));
-        chunk.append(alg_batched->step(buf_batched[i]));
+        StepOutcome outcome = alg_batched->step(buf_batched[i]);
+        outcome.changed = own(outcome.changed);
+        outcome.also_evicted = own(outcome.also_evicted);
+        outcome.aborted_fetch = own(outcome.aborted_fetch);
+        chunk.push_back(outcome);
       }
-      batched.observe_batch(chunk.views());
+      batched.observe_batch(chunk);
       requests += n;
     }
     ASSERT_GT(requests, 0u);
@@ -375,22 +443,16 @@ TEST(ClosedLoopSharding, ShardedFibScenarioAggregatesMirrorStats) {
   EXPECT_EQ(again.router.algorithm_cost, got.router.algorithm_cost);
 }
 
-// --- Fault injection: producer-side throws -------------------------------
+// --- Fault injection: a throwing mirror --------------------------------
 
-/// A shard mirror that misbehaves on demand: emits one scripted chunk per
-/// fill until exhausted, then (optionally) throws out of fill() — on the
-/// producer thread — while another shard's worker is still stepping and
-/// pushing outcomes into its bounded feedback queue.
+/// A closed-loop mirror over a fixed script: emits one scripted chunk per
+/// fill until exhausted, then ends.
 class ScriptedMirror final : public RequestSource {
  public:
-  ScriptedMirror(std::vector<Request> requests, bool throw_after)
-      : requests_(std::move(requests)), throw_after_(throw_after) {}
+  explicit ScriptedMirror(std::vector<Request> requests)
+      : requests_(std::move(requests)) {}
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
-    if (position_ >= requests_.size()) {
-      if (throw_after_) throw CheckFailure("injected producer fault");
-      return 0;
-    }
     std::size_t n = 0;
     while (n < buffer.size() && position_ < requests_.size()) {
       buffer[n++] = requests_[position_++];
@@ -403,45 +465,82 @@ class ScriptedMirror final : public RequestSource {
  private:
   std::vector<Request> requests_;
   std::size_t position_ = 0;
-  bool throw_after_ = false;
 };
 
-TEST(ClosedLoopSharding, ProducerThrowDrainsFeedbackQueuesBeforeJoin) {
-  // Regression for the shutdown path: shard 0's worker is stepping a large
-  // chunk against a feedback bound of 1, so it spends the whole run blocked
-  // on a full outcome queue; shard 1's mirror then throws out of fill() on
-  // the producer thread. The engine must drain/abort the per-shard outcome
-  // queues before joining — otherwise the blocked worker never observes
-  // shutdown and join() deadlocks (this test then hangs, which is the
-  // point).
+/// A mirror that never runs dry — one positive request per fill, cycling
+/// over the shard's nodes — and counts its fills, so a sibling can tell
+/// it is mid-stream. Only a stopping engine ends its run.
+class EndlessMirror final : public RequestSource {
+ public:
+  EndlessMirror(std::size_t nodes, std::atomic<std::uint64_t>& fills)
+      : nodes_(nodes), fills_(&fills) {}
+
+  [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
+    buffer[0] = positive(static_cast<NodeId>(next_++ % nodes_));
+    fills_->fetch_add(1, std::memory_order_relaxed);
+    return 1;
+  }
+  void reset() override { next_ = 0; }
+  [[nodiscard]] bool is_closed_loop() const override { return true; }
+
+ private:
+  std::size_t nodes_;
+  std::atomic<std::uint64_t>* fills_;
+  std::size_t next_ = 0;
+};
+
+/// Throws out of fill() once its sibling has filled `after` times.
+class ThrowingMirror final : public RequestSource {
+ public:
+  ThrowingMirror(const std::atomic<std::uint64_t>& sibling_fills,
+                 std::uint64_t after)
+      : sibling_fills_(&sibling_fills), after_(after) {}
+
+  [[nodiscard]] std::size_t fill(std::span<Request>) override {
+    while (sibling_fills_->load(std::memory_order_relaxed) < after_) {
+      std::this_thread::yield();
+    }
+    throw CheckFailure("injected mirror fault");
+  }
+  void reset() override {}
+  [[nodiscard]] bool is_closed_loop() const override { return true; }
+
+ private:
+  const std::atomic<std::uint64_t>* sibling_fills_;
+  std::uint64_t after_;
+};
+
+TEST(ClosedLoopSharding, MirrorThrowStopsEveryWorkerAndRethrows) {
+  // Shard 1's mirror throws out of fill() on its worker while shard 0's
+  // worker is mid-stream on an endless mirror. run_split must stop the
+  // sibling, join every worker and rethrow — without the stop the endless
+  // sibling never finishes and this test hangs, which is the point.
   const Tree tree = trees::complete_kary(3, 2);  // two top-level subtrees
   sim::Params params;
   params.set("alpha", "2");
   params.set("capacity", "16");
-  engine::ShardedEngine eng(
-      tree, "tc", params,
-      {.shards = 2, .threads = 2, .batch = 512, .feedback = 1});
+  engine::ShardedEngine eng(tree, "tc", params, {.shards = 2, .threads = 2});
   ASSERT_EQ(eng.plan().num_shards(), 2u);
 
-  std::vector<Request> busywork;
-  const std::size_t shard0_nodes = eng.plan().shard_tree(0).size();
-  for (std::size_t i = 0; i < 400; ++i) {
-    busywork.push_back(positive(static_cast<NodeId>(i % shard0_nodes)));
-  }
+  std::atomic<std::uint64_t> fills{0};
   std::vector<std::unique_ptr<RequestSource>> mirrors;
-  mirrors.push_back(std::make_unique<ScriptedMirror>(std::move(busywork),
-                                                     /*throw_after=*/false));
-  mirrors.push_back(std::make_unique<ScriptedMirror>(
-      std::vector<Request>{}, /*throw_after=*/true));
+  mirrors.push_back(std::make_unique<EndlessMirror>(
+      eng.plan().shard_tree(0).size(), fills));
+  mirrors.push_back(std::make_unique<ThrowingMirror>(fills, 1000));
   EXPECT_THROW((void)eng.run_split(mirrors), CheckFailure);
+  // Every worker has joined: the endless mirror is filled no more.
+  const std::uint64_t stopped_at = fills.load();
+  EXPECT_GE(stopped_at, 1000u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(fills.load(), stopped_at);
 
   // The engine is intact after the failed run: the same geometry runs a
   // healthy pair of mirrors to completion.
   std::vector<std::unique_ptr<RequestSource>> healthy;
-  healthy.push_back(std::make_unique<ScriptedMirror>(
-      std::vector<Request>{positive(1)}, false));
-  healthy.push_back(std::make_unique<ScriptedMirror>(
-      std::vector<Request>{positive(1)}, false));
+  healthy.push_back(
+      std::make_unique<ScriptedMirror>(std::vector<Request>{positive(1)}));
+  healthy.push_back(
+      std::make_unique<ScriptedMirror>(std::vector<Request>{positive(1)}));
   EXPECT_EQ(eng.run_split(healthy).total.rounds, 2u);
 }
 
@@ -453,7 +552,7 @@ TEST(ClosedLoopSharding, UnsplittableClosedLoopSourceIsRefused) {
   params.set("alpha", "2");
   params.set("capacity", "16");
   engine::ShardedEngine eng(tree, "tc", params, {.shards = 2});
-  ScriptedMirror closed({positive(1)}, false);
+  ScriptedMirror closed({positive(1)});
   EXPECT_THROW((void)eng.run(closed), CheckFailure);
 }
 

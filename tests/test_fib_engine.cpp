@@ -208,12 +208,14 @@ TEST(Reporting, JsonDocumentsCarrySchemas) {
   const auto fib_cells =
       std::vector<sim::FibScenarioResult>{sim::run_fib_scenario(rt, scenario)};
   const std::string fib_text = sim::fib_sweep_json(fib_cells).dump();
-  EXPECT_NE(fib_text.find("\"schema\": \"treecache.fib/2\""),
+  EXPECT_NE(fib_text.find("\"schema\": \"treecache.fib/3\""),
             std::string::npos);
   EXPECT_NE(fib_text.find("\"forwarding_errors\""), std::string::npos);
-  // fib/2: every cell records the closed-loop engine geometry.
+  // Since fib/2 every cell records the closed-loop engine geometry; fib/3
+  // dropped its feedback bound.
   EXPECT_NE(fib_text.find("\"engine\""), std::string::npos);
   EXPECT_NE(fib_text.find("\"shards\": 1"), std::string::npos);
+  EXPECT_EQ(fib_text.find("\"feedback\""), std::string::npos);
 }
 
 }  // namespace

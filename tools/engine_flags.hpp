@@ -1,5 +1,5 @@
 // Shared engine-geometry CLI knobs: --shards / --threads / --batch /
-// --feedback / --pin. Every subcommand that runs the sharded engine
+// --pin. Every subcommand that runs the sharded engine
 // (`treecache throughput`, `treecache fib`) parses them through this one
 // helper, so the knob set, spellings and defaults can never drift between
 // them.
@@ -15,7 +15,7 @@ namespace treecache::tools {
 /// parameterize the engine, never the scenario, so they must not leak
 /// into the params echoed by --json documents.
 inline constexpr const char* kEngineFlagKeys[] = {"shards", "threads",
-                                                 "batch", "feedback", "pin"};
+                                                 "batch", "pin"};
 
 /// Engine geometry from the shared flags, with EngineConfig's own
 /// defaults for anything not given. --pin on|off pins shard workers to
@@ -30,7 +30,6 @@ inline constexpr const char* kEngineFlagKeys[] = {"shards", "threads",
       .shards = flags.get_u64("shards", defaults.shards),
       .threads = flags.get_u64("threads", defaults.threads),
       .batch = flags.get_u64("batch", defaults.batch),
-      .feedback = flags.get_u64("feedback", defaults.feedback),
       .pin_threads = pin == "on"};
 }
 

@@ -44,8 +44,8 @@
 //              [--seed S] [--validate] [--json out.json]
 //   throughput sharded-engine run (engine/sharded_engine.hpp): --tree
 //              tree.txt|fib --algo <algorithm> [--workload <w>|--trace f]
-//              [--shards S] [--threads N] [--batch B] [--feedback F]
-//              [--pin on|off] [--seed S] [--json out.json]; aggregate
+//              [--shards S] [--threads N] [--batch B] [--pin on|off]
+//              [--seed S] [--json out.json]; aggregate
 //              costs are identical for every --threads value (per-shard
 //              routing is deterministic). --pin on pins shard workers to
 //              cores and first-touches shard state on its worker; the
@@ -60,13 +60,13 @@
 //              --capacities 64,256 --alphas 8,32 [--packets N]
 //              [--update-prob P] [--rules N] [--deagg D] [--max-len L]
 //              [--rib-seed S] [--seed S] [--shards S] [--threads N]
-//              [--batch B] [--feedback F] [--json out.json];
+//              [--batch B] [--json out.json];
 //              --rib-feed d.feed[,u.feed] swaps the synthetic RIB for
 //              the table ingested from a real feed; --shards > 1
 //              runs the closed loop sharded by top-level prefix
 //              (per-shard router mirrors off one shared event producer,
-//              fed back through per-shard outcome rings); results are
-//              bit-identical for every --threads/--batch/--feedback value
+//              each shard's loop on the worker that owns it); results
+//              are bit-identical for every --threads/--batch value
 //   opt        --tree tree.txt --trace trace.txt --alpha A --capacity K
 //              [--evaluator opt|static]
 //   fields     --tree tree.txt --trace trace.txt --alpha A --capacity K
