@@ -1,8 +1,8 @@
 // Preorder-indexed struct-of-arrays hot state for TC.
 //
-// All per-node algorithm state lives here, in ONE block indexed by preorder
-// rank instead of construction-order NodeId. Two properties make this the
-// right layout for the Section 6 data structures:
+// TC's per-node counters and Section 6 indexes live here, in ONE block
+// indexed by preorder rank instead of construction-order NodeId. Two
+// properties make this the right layout for the Section 6 data structures:
 //  * every subtree T(v) is the contiguous rank slice [r, r + |T(v)|), so
 //    collect_missing / collect_h_set / phase_restart become linear scans
 //    with O(1) subtree-skip jumps (`r += subtree_size`) instead of pointer-
@@ -12,11 +12,9 @@
 //    negative walk), so a step touches one or two cache lines instead of a
 //    miss per parallel array.
 //
-// The cached flags are a word-packed bitmap (64 ranks per std::uint64_t),
-// not a byte array: a whole-subtree clear is a handful of masked word
-// stores, and the missing-scan (core/kernels.hpp) tests one bit per
-// visited rank. The raw stripe accessors (cached_bits / counters /
-// neg_entries) expose the exact memory the slice scans read.
+// The cached set itself is not here: it is TC's Subforest, a word-packed
+// bitmap over the same ranks (tree/subforest.hpp), which TC steps on
+// directly.
 //
 // Counters and the positive index carry phase-reset semantics: each slot is
 // stamped with the epoch it was last written in and reads from older epochs
@@ -54,34 +52,7 @@ class NodeState {
   };
   static_assert(sizeof(NegEntry) == 16);
 
-  /// Per-node counter with phase-reset stamp. Public so the slice scans
-  /// can sum epoch-valid values straight off the stripe.
-  struct Counter {
-    std::uint64_t value = 0;
-    std::uint32_t stamp = 0;
-  };
-  static_assert(sizeof(Counter) == 16);  // 4 bytes tail padding
-
   explicit NodeState(std::size_t n);
-
-  [[nodiscard]] std::size_t size() const { return cnt_.size(); }
-
-  // --- cached flag (word-packed bitmap) ---------------------------------
-  [[nodiscard]] bool cached(std::uint32_t r) const {
-    TC_DCHECK(r < size(), "rank out of range");
-    return ((cached_[r >> 6] >> (r & 63)) & 1) != 0;
-  }
-  void set_cached(std::uint32_t r) {
-    TC_DCHECK(r < size(), "rank out of range");
-    cached_[r >> 6] |= std::uint64_t{1} << (r & 63);
-  }
-  void clear_cached(std::uint32_t r) {
-    TC_DCHECK(r < size(), "rank out of range");
-    cached_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
-  }
-  /// Clears the cached bits of the whole rank slice [begin, end): three
-  /// masked word stores plus a word fill, not a per-rank loop.
-  void clear_cached_range(std::uint32_t begin, std::uint32_t end);
 
   // --- per-node counter (phase-reset semantics) -------------------------
   [[nodiscard]] std::uint64_t counter(std::uint32_t r) const {
@@ -137,19 +108,11 @@ class NodeState {
     return neg_[r];
   }
 
-  // --- raw stripes for the slice scans (core/kernels.hpp) ---------------
-  [[nodiscard]] const std::uint64_t* cached_bits() const {
-    return cached_.data();
-  }
-  [[nodiscard]] const Counter* counters() const { return cnt_.data(); }
-  [[nodiscard]] const NegEntry* neg_entries() const { return neg_.data(); }
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-
   /// New phase: counters and the positive index back to zero in O(1).
   void new_phase();
 
-  /// Full reset to the freshly-constructed state (also clears the cached
-  /// flags and the negative index; O(n)).
+  /// Full reset to the freshly-constructed state (also clears the negative
+  /// index; O(n)).
   void reset();
 
   // --- test seam --------------------------------------------------------
@@ -159,7 +122,13 @@ class NodeState {
   [[nodiscard]] std::uint32_t debug_epoch() const { return epoch_; }
 
  private:
-  std::vector<std::uint64_t> cached_;  // bitmap, (n + 63) / 64 words
+  /// Per-node counter with phase-reset stamp.
+  struct Counter {
+    std::uint64_t value = 0;
+    std::uint32_t stamp = 0;
+  };
+  static_assert(sizeof(Counter) == 16);  // 4 bytes tail padding
+
   std::vector<Counter> cnt_;
   std::vector<PosEntry> pos_;
   std::vector<NegEntry> neg_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/kernels.hpp"
 #include "sim/registry.hpp"
 
 namespace treecache {
@@ -73,7 +72,8 @@ std::span<const NodeId> TreeCache::translate_changeset(
 }
 
 StepOutcome TreeCache::handle_positive(std::uint32_t rv) {
-  if (state_.cached(rv)) return {};  // request served by the cache, free
+  // A cached node serves the request for free.
+  if (cache_.contains_rank(rv)) return {};
   StepOutcome out;
   out.paid = true;
   ++cost_.service;
@@ -84,7 +84,7 @@ StepOutcome TreeCache::handle_positive(std::uint32_t rv) {
   // the aggregates on the path and remember it for the top-down scan.
   path_.clear();
   for (std::uint32_t r = rv; r != kNoNode; r = tree_->preorder_parent(r)) {
-    TC_DCHECK(!state_.cached(r),
+    TC_DCHECK(!cache_.contains_rank(r),
               "ancestor of a non-cached node must be non-cached");
     state_.pos(r).pcnt += 1;
     path_.push_back(r);
@@ -125,7 +125,8 @@ StepOutcome TreeCache::handle_positive(std::uint32_t rv) {
 }
 
 StepOutcome TreeCache::handle_negative(std::uint32_t rv) {
-  if (!state_.cached(rv)) return {};  // node only lives at the controller
+  // A non-cached node only lives at the controller: nothing to pay.
+  if (!cache_.contains_rank(rv)) return {};
   StepOutcome out;
   out.paid = true;
   ++cost_.service;
@@ -158,7 +159,7 @@ std::uint32_t TreeCache::propagate_negative_increment(std::uint32_t rv) {
   while (true) {
     ++work_;
     const std::uint32_t p = tree_->preorder_parent(u);
-    if (p == kNoNode || !state_.cached(p)) return u;
+    if (p == kNoNode || !cache_.contains_rank(p)) return u;
     const bool included_before = old_i >= 0;
     const bool included_after = new_i >= 0;
     if (!included_before && !included_after) {
@@ -167,7 +168,7 @@ std::uint32_t TreeCache::propagate_negative_increment(std::uint32_t rv) {
       while (true) {
         ++work_;
         const std::uint32_t q = tree_->preorder_parent(r);
-        if (q == kNoNode || !state_.cached(q)) return r;
+        if (q == kNoNode || !cache_.contains_rank(q)) return r;
         r = q;
       }
     }
@@ -191,14 +192,10 @@ std::uint64_t TreeCache::collect_missing(std::uint32_t ru) {
   rank_changeset_.clear();
   // T(u) is the slice [ru, ru + |T(u)|); a cached node's subtree is fully
   // cached (descendant-closure), so the scan skips it as one jump.
-  const kernels::MissingScan scan{.cached_bits = state_.cached_bits(),
-                                  .sizes = sizes_,
-                                  .cnt = state_.counters(),
-                                  .epoch = state_.epoch()};
-  const kernels::ScanResult res =
-      kernels::scan_missing(scan, ru, ru + sizes_[ru], rank_changeset_);
-  work_ += res.visits;
-  return res.total;
+  work_ += cache_.missing_ranks(ru, ru + sizes_[ru], rank_changeset_);
+  std::uint64_t cnt_x = 0;
+  for (const std::uint32_t r : rank_changeset_) cnt_x += state_.counter(r);
+  return cnt_x;
 }
 
 std::uint64_t TreeCache::collect_h_set(std::uint32_t ru) {
@@ -206,20 +203,24 @@ std::uint64_t TreeCache::collect_h_set(std::uint32_t ru) {
   // H(u) is u plus, per child w with I(w) ≥ 0, the set H(w): a node belongs
   // iff no strict ancestor inside T(u) has I < 0, so the scan skips a
   // subtree whose root has I < 0 as one contiguous jump.
-  TC_DCHECK(state_.cached(ru), "H-set root must be cached");
-  const kernels::HScan scan{.neg = state_.neg_entries(),
-                            .sizes = sizes_,
-                            .cnt = state_.counters(),
-                            .epoch = state_.epoch()};
-  const kernels::ScanResult res =
-      kernels::scan_h_candidates(scan, ru, ru + sizes_[ru], rank_changeset_);
-  work_ += res.visits;
-  return res.total;
+  TC_DCHECK(cache_.contains_rank(ru), "H-set root must be cached");
+  std::uint64_t cnt_h = 0;
+  const std::uint32_t end = ru + sizes_[ru];
+  for (std::uint32_t r = ru; r < end;) {
+    ++work_;
+    if (r != ru && state_.neg(r).value < 0) {
+      r += sizes_[r];
+      continue;
+    }
+    rank_changeset_.push_back(r);
+    cnt_h += state_.counter(r);
+    ++r;
+  }
+  return cnt_h;
 }
 
 void TreeCache::apply_fetch(std::uint32_t ru, std::uint64_t cnt_x) {
   const auto x_size = static_cast<std::uint32_t>(rank_changeset_.size());
-  const auto from = tree_->from_preorder();
   // rank_changeset_ is ascending (preorder); reversed iteration inserts
   // children before parents, which keeps the cache descendant-closed at
   // every step, and lets (I, S) be initialized bottom-up in the same pass.
@@ -228,8 +229,7 @@ void TreeCache::apply_fetch(std::uint32_t ru, std::uint64_t cnt_x) {
   for (auto it = rank_changeset_.rbegin(); it != rank_changeset_.rend();
        ++it) {
     const std::uint32_t r = *it;
-    state_.set_cached(r);
-    cache_.insert(from[r]);
+    cache_.set_rank(r);
     state_.reset_counter(r);
     std::int64_t i_value = -static_cast<std::int64_t>(config_.alpha);
     std::uint64_t s_value = 1;
@@ -262,11 +262,9 @@ void TreeCache::apply_fetch(std::uint32_t ru, std::uint64_t cnt_x) {
 
 void TreeCache::apply_evict(std::uint32_t ru) {
   const auto x_size = static_cast<std::uint32_t>(rank_changeset_.size());
-  const auto from = tree_->from_preorder();
   // Top-down eviction (ascending rank) keeps descendant-closure.
   for (const std::uint32_t r : rank_changeset_) {
-    state_.clear_cached(r);
-    cache_.erase(from[r]);
+    cache_.clear_rank(r);
     state_.reset_counter(r);
     ++work_;
   }
@@ -291,7 +289,7 @@ void TreeCache::apply_evict(std::uint32_t ru) {
     const std::uint32_t end = r + sizes_[r];
     for (std::uint32_t c = r + 1; c < end; c += sizes_[c]) {
       ++work_;
-      if (state_.cached(c)) root_hints_.push_back(c);
+      if (cache_.contains_rank(c)) root_hints_.push_back(c);
     }
   }
   // Ancestors strictly above u: the evicted nodes join their P_t sets with
@@ -315,24 +313,21 @@ void TreeCache::phase_restart(std::uint32_t aborted_fetch_size) {
                     root_hints_.end());
   rank_changeset_.clear();
   for (const std::uint32_t r : root_hints_) {
-    if (!state_.cached(r)) continue;  // stale hint (already evicted)
+    if (!cache_.contains_rank(r)) continue;  // stale hint (already evicted)
     const std::uint32_t p = tree_->preorder_parent(r);
-    if (p != kNoNode && state_.cached(p)) continue;  // no longer maximal
+    // A hint whose parent is cached is no longer a maximal root.
+    if (p != kNoNode && cache_.contains_rank(p)) continue;
     const std::uint32_t end = r + sizes_[r];
     for (std::uint32_t x = r; x < end; ++x) rank_changeset_.push_back(x);
     work_ += end - r;
     // Clearing the slice here (instead of in a second pass) is safe: the
     // hints are ascending, so a hint nested inside this slice is visited
-    // later and skipped as stale by the cached(r) test above.
-    state_.clear_cached_range(r, end);
+    // later and skipped as stale by the contains_rank(r) test above.
+    // Clearing just the cached slices keeps the restart O(|cache|);
+    // Subforest::clear() would touch all |T| bits.
+    cache_.clear_slice(r, end);
   }
   root_hints_.clear();
-
-  // Ascending rank is top-down within each collected subtree, the order
-  // Subforest::erase needs. Erasing just the evicted nodes keeps the
-  // restart O(|cache|); Subforest::clear() would touch all |T| flags.
-  const auto from = tree_->from_preorder();
-  for (const std::uint32_t r : rank_changeset_) cache_.erase(from[r]);
   TC_DCHECK(cache_.empty(), "restart must evict the whole cache");
   const auto evicted = static_cast<std::uint32_t>(rank_changeset_.size());
   cost_.reorg += config_.alpha * evicted;

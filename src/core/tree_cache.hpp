@@ -24,15 +24,15 @@
 //    val_t(A) = cnt_t(A) − |A|·α + |A|/(|T|+1). We store val in exact
 //    integer form (I, S) = (cnt(H)−|H|·α, |H|); val(H(u)) > 0 ⇔ I(u) ≥ 0.
 //
-// Memory layout: all per-node state lives in a preorder-indexed NodeState
-// SoA block (core/node_state.hpp). Requests are translated NodeId → rank
-// once on entry, the whole round runs in rank coordinates (ancestor walks
-// via Tree::preorder_parent, subtree collections as contiguous slice scans
-// with subtree-skip jumps, child enumeration as first-child r+1 / next-
-// sibling c+size(c)), and changesets are translated back rank → NodeId once
-// on exit. A NodeId-keyed Subforest mirror is kept in step for the public
-// cache() view; it is written only on changesets, never read on the hot
-// path.
+// Memory layout: everything TC keeps per node is indexed by preorder rank.
+// The cache is one Subforest, a rank-indexed bitmap (tree/subforest.hpp),
+// and the counters and Section 6 indexes live in a NodeState SoA block
+// (core/node_state.hpp). Requests are translated NodeId → rank once on
+// entry, the whole round runs in rank coordinates (ancestor walks via
+// Tree::preorder_parent, subtree collections as contiguous slice scans with
+// subtree-skip jumps, child enumeration as first-child r+1 / next-sibling
+// c+size(c)), and changesets are translated back rank → NodeId once on
+// exit. cache() is the set TC decides on, not a copy of it.
 #pragma once
 
 #include <cstdint>
@@ -154,11 +154,9 @@ class TreeCache final : public OnlineAlgorithm {
   /// an accessor call per rank.
   const std::uint32_t* sizes_;
 
-  /// NodeId-keyed mirror of the cached set, maintained for the public
-  /// cache() view (AccountingSink reads its size every round); the hot path
-  /// reads only state_.cached.
+  /// The cache: TC tests, sets and clears its rank bits directly.
   Subforest cache_;
-  /// All per-node hot state, preorder-indexed.
+  /// Counters and the Section 6 indexes, preorder-indexed.
   NodeState state_;
 
   /// Lazily maintained superset of the maximal cached roots (ranks), used

@@ -73,12 +73,12 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
   tc_.resize(num_shards);
   if (config_.pin_threads) {
     // Build shard s on pinned worker s % workers — the owner under the
-    // run-time mapping of every pool. The instance's NodeState block and
-    // scratch arena are first-touched on that worker's core, so their
-    // pages are placed on its NUMA node. The registry is read-only after
-    // static init, so concurrent make_algorithm calls are safe; each
-    // thread writes disjoint algs_/tc_/worker_cpus_ slots and the join
-    // publishes them.
+    // run-time mapping of every pool. The instance's cache bitmap,
+    // NodeState block and scratch arena are first-touched on that worker's
+    // core, so their pages are placed on its NUMA node. The registry is
+    // read-only after static init, so concurrent make_algorithm calls are
+    // safe; each thread writes disjoint algs_/tc_/worker_cpus_ slots and
+    // the join publishes them.
     const std::size_t workers = effective_threads();
     worker_cpus_.assign(workers, -1);
     std::exception_ptr error;

@@ -75,10 +75,11 @@ struct EngineConfig {
   /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
   /// a no-op elsewhere and when affinity is denied). Shard instances are
   /// then also *constructed* on their pinned worker, so each shard's
-  /// NodeState block and scratch arena are first-touched — hence placed —
-  /// on the core (and NUMA node) that runs it. Only effective when the run
-  /// actually uses more than one worker; the constructor normalizes it to
-  /// false otherwise, so config() reports what was done.
+  /// cache bitmap, NodeState block and scratch arena are first-touched —
+  /// hence placed — on the core (and NUMA node) that runs it. Only
+  /// effective when the run actually uses more than one worker; the
+  /// constructor normalizes it to false otherwise, so config() reports
+  /// what was done.
   bool pin_threads = false;
 };
 

@@ -32,9 +32,10 @@
 // plugs straight into the shard's algorithm instance with no translation
 // in the engine.
 //
-// Threading: the producer is deliberately lock-free-by-exclusivity — all
-// sibling mirrors must be consumed from one thread (the engine's run_split
-// producer thread), which is the SplitKind::kShared contract.
+// Threading: every producer call holds the producer's one mutex, so sibling
+// mirrors may take() from different threads. run_split drives each mirror
+// on the engine worker that owns its shard, one thread per mirror at a
+// time, which is the SplitKind::kShared contract.
 #pragma once
 
 #include <cstdint>

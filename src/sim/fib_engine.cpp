@@ -96,18 +96,6 @@ std::vector<FibScenarioResult> run_fib_sweep(const fib::RuleTree& rules,
     cell.params.set("alpha", std::to_string(axes.alphas[alpha_i]));
     return run_fib_scenario(rules, cell);
   };
-  // One level of parallelism at a time: a multi-worker sharded cell
-  // already owns the cores (its engine workers), so sweeping such cells
-  // in parallel would run up to ncores × threads live threads. Cells are
-  // order-independent (pre-derived per-point seeds), so running them in
-  // sequence changes nothing but the thread count.
-  if (engine.shards > 1 && engine.threads != 1) {
-    std::vector<FibScenarioResult> out;
-    out.reserve(cells);
-    Rng unused(seed);
-    for (std::size_t i = 0; i < cells; ++i) out.push_back(run_cell(i, unused));
-    return out;
-  }
   return parallel_sweep<FibScenarioResult>(cells, seed, run_cell);
 }
 

@@ -1,17 +1,19 @@
 // Closed-loop FIB scenario engine — the registry-resolvable face of the
-// paper's Figure-1 switch + controller event loop, driven through the
-// unified sim::run_source driver over a fib::RouterSource (the closed-loop
-// RequestSource; fib/router_sim.hpp keeps the self-contained reference
-// loop the source is tested against).
+// paper's Figure-1 switch + controller event loop over a fib::RouterSource
+// (the closed-loop RequestSource; fib/router_sim.hpp keeps the
+// self-contained reference loop the source is tested against). A
+// single-shard scenario runs through the sim::run_source driver; a
+// multi-shard one splits the source into per-shard router mirrors and runs
+// them through engine::ShardedEngine::run_split.
 //
 // A FibScenario names an algorithm (AlgorithmRegistry key) and carries one
 // Params bag using the same keys as the registered fib* workloads: the RIB
 // block (rules, deagg, max-len, rib-seed) defines the rule tree and the
 // traffic block (packets, skew, update-prob, alpha) defines the packet and
-// update stream. run_fib_sweep fans algorithm × skew × capacity × alpha
-// grids out through parallel_sweep with pre-derived per-point seeds, so
-// results are deterministic and independent of thread count, and every
-// algorithm at one traffic point sees the identical packet stream.
+// update stream. run_fib_sweep runs algorithm × skew × capacity × alpha
+// grids cell by cell through parallel_sweep with pre-derived per-point
+// seeds, so results are deterministic and every algorithm at one traffic
+// point sees the identical packet stream.
 #pragma once
 
 #include <string>
@@ -74,8 +76,8 @@ struct FibSweepAxes {
   std::vector<std::uint64_t> alphas{16};
 };
 
-/// Cross product over `base` params, in parallel. All algorithms at one
-/// (skew, capacity, alpha) point share a traffic seed, so the sweep
+/// Cross product over `base` params, one cell at a time. All algorithms at
+/// one (skew, capacity, alpha) point share a traffic seed, so the sweep
 /// compares algorithms on identical packet streams. `engine` sets the
 /// geometry of every cell (CLI: `treecache fib --shards S --threads T
 /// --batch B`).

@@ -1,7 +1,7 @@
 // Scenario layer: one struct naming an (algorithm, workload, parameters)
 // triple, resolved entirely through sim/registry.hpp. The CLI, tests and
 // benches describe *what* to run as data; the engine owns construction,
-// trace generation, seeding and (for grids) parallel execution.
+// trace generation, seeding and (for grids) running every cell.
 #pragma once
 
 #include <string>
@@ -32,7 +32,8 @@ struct ScenarioResult {
                                           bool validate_every_step = false);
 
 /// Cross product: every algorithm × every workload over shared `base`
-/// parameters, run in parallel (results are independent of thread count).
+/// parameters, run cell by cell (each cell's result depends only on its
+/// inputs, not on the cells before it).
 /// All algorithms in a workload column share one trace seed, so the grid
 /// compares algorithms on identical inputs. Cells are ordered
 /// algorithm-major, matching the input order.

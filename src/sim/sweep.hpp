@@ -1,8 +1,9 @@
-// Parallel parameter sweeps for the benchmark harness.
+// Parameter sweeps for the benchmark harness.
 //
-// Each sweep point is an independent simulation; points are distributed
-// across cores with OpenMP (see util/parallel.hpp) and each derives its own
-// RNG stream, so results are deterministic regardless of thread count.
+// Each sweep point is an independent simulation run through parallel_for
+// (util/parallel.hpp), in sequence, and each derives its own RNG stream from
+// a seed drawn up front, so a point's result does not depend on which
+// points run before it.
 #pragma once
 
 #include <cstdint>
@@ -14,12 +15,12 @@
 namespace treecache::sim {
 
 /// Runs body(i, rng) for every index with an independent deterministic RNG
-/// per point, in parallel, collecting the results in order.
+/// per point, collecting the results in order.
 template <typename Result, typename Body>
 std::vector<Result> parallel_sweep(std::size_t points, std::uint64_t seed,
                                    Body&& body) {
-  // Pre-derive one seed per point so the assignment of RNG streams to
-  // points does not depend on scheduling.
+  // Pre-derive one seed per point so each point's RNG stream depends only
+  // on its index.
   std::vector<std::uint64_t> seeds(points);
   Rng seeder(seed);
   for (auto& s : seeds) s = seeder();
@@ -29,16 +30,6 @@ std::vector<Result> parallel_sweep(std::size_t points, std::uint64_t seed,
     results[i] = body(i, rng);
   });
   return results;
-}
-
-/// Repeats a measurement `reps` times with independent RNGs and returns the
-/// samples in order (convenience over parallel_sweep for scalar outputs).
-template <typename Body>
-std::vector<double> repeat_measure(std::size_t reps, std::uint64_t seed,
-                                   Body&& body) {
-  return parallel_sweep<double>(reps, seed, [&](std::size_t i, Rng& rng) {
-    return body(i, rng);
-  });
 }
 
 }  // namespace treecache::sim

@@ -2,34 +2,59 @@
 
 #include <algorithm>
 
-#include "core/kernels.hpp"
-
 namespace treecache {
 
-void Subforest::insert(NodeId v) {
-  TC_DCHECK(!contains(v), "node already cached");
-#ifndef NDEBUG
-  for (const NodeId c : tree_->children(v)) {
-    TC_DCHECK(contains(c), "insert would break descendant-closure");
+bool Subforest::children_cached(std::uint32_t r) const {
+  // First child of rank r is r + 1; the next sibling of c is c + |T(c)|.
+  const auto sizes = tree_->preorder_sizes();
+  for (std::uint32_t c = r + 1; c < r + sizes[r]; c += sizes[c]) {
+    if (!contains_rank(c)) return false;
   }
-#endif
-  cached_[v] = 1;
-  const std::uint32_t r = tree_->preorder_index(v);
-  rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
-  ++size_;
+  return true;
 }
 
-void Subforest::erase(NodeId v) {
-  TC_DCHECK(contains(v), "node not cached");
+bool Subforest::parent_cached(std::uint32_t r) const {
+  const std::uint32_t p = tree_->preorder_parent(r);
+  return p != kNoNode && contains_rank(p);
+}
+
+void Subforest::clear_slice(std::uint32_t begin, std::uint32_t end) {
+  TC_DCHECK(begin <= end && end <= tree_->size(), "rank slice out of range");
+  if (begin >= end) return;
 #ifndef NDEBUG
-  const NodeId p = tree_->parent(v);
-  TC_DCHECK(p == kNoNode || !contains(p),
-            "erase would break descendant-closure");
+  for (std::uint32_t r = begin; r < end; ++r) {
+    TC_DCHECK(contains_rank(r), "clear_slice needs a fully cached slice");
+  }
 #endif
-  cached_[v] = 0;
-  const std::uint32_t r = tree_->preorder_index(v);
-  rank_bits_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
-  --size_;
+  const std::uint32_t first = begin >> 6;
+  const std::uint32_t last = (end - 1) >> 6;  // inclusive word index
+  const std::uint64_t head = ~std::uint64_t{0} << (begin & 63);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+  if (first == last) {
+    bits_[first] &= ~(head & tail);
+  } else {
+    bits_[first] &= ~head;
+    std::fill(bits_.begin() + first + 1, bits_.begin() + last, 0);
+    bits_[last] &= ~tail;
+  }
+  size_ -= end - begin;
+}
+
+std::uint64_t Subforest::missing_ranks(std::uint32_t begin, std::uint32_t end,
+                                       std::vector<std::uint32_t>& out) const {
+  TC_DCHECK(begin <= end && end <= tree_->size(), "rank slice out of range");
+  const std::uint32_t* sizes = tree_->preorder_sizes().data();
+  std::uint64_t visits = 0;
+  for (std::uint32_t r = begin; r < end;) {
+    ++visits;
+    if (contains_rank(r)) {
+      r += sizes[r];  // descendant-closure: all of T(r) is cached
+      continue;
+    }
+    out.push_back(r);
+    ++r;
+  }
+  return visits;
 }
 
 bool Subforest::is_valid() const {
@@ -113,17 +138,11 @@ std::vector<NodeId> Subforest::missing_subtree(NodeId u) const {
 void Subforest::missing_subtree(NodeId u, std::vector<NodeId>& out) const {
   TC_CHECK(!contains(u), "P_t(u) is defined for non-cached u only");
   out.clear();
-  // T(u) is a contiguous preorder-rank slice; a cached node's subtree is
-  // entirely cached (descendant-closure), so the scan skips it as one
-  // jump. The scan appends ranks (= preorder, parents first); they are
-  // translated to NodeIds in place, so a reused `out` means no allocation
-  // at all.
+  // The same slice scan TC's collect_missing runs. It appends ranks (=
+  // preorder, parents first), which are translated to NodeIds in place,
+  // so a reused `out` means no allocation at all.
   const std::uint32_t ru = tree_->preorder_index(u);
-  const kernels::MissingScan scan{.cached_bits = rank_bits_.data(),
-                                  .sizes = tree_->preorder_sizes().data(),
-                                  .cnt = nullptr,
-                                  .epoch = 0};
-  kernels::scan_missing(scan, ru, ru + tree_->subtree_size(u), out);
+  missing_ranks(ru, ru + tree_->subtree_size(u), out);
   const auto from = tree_->from_preorder();
   for (NodeId& v : out) v = from[v];
 }

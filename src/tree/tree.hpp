@@ -124,9 +124,9 @@ class Tree {
     return rank_size_[r];
   }
 
-  /// The whole subtree-size stripe, rank-indexed. Scan loops capture this
-  /// once (`.data()`) instead of calling preorder_subtree_size per rank;
-  /// the scan kernels (core/kernels.hpp) take it as a raw stripe.
+  /// The whole subtree-size stripe, rank-indexed. The slice scans of
+  /// TreeCache and Subforest capture this once (`.data()`) instead of
+  /// calling preorder_subtree_size per rank.
   [[nodiscard]] std::span<const std::uint32_t> preorder_sizes() const {
     return rank_size_;
   }

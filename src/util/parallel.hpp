@@ -1,48 +1,23 @@
-// OpenMP-backed data-parallel helpers with a transparent serial fallback.
+// Index-loop helper behind the parameter sweeps.
 //
-// Parameter sweeps in the bench harness run thousands of independent
-// simulations; parallel_for distributes them across cores. Tasks must be
-// independent — each receives its own index and should derive per-task RNG
-// streams (Rng::split) rather than sharing one generator.
+// Parameter sweeps in the bench harness run many independent simulations
+// through parallel_for, which runs them in sequence on the caller thread.
+// Tasks must be independent — each receives its own index and should
+// derive per-task RNG streams (Rng::split) rather than sharing one
+// generator — so results never depend on the order the tasks run in.
 #pragma once
 
 #include <cstddef>
 #include <exception>
-#include <mutex>
-
-#ifdef TREECACHE_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace treecache {
 
-/// Number of hardware worker threads the parallel helpers will use.
-inline int parallel_workers() {
-#ifdef TREECACHE_HAVE_OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-/// Runs body(i) for i in [0, n), in parallel when OpenMP is available.
-/// The first exception thrown by any task is rethrown on the caller thread
-/// after all tasks complete.
+/// Runs body(i) for every i in [0, n), in index order on the caller thread.
+/// Every task runs even if an earlier one throws; the first exception is
+/// rethrown after all tasks complete.
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body) {
   std::exception_ptr error;
-  std::mutex error_mutex;
-#ifdef TREECACHE_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    try {
-      body(static_cast<std::size_t>(i));
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-    }
-  }
-#else
   for (std::size_t i = 0; i < n; ++i) {
     try {
       body(i);
@@ -50,7 +25,6 @@ void parallel_for(std::size_t n, Body&& body) {
       if (!error) error = std::current_exception();
     }
   }
-#endif
   if (error) std::rethrow_exception(error);
 }
 

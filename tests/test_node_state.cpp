@@ -9,17 +9,6 @@
 namespace treecache {
 namespace {
 
-TEST(NodeState, CachedFlagRoundTrip) {
-  NodeState state(4);
-  EXPECT_EQ(state.size(), 4u);
-  for (std::uint32_t r = 0; r < 4; ++r) EXPECT_FALSE(state.cached(r));
-  state.set_cached(2);
-  EXPECT_TRUE(state.cached(2));
-  EXPECT_FALSE(state.cached(1));
-  state.clear_cached(2);
-  EXPECT_FALSE(state.cached(2));
-}
-
 TEST(NodeState, CountersStartAtZeroAndBump) {
   NodeState state(3);
   EXPECT_EQ(state.counter(0), 0u);
@@ -42,8 +31,8 @@ TEST(NodeState, NewPhaseResetsCountersAndPositiveIndexTogether) {
   EXPECT_EQ(state.counter(1), 0u);
   EXPECT_EQ(state.pcnt(1), 0);
   EXPECT_EQ(state.cached_below(1), 0u);
-  // ...while the negative index (re-initialized on fetch, no epoch) and the
-  // cached flags are untouched by new_phase().
+  // ...while the negative index (re-initialized on fetch, no epoch) is
+  // untouched by new_phase().
   EXPECT_EQ(state.neg(1).value, -3);
   EXPECT_EQ(state.neg(1).size, 4u);
 }
@@ -77,14 +66,12 @@ TEST(NodeState, EpochWraparoundClearsStaleSlots) {
 
 TEST(NodeState, ResetRestoresFreshState) {
   NodeState state(2);
-  state.set_cached(0);
   state.bump_counter(0);
   state.pos(1).pcnt = 7;
   state.neg(0) = NodeState::NegEntry{.value = 3, .size = 2};
   state.debug_set_epoch(1234);
   state.reset();
   EXPECT_EQ(state.debug_epoch(), 1u);
-  EXPECT_FALSE(state.cached(0));
   EXPECT_EQ(state.counter(0), 0u);
   EXPECT_EQ(state.pcnt(1), 0);
   EXPECT_EQ(state.neg(0).value, 0);

@@ -9,7 +9,6 @@
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "tree/tree_builder.hpp"
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
@@ -174,20 +173,6 @@ TEST(ConsoleTable, AlignsAndCounts) {
     start = end + 1;
   }
   EXPECT_THROW(table.add_row({"too", "many", "cells"}), CheckFailure);
-}
-
-TEST(Csv, EscapesSpecialCells) {
-  const std::string path = "/tmp/treecache_test_csv.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.add_row({"plain", "with,comma"});
-    csv.add_row({"quote\"inside", "line\nbreak"});
-  }
-  std::ifstream in(path);
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(all.find("\"quote\"\"inside\""), std::string::npos);
 }
 
 }  // namespace

@@ -38,6 +38,79 @@ TEST(Subforest, InsertBottomUpKeepsValidity) {
   EXPECT_FALSE(cache.contains(1));
 }
 
+TEST(Subforest, RankSpaceAndNodeIdSpaceShareOneBitmap) {
+  // Breadth-first ids: 0; 1, 2; 3, 4 under 1; 5, 6 under 2. Preorder
+  // ranks differ from them (node 2 sits at rank 4), so every check below
+  // crosses the NodeId -> rank translation.
+  const Tree t = trees::complete_kary(3, 2);
+  ASSERT_FALSE(t.is_preorder_labeled());
+  ASSERT_NE(t.preorder_index(2), 2u);
+
+  // Write T(1) in rank space, bottom-up, then read it by NodeId.
+  Subforest cache(t);
+  const std::uint32_t r1 = t.preorder_index(1);
+  for (std::uint32_t r = r1 + t.subtree_size(1); r-- > r1;) {
+    cache.set_rank(r);
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.as_vector(), (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_TRUE(cache.is_valid());
+  EXPECT_FALSE(cache.contains(0));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_FALSE(cache.contains(5));
+
+  // The reverse: write T(2) by NodeId, read it in rank space.
+  cache.insert(5);
+  cache.insert(6);
+  cache.insert(2);
+  const std::uint32_t r2 = t.preorder_index(2);
+  for (std::uint32_t r = 0; r < t.size(); ++r) {
+    EXPECT_EQ(cache.contains_rank(r), r != t.preorder_index(0)) << r;
+  }
+  // The root's missing scan visits the root, then jumps T(1) and T(2).
+  std::vector<std::uint32_t> missing;
+  EXPECT_EQ(cache.missing_ranks(0, t.size(), missing), 3u);
+  EXPECT_EQ(missing, (std::vector<std::uint32_t>{t.preorder_index(0)}));
+
+  // A rank clear shows up by NodeId, a NodeId erase in rank space.
+  cache.clear_rank(r2);
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(5));
+  cache.erase(1);
+  EXPECT_FALSE(cache.contains_rank(r1));
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.as_vector(), (std::vector<NodeId>{3, 4, 5, 6}));
+  EXPECT_TRUE(cache.is_valid());
+}
+
+TEST(Subforest, ClearSliceWithinAndAcrossWords) {
+  // A star's leaves are whole subtrees under an uncached root, so any run
+  // of leaf ranks is a descendant-closed eviction. Ids are ranks here.
+  const Tree t = trees::star(300);
+  ASSERT_TRUE(t.is_preorder_labeled());
+  Subforest cache(t);
+  for (NodeId v = 1; v <= 300; ++v) cache.insert(v);
+  ASSERT_EQ(cache.size(), 300u);
+
+  cache.clear_slice(5, 20);  // inside word 0
+  EXPECT_EQ(cache.size(), 285u);
+  cache.clear_slice(40, 200);  // words 0 to 3: head, two full words, tail
+  EXPECT_EQ(cache.size(), 125u);
+  cache.clear_slice(250, 256);  // ends on the edge of word 3
+  EXPECT_EQ(cache.size(), 119u);
+  cache.clear_slice(7, 7);  // empty slice: no-op
+  EXPECT_EQ(cache.size(), 119u);
+
+  std::vector<NodeId> expected;
+  for (NodeId v = 1; v <= 300; ++v) {
+    const bool erased = (v >= 5 && v < 20) || (v >= 40 && v < 200) ||
+                        (v >= 250 && v < 256);
+    if (!erased) expected.push_back(v);
+  }
+  EXPECT_EQ(cache.as_vector(), expected);
+  EXPECT_TRUE(cache.is_valid());
+}
+
 TEST(Subforest, MaximalRootsOnStar) {
   const Tree t = trees::star(4);
   Subforest cache(t);
