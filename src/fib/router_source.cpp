@@ -37,20 +37,33 @@ std::shared_ptr<RouterEventProducer> make_solo_producer(
 RouterEventProducer::RouterEventProducer(const RuleTree& rules,
                                          const RouterSimConfig& config,
                                          const engine::ShardPlan& plan)
-    : rules_(&rules),
-      config_(config),
+    : config_(config),
       plan_(&plan),
       // Identical construction order to the reference loop: the sampler's
       // permutation draw consumes the same seed state, so every producer —
       // whatever its plan — ranks rules identically.
-      rng_(config.seed),
-      sampler_(rules, config.zipf_skew, rng_),
-      start_rng_(rng_),
+      start_rng_(config.seed),
+      sampler_(std::make_shared<const PacketSampler>(
+          rules, config.zipf_skew, start_rng_)),
+      rng_(start_rng_),
       queues_(plan.num_shards()) {
   TC_CHECK(config_.update_probability >= 0.0 &&
                config_.update_probability < 1.0,
            "update probability must lie in [0, 1) so packet events can "
            "finish the run");
+}
+
+RouterEventProducer::RouterEventProducer(const RouterEventProducer& stream,
+                                         const engine::ShardPlan& plan)
+    : config_(stream.config_),
+      plan_(&plan),
+      start_rng_(stream.start_rng_),
+      sampler_(stream.sampler_),
+      rng_(start_rng_),
+      queues_(plan.num_shards()) {
+  TC_CHECK(&plan.universe() == &rules().tree,
+           "the shard plan was built over a different tree than the "
+           "stream's rule tree");
 }
 
 void RouterEventProducer::discard_foreign(std::size_t shard) {
@@ -68,7 +81,7 @@ std::size_t RouterEventProducer::generate(std::size_t budget) {
   std::size_t generated = 0;
   while (generated < budget && packets_generated_ < config_.packets) {
     if (rng_.chance(config_.update_probability)) {
-      const NodeId rule = sampler_.sample_rule(rng_);
+      const NodeId rule = sampler_->sample_rule(rng_);
       const std::size_t owner = plan_->shard_of(rule);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
         queues_[owner].push_back(
@@ -76,10 +89,10 @@ std::size_t RouterEventProducer::generate(std::size_t budget) {
       }
     } else {
       // The sampler resolves the full-table match here, once; a mirror
-      // needs nothing else of the packet. Packets whose match is the
-      // default rule belong to shard 0 (the plan routes the root there),
-      // like every other match.
-      const NodeId match = sampler_.sample_packet(rng_).match;
+      // needs nothing else of the packet. No match is the default rule:
+      // sample_rule ranks only the non-root rules, and sample_packet
+      // descends from the drawn rule.
+      const NodeId match = sampler_->sample_packet(rng_).match;
       ++packets_generated_;
       const std::size_t owner = plan_->shard_of(match);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
@@ -246,12 +259,10 @@ void RouterMirrorSource::observe_batch(
 
 RouterSource::RouterSource(const RuleTree& rules,
                            const RouterSimConfig& config)
-    : rules_(&rules),
-      config_(config),
-      trivial_plan_(rules.tree, 1),
-      whole_(std::make_shared<RouterEventProducer>(rules, config,
-                                                   trivial_plan_),
-             0) {}
+    : trivial_plan_(rules.tree, 1),
+      producer_(std::make_shared<RouterEventProducer>(rules, config,
+                                                      trivial_plan_)),
+      whole_(producer_, 0) {}
 
 std::size_t RouterSource::fill(std::span<Request> buffer) {
   return whole_.fill(buffer);
@@ -265,13 +276,10 @@ void RouterSource::observe_batch(std::span<const StepOutcome> outcomes) {
 
 std::vector<std::unique_ptr<RequestSource>> RouterSource::split(
     const engine::ShardPlan& plan) const {
-  TC_CHECK(&plan.universe() == &rules_->tree,
-           "the shard plan was built over a different tree than this "
-           "router's rule tree");
   // ONE producer, shared by every mirror: the global stream is generated
-  // once, and each mirror consumes exactly its shard's slice of it.
-  auto producer =
-      std::make_shared<RouterEventProducer>(*rules_, config_, plan);
+  // once, and each mirror consumes exactly its shard's slice of it. It
+  // draws from this source's sampler, so no split builds another.
+  auto producer = std::make_shared<RouterEventProducer>(*producer_, plan);
   std::vector<std::unique_ptr<RequestSource>> out;
   out.reserve(plan.num_shards());
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {

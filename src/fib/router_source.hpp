@@ -24,6 +24,9 @@
 // owning its full-table match (the plan partitions the rule tree by
 // top-level prefix: a match's ancestors share its shard, except the
 // default rule, whose per-shard replica each line card mirrors locally).
+// The split's producer shares the source's own packet sampler and starts
+// from its post-shuffle RNG state, so a stream builds its rank table once
+// however often it is split.
 // A mirror pulls only its own queue and consults only the shard's own
 // cache mirror, so feedback never crosses shards: each mirror needs
 // exactly its shard's outcomes, in per-shard order, while outcomes may
@@ -35,12 +38,15 @@
 // Threading: every producer call holds the producer's one mutex, so sibling
 // mirrors may take() from different threads. run_split drives each mirror
 // on the engine worker that owns its shard, one thread per mirror at a
-// time, which is the SplitKind::kShared contract.
+// time, which is the SplitKind::kShared contract. The producers of one
+// stream share a sampler that nothing writes after construction, so they
+// draw from it on any thread without a lock.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/request_source.hpp"
@@ -77,8 +83,15 @@ struct RouterEvent {
 /// reference order, whichever thread pumps it.
 class RouterEventProducer {
  public:
-  /// `rules` and `plan` must outlive the producer.
+  /// Builds the stream's sampler from `config.seed`. `rules` and `plan`
+  /// must outlive the producer.
   RouterEventProducer(const RuleTree& rules, const RouterSimConfig& config,
+                      const engine::ShardPlan& plan);
+
+  /// A producer of `stream`'s event stream over another plan of the same
+  /// rule tree: it shares `stream`'s sampler and starts from its
+  /// post-shuffle RNG state. `plan` must outlive the producer.
+  RouterEventProducer(const RouterEventProducer& stream,
                       const engine::ShardPlan& plan);
 
   RouterEventProducer(const RouterEventProducer&) = delete;
@@ -112,7 +125,7 @@ class RouterEventProducer {
   /// Generation (RNG, packet count) is unaffected.
   void discard_foreign(std::size_t shard);
 
-  [[nodiscard]] const RuleTree& rules() const { return *rules_; }
+  [[nodiscard]] const RuleTree& rules() const { return sampler_->rules(); }
   [[nodiscard]] const RouterSimConfig& config() const { return config_; }
   [[nodiscard]] const engine::ShardPlan& plan() const { return *plan_; }
 
@@ -123,13 +136,14 @@ class RouterEventProducer {
   /// pump() without the lock; the caller holds mutex_.
   std::size_t generate(std::size_t budget);
 
-  const RuleTree* rules_;
   RouterSimConfig config_;
   const engine::ShardPlan* plan_;
+  // Seeded, consumed by the sampler's permutation draw, then never written
+  // again: the stream's first state, which sibling producers copy.
+  Rng start_rng_;
+  std::shared_ptr<const PacketSampler> sampler_;  // one per stream
   mutable std::mutex mutex_;  // guards everything below
-  Rng rng_;        // seeded, then consumed by the sampler's setup
-  PacketSampler sampler_;
-  Rng start_rng_;  // rng_ state AFTER the sampler's permutation draw
+  Rng rng_;
   std::vector<std::vector<RouterEvent>> queues_;  // one per shard
   std::uint64_t packets_generated_ = 0;  // global termination condition
   std::size_t solo_shard_ = kAllShards;  // discard_foreign() mode
@@ -172,9 +186,12 @@ class RouterMirrorSource final : public RequestSource {
   [[nodiscard]] std::size_t shard() const { return shard_; }
 
  private:
-  /// Cache-mirror lookup by GLOBAL rule id. Foreign rules read as
-  /// uncached except the default rule, which reads this shard's replica
-  /// (local node 0) — the line card's own copy.
+  /// Cache-mirror lookup by GLOBAL rule id. fill() asks only about its
+  /// events' rules, which this shard owns and which are never the default
+  /// rule; only the debug ancestor walk (cached_ancestor) reaches the
+  /// foreign-rule and default-rule branches. There a foreign rule reads
+  /// as uncached, except the default rule, which reads this shard's
+  /// replica (local node 0) — the line card's own copy.
   [[nodiscard]] bool cached_rule(NodeId v) const;
   /// True iff a proper ancestor of GLOBAL rule `v` reads as cached: the
   /// debug check that the mirrored cache is descendant-closed.
@@ -216,15 +233,16 @@ class RouterSource final : public RequestSource {
   void observe_batch(std::span<const StepOutcome> outcomes) override;
   [[nodiscard]] bool is_closed_loop() const override { return true; }
   [[nodiscard]] std::unique_ptr<RequestSource> fork() const override {
-    return std::make_unique<RouterSource>(*rules_, config_);
+    return std::make_unique<RouterSource>(producer_->rules(),
+                                          producer_->config());
   }
 
   /// One producer-fed RouterMirrorSource per shard, all sharing a single
   /// RouterEventProducer (see the header comment): generation runs once,
-  /// whatever the shard count. `plan` must be built over this source's
-  /// rule tree and outlive the mirrors; every element is a
-  /// RouterMirrorSource, so callers that need per-shard router statistics
-  /// may downcast.
+  /// whatever the shard count, and the producer draws from this source's
+  /// own sampler. `plan` must be built over this source's rule tree and
+  /// outlive the mirrors; every element is a RouterMirrorSource, so
+  /// callers that need per-shard router statistics may downcast.
   [[nodiscard]] std::vector<std::unique_ptr<RequestSource>> split(
       const engine::ShardPlan& plan) const override;
   [[nodiscard]] SplitKind split_kind() const override {
@@ -238,10 +256,11 @@ class RouterSource final : public RequestSource {
   }
 
  private:
-  const RuleTree* rules_;
-  RouterSimConfig config_;
   engine::ShardPlan trivial_plan_;  // one shard = the whole rule tree
-  RouterMirrorSource whole_;        // initialized after the plan it views
+  // whole_'s producer, whose sampler every split shares; initialized
+  // after the plan it views.
+  std::shared_ptr<RouterEventProducer> producer_;
+  RouterMirrorSource whole_;
 };
 
 }  // namespace treecache::fib

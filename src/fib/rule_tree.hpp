@@ -40,14 +40,22 @@ struct BasicRuleTree {
 
   /// The child of `v` whose prefix contains `addr`, or kNoNode.
   [[nodiscard]] NodeId child_containing(NodeId v, const Bits& addr) const {
-    const NodeId* first = child_list.data() + child_offset[v];
-    const NodeId* last = child_list.data() + child_offset[v + 1];
+    return child_containing(child_offset[v], child_offset[v + 1], addr);
+  }
+
+  /// The rule of child_list[first, last), one node's range of the child
+  /// index, whose prefix contains `addr`, or kNoNode.
+  [[nodiscard]] NodeId child_containing(std::uint32_t first,
+                                        std::uint32_t last,
+                                        const Bits& addr) const {
+    const NodeId* begin = child_list.data() + first;
+    const NodeId* end = child_list.data() + last;
     // Disjoint prefixes sorted by bits: only the last child starting at
     // or below `addr` can contain it.
     const NodeId* next = std::upper_bound(
-        first, last, addr,
+        begin, end, addr,
         [this](const Bits& a, NodeId c) { return a < prefix[c].bits; });
-    if (next == first) return kNoNode;
+    if (next == begin) return kNoNode;
     const NodeId c = *(next - 1);
     return prefix[c].contains(addr) ? c : kNoNode;
   }

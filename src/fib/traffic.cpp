@@ -1,6 +1,6 @@
 #include "fib/traffic.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 namespace treecache::fib {
 
@@ -10,10 +10,14 @@ BasicPacketSampler<PrefixT>::BasicPacketSampler(
     : rules_(&rules),
       ranked_([&] {
         // Rank the non-root rules in random order.
-        std::vector<NodeId> ids(rules.tree.size() - 1);
-        std::iota(ids.begin(), ids.end(), NodeId{1});
-        rng.shuffle(ids);
-        return ids;
+        std::vector<Ranked> ranked;
+        ranked.reserve(rules.tree.size() - 1);
+        for (NodeId v = 1; v < rules.tree.size(); ++v) {
+          ranked.push_back({rules.prefix[v], v, rules.child_offset[v],
+                            rules.child_offset[v + 1]});
+        }
+        rng.shuffle(ranked);
+        return ranked;
       }()),
       sampler_(std::max<std::size_t>(ranked_.size(), 1), zipf_skew) {
   TC_CHECK(!ranked_.empty(), "rule tree has only the default rule");
@@ -21,24 +25,21 @@ BasicPacketSampler<PrefixT>::BasicPacketSampler(
 
 template <typename PrefixT>
 NodeId BasicPacketSampler<PrefixT>::sample_rule(Rng& rng) const {
-  return ranked_[sampler_.sample(rng)];
+  return ranked_[sampler_.sample(rng)].node;
 }
 
 template <typename PrefixT>
 auto BasicPacketSampler<PrefixT>::sample_packet(Rng& rng) const -> Packet {
-  const NodeId rule = sample_rule(rng);
-  const PrefixT p = rules_->prefix[rule];
-  const Bits span_mask = ~prefix_mask<Bits>(p.length);
-  const auto draw = [&] {
-    const Bits addr = p.bits | (AddressFamily<Bits>::random(rng) & span_mask);
-    return Packet{addr, rules_->lpm(addr, rule)};
-  };
-  // A handful of rejection rounds keeps most packets on the sampled rule.
-  Packet packet = draw();
-  for (int tries = 0; tries < 8 && packet.match != rule; ++tries) {
-    packet = draw();
+  const Ranked& rule = ranked_[sampler_.sample(rng)];
+  const Bits span_mask = ~prefix_mask<Bits>(rule.prefix.length);
+  Bits addr{};
+  NodeId child = kNoNode;
+  for (int tries = 0; tries < kMaxTries; ++tries) {
+    addr = rule.prefix.bits | (AddressFamily<Bits>::random(rng) & span_mask);
+    child = rules_->child_containing(rule.child_begin, rule.child_end, addr);
+    if (child == kNoNode) return {addr, rule.node};
   }
-  return packet;
+  return {addr, rules_->lpm(addr, child)};
 }
 
 template class BasicPacketSampler<Prefix>;

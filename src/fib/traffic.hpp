@@ -20,6 +20,14 @@ namespace treecache::fib {
 /// Zipf popularity over rules, with addresses drawn inside the chosen
 /// rule's prefix. Generic over the key width: PacketSampler draws IPv4
 /// packets; the fib-real churn replay draws both families.
+///
+/// Layout: one record per popularity rank holds all a draw reads of its
+/// rule (prefix, node id and child index range), so a draw goes from the
+/// Zipf tables to one record and, only when the rule has children, to
+/// their index; the rule tree's per-node arrays stay out of the way, and
+/// the popular ranks share cache lines. On IPv4 that is 32 bytes per rank
+/// (a 20-byte record beside the Zipf sampler's 12), so the producers of
+/// one router stream share one immutable sampler (RouterSource::split).
 template <typename PrefixT>
 class BasicPacketSampler {
  public:
@@ -39,11 +47,11 @@ class BasicPacketSampler {
   /// Draws a Zipf-popular rule.
   [[nodiscard]] NodeId sample_rule(Rng& rng) const;
 
-  /// Draws a rule, then an address inside it whose match is (usually) that
-  /// rule; if the rule's children cover the address, the packet simply
-  /// belongs to the more specific rule — realistic either way. The match
-  /// is the rule tree's descent from the drawn rule, so a leaf rule costs
-  /// no lookup at all.
+  /// Draws a rule, then addresses inside it until one lies in none of the
+  /// rule's children, at most kMaxTries (nine): most packets stay on the
+  /// drawn rule, and one that a child still covers simply belongs to the
+  /// more specific rule, realistic either way. The match is then the rule
+  /// itself or, after the last try, the descent below that child.
   [[nodiscard]] Packet sample_packet(Rng& rng) const;
 
   /// The address of sample_packet(rng): the same draw, descents included.
@@ -51,9 +59,24 @@ class BasicPacketSampler {
     return sample_packet(rng).addr;
   }
 
+  [[nodiscard]] const BasicRuleTree<PrefixT>& rules() const {
+    return *rules_;
+  }
+
  private:
+  static constexpr int kMaxTries = 9;
+
+  /// One popularity rank's rule: its children are
+  /// rules_->child_list[child_begin, child_end).
+  struct Ranked {
+    PrefixT prefix;
+    NodeId node;
+    std::uint32_t child_begin;
+    std::uint32_t child_end;
+  };
+
   const BasicRuleTree<PrefixT>* rules_;
-  std::vector<NodeId> ranked_;
+  std::vector<Ranked> ranked_;  // by popularity rank
   ZipfSampler sampler_;
 };
 

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -329,6 +330,66 @@ TEST(ClosedLoopSharding, ConcurrentTakeMatchesTheSingleThreadPartition) {
   EXPECT_TRUE(producer.exhausted());
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
     EXPECT_EQ(got[s], want[s]) << "shard " << s;
+  }
+}
+
+TEST(ClosedLoopSharding, SplitsOfOneSourceShareItsSampler) {
+  // Every split of one RouterSource draws from the source's sampler, so
+  // producers of one stream over different plans read it from several
+  // threads at once. Two splits run concurrently must each equal the same
+  // split run alone.
+  sim::Params params = diff_params(kShapes[1]);
+  params.set("packets", "20000");
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  const fib::RouterSource source(rules, sim::fib_router_config(params, 19));
+  constexpr std::array<std::size_t, 2> kPlans = {4, 8};
+
+  struct Split {
+    std::unique_ptr<engine::ShardedEngine> engine;
+    std::vector<std::unique_ptr<RequestSource>> mirrors;
+  };
+  const auto make_split = [&](std::size_t shards) {
+    Split split{std::make_unique<engine::ShardedEngine>(
+                    rules.tree, "tc", params,
+                    engine::EngineConfig{.shards = shards, .threads = 2}),
+                {}};
+    split.mirrors = source.split(split.engine->plan());
+    return split;
+  };
+  const auto router_stats = [](const Split& split) {
+    std::vector<std::array<std::uint64_t, 5>> out;
+    for (const auto& mirror : split.mirrors) {
+      const auto& stats =
+          dynamic_cast<const fib::RouterMirrorSource&>(*mirror).stats();
+      out.push_back({stats.packets, stats.hits, stats.misses, stats.updates,
+                     stats.cached_updates});
+    }
+    return out;
+  };
+
+  std::vector<engine::EngineResult> alone;
+  std::vector<std::vector<std::array<std::uint64_t, 5>>> alone_stats;
+  for (const std::size_t shards : kPlans) {
+    Split split = make_split(shards);
+    ASSERT_EQ(split.engine->plan().num_shards(), shards);
+    alone.push_back(split.engine->run_split(split.mirrors));
+    alone_stats.push_back(router_stats(split));
+  }
+
+  std::vector<Split> splits;
+  for (const std::size_t shards : kPlans) splits.push_back(make_split(shards));
+  std::vector<std::future<engine::EngineResult>> running;
+  for (Split& split : splits) {
+    running.push_back(std::async(std::launch::async, [&split] {
+      return split.engine->run_split(split.mirrors);
+    }));
+  }
+  for (std::size_t i = 0; i < kPlans.size(); ++i) {
+    SCOPED_TRACE(std::to_string(kPlans[i]) + " shards");
+    const engine::EngineResult got = running[i].get();
+    EXPECT_EQ(got.per_shard, alone[i].per_shard);
+    EXPECT_EQ(got.total.cost, alone[i].total.cost);
+    EXPECT_EQ(router_stats(splits[i]), alone_stats[i]);
   }
 }
 

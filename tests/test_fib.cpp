@@ -224,29 +224,35 @@ TEST(RuleTree, ParentIsLongestProperAncestor) {
   check_parents<Prefix6>(11);
 }
 
-/// FNV-1a-64 over every node's parent id (4 bytes, little-endian), its
-/// prefix bits (IPv6: high limb, then low) and its length.
-template <typename PrefixT>
-std::uint64_t rule_tree_digest(const BasicRuleTree<PrefixT>& rt) {
+/// FNV-1a-64 over the low `bytes` bytes of each mixed value, little-endian;
+/// an address mixes as its bits (IPv6: high limb, then low).
+struct Fnv1a {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t value, int bytes) {
+
+  void mix(std::uint64_t value, int bytes) {
     for (int i = 0; i < bytes; ++i) {
       hash = (hash ^ static_cast<std::uint8_t>(value >> (8 * i))) *
              0x100000001b3ULL;
     }
-  };
-  for (NodeId v = 0; v < rt.tree.size(); ++v) {
-    mix(rt.tree.parent(v), 4);
-    const PrefixT& p = rt.prefix[v];
-    if constexpr (std::is_same_v<PrefixT, Prefix6>) {
-      mix(p.bits.hi, 8);
-      mix(p.bits.lo, 8);
-    } else {
-      mix(p.bits, 4);
-    }
-    mix(p.length, 1);
   }
-  return hash;
+  void mix(const Address6& bits) {
+    mix(bits.hi, 8);
+    mix(bits.lo, 8);
+  }
+  void mix(Address bits) { mix(bits, 4); }
+};
+
+/// FNV-1a-64 over every node's parent id (4 bytes), its prefix bits and
+/// its length.
+template <typename PrefixT>
+std::uint64_t rule_tree_digest(const BasicRuleTree<PrefixT>& rt) {
+  Fnv1a digest;
+  for (NodeId v = 0; v < rt.tree.size(); ++v) {
+    digest.mix(rt.tree.parent(v), 4);
+    digest.mix(rt.prefix[v].bits);
+    digest.mix(rt.prefix[v].length, 1);
+  }
+  return digest.hash;
 }
 
 // Node ids, parents and prefixes of every rule tree, pinned: the streams,
@@ -290,6 +296,96 @@ TEST(RuleTree, DropsDuplicatesAndDefaultRoute) {
   EXPECT_EQ(rt.lpm(parse_address("10.1.9.9")),
             2u);  // the /16, inserted after the /8
   EXPECT_EQ(rt.lpm(parse_address("77.1.9.9")), 0u);  // default rule
+}
+
+/// FNV-1a-64 over 100,000 draws of a Zipf(1.0) sampler on a deaggregated
+/// 3,000-rule table: sample_rule's rule and sample_packet's address and
+/// match, alternating, then the RNG's next output.
+template <typename PrefixT>
+std::uint64_t sampler_digest(std::uint64_t seed) {
+  Rng rng(seed);
+  const BasicRuleTree<PrefixT> rt =
+      build_rule_tree(deep_rib<PrefixT>(3000, rng));
+  const BasicPacketSampler<PrefixT> sampler(rt, 1.0, rng);
+  Fnv1a digest;
+  for (int draw = 0; draw < 50000; ++draw) {
+    digest.mix(sampler.sample_rule(rng), 4);
+    const auto [addr, match] = sampler.sample_packet(rng);
+    digest.mix(addr);
+    digest.mix(match, 4);
+  }
+  digest.mix(rng(), 8);
+  return digest.hash;
+}
+
+// Every draw of the packet sampler, addresses included: the router loop,
+// the fib trace and the churn replay all draw their packets from it.
+TEST(PacketSampler, DrawsArePinned) {
+  const std::uint64_t v4 = sampler_digest<Prefix>(61);
+  EXPECT_EQ(v4, 0x3bbd63517047ec65ULL) << std::hex << "0x" << v4;
+  const std::uint64_t v6 = sampler_digest<Prefix6>(62);
+  EXPECT_EQ(v6, 0xb33889ca064ac21bULL) << std::hex << "0x" << v6;
+}
+
+/// The first four outputs of a copy of `rng`: equal iff the states are.
+std::array<std::uint64_t, 4> next_outputs(Rng rng) {
+  return {rng(), rng(), rng(), rng()};
+}
+
+/// How often a replayed draw took the two rare branches: all nine
+/// addresses inside a child, and a match below that first child.
+struct RetryCounts {
+  std::size_t exhausted = 0;
+  std::size_t below_child = 0;
+};
+
+/// Replays `draws` sample_packet draws on a cloned Rng, where sample_rule
+/// names the drawn rule: a draw takes one Zipf uniform, then addresses
+/// inside the rule until one lies in none of its children (at most nine),
+/// and returns that address with its match from the root.
+template <typename PrefixT>
+void check_retry_contract(const BasicRuleTree<PrefixT>& rt,
+                          std::uint64_t seed, int draws,
+                          RetryCounts& counts) {
+  Rng rng(seed);
+  const BasicPacketSampler<PrefixT> sampler(rt, 1.0, rng);
+  for (int draw = 0; draw < draws; ++draw) {
+    Rng replay = rng;
+    const NodeId rule = sampler.sample_rule(replay);
+    auto addr = address_in(rt.prefix[rule], replay);
+    NodeId child = rt.child_containing(rule, addr);
+    for (int tries = 1; tries < 9 && child != kNoNode; ++tries) {
+      addr = address_in(rt.prefix[rule], replay);
+      child = rt.child_containing(rule, addr);
+    }
+    const auto packet = sampler.sample_packet(rng);
+    EXPECT_EQ(packet.addr, addr) << "draw " << draw;
+    EXPECT_EQ(packet.match, rt.lpm(addr)) << "draw " << draw;
+    EXPECT_EQ(packet.match, child == kNoNode ? rule : rt.lpm(addr, child))
+        << "draw " << draw;
+    ASSERT_EQ(next_outputs(rng), next_outputs(replay)) << "draw " << draw;
+    if (child != kNoNode) ++counts.exhausted;
+    if (child != kNoNode && packet.match != child) ++counts.below_child;
+  }
+}
+
+TEST(PacketSampler, RetriesOnlyWhileAChildContainsTheAddress) {
+  Rng rng(71);
+  const RuleTree deaggregated = build_rule_tree(deep_rib<Prefix>(3000, rng));
+  RetryCounts counts;
+  ASSERT_NO_FATAL_FAILURE(
+      check_retry_contract(deaggregated, 72, 20000, counts));
+
+  // The /8's two /9 children cover it exactly, so every draw of the /8
+  // exhausts its nine tries; the /10 under the first /9 then takes the
+  // descent below that child.
+  const RuleTree covered = build_rule_tree<Prefix>(
+      {Prefix::parse("10.0.0.0/8"), Prefix::parse("10.0.0.0/9"),
+       Prefix::parse("10.128.0.0/9"), Prefix::parse("10.0.0.0/10")});
+  counts = {};
+  ASSERT_NO_FATAL_FAILURE(check_retry_contract(covered, 73, 4000, counts));
+  EXPECT_GT(counts.exhausted, 0u);
+  EXPECT_GT(counts.below_child, 0u);
 }
 
 TEST(RibGen, ProducesRequestedDistinctRules) {
