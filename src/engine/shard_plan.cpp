@@ -1,7 +1,6 @@
 #include "engine/shard_plan.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace treecache::engine {
 
@@ -11,19 +10,15 @@ ShardPlan::ShardPlan(const Tree& tree, std::size_t max_shards)
   const std::size_t target =
       std::min(std::max<std::size_t>(max_shards, 1),
                std::max<std::size_t>(children.size(), 1));
-  shard_of_.assign(tree.size(), 0);
-  local_id_.assign(tree.size(), 0);
 
   if (target <= 1) {
     // Trivial plan: one shard whose tree IS the universe. Identity maps,
-    // no relabeled tree (shard_tree returns the universe).
+    // no relabeled tree (shard_tree returns the universe), no tables.
     Shard whole;
     whole.roots.assign(children.begin(), children.end());
     whole.preorder_begin = 0;
     whole.preorder_end = static_cast<std::uint32_t>(tree.size());
     shards_.push_back(std::move(whole));
-    std::iota(local_id_.begin(), local_id_.end(), NodeId{0});
-    global_id_.emplace_back(local_id_);
     return;
   }
 
@@ -58,39 +53,25 @@ ShardPlan::ShardPlan(const Tree& tree, std::size_t max_shards)
   // Relabel each shard's slice into its own Tree. Local ids follow global
   // preorder; shards after the first get a replica of the global root as
   // local node 0 (their subtree roots reparent onto it).
+  shard_of_.assign(tree.size(), 0);
   const std::span<const NodeId> preorder = tree.preorder();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
-    const bool replicated_root = s > 0;
-    const auto local_of = [&](std::uint32_t preorder_pos) -> NodeId {
-      return replicated_root ? preorder_pos - shard.preorder_begin + 1
-                             : preorder_pos;
-    };
-    std::vector<NodeId> global(shard.nodes() + (replicated_root ? 1 : 0));
-    if (replicated_root) global[0] = tree.root();
-    for (std::uint32_t i = shard.preorder_begin; i < shard.preorder_end;
-         ++i) {
-      const NodeId g = preorder[i];
-      shard_of_[g] = static_cast<std::uint32_t>(s);
-      local_id_[g] = local_of(i);
-      global[local_of(i)] = g;
-    }
-    std::vector<NodeId> parent(global.size(), kNoNode);
-    for (std::uint32_t i = shard.preorder_begin; i < shard.preorder_end;
-         ++i) {
-      const NodeId g = preorder[i];
-      const NodeId p = tree.parent(g);
-      // Subtree roots hang off the (replica of the) global root; shard 0's
-      // first slot is the real root and keeps kNoNode.
-      if (p != kNoNode) {
-        parent[local_of(i)] = p == tree.root() ? NodeId{0} : local_id_[p];
-      }
+    const std::uint32_t offset = rank_offset(s);
+    std::vector<NodeId> parent(shard.nodes() + (s > 0 ? 1 : 0), kNoNode);
+    for (std::uint32_t r = shard.preorder_begin; r < shard.preorder_end;
+         ++r) {
+      shard_of_[preorder[r]] = static_cast<std::uint32_t>(s);
+      // Subtree roots hang off the (replica of the) global root, rank 0;
+      // shard 0's first slot is the real root and keeps kNoNode.
+      const std::uint32_t p = tree.preorder_parent(r);
+      if (p != kNoNode) parent[r - offset] = p == 0 ? NodeId{0} : p - offset;
     }
     trees_.emplace_back(std::move(parent));
-    global_id_.push_back(std::move(global));
     // Local ids follow ascending global preorder and sibling subtrees stay
     // in child order, so the relabeled tree's DFS visits 0, 1, 2, … — the
-    // guarantee the preorder-indexed NodeState layout builds on.
+    // guarantee the preorder-indexed NodeState layout and the arithmetic
+    // id maps build on.
     TC_DCHECK(trees_.back().is_preorder_labeled(),
               "shard tree must be preorder-labeled");
   }

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/request.hpp"
@@ -64,16 +63,27 @@ class ShardPlan {
     return trees_.empty() ? *universe_ : trees_[s];
   }
 
+  // --- Ids from preorder ranks ------------------------------------------
+  // Local ids are assigned in ascending global preorder, so every shard
+  // tree is preorder-labeled (Tree::is_preorder_labeled() holds): a shard's
+  // local NodeId IS its preorder rank, and the preorder-indexed NodeState
+  // SoA of its TreeCache needs no per-request permutation at all. The same
+  // order makes the id maps arithmetic: a local id is the node's global
+  // preorder rank minus the shard's rank_offset. So the plan keeps no id
+  // table; shard_of_ is its one per-node array, and the trivial plan, whose
+  // maps are identities, keeps none.
+
   /// Which shard serves requests to global node `v`.
   [[nodiscard]] std::size_t shard_of(NodeId v) const {
-    TC_CHECK(v < shard_of_.size(), "request to node outside the universe");
-    return shard_of_[v];
+    TC_CHECK(v < universe_->size(), "request to node outside the universe");
+    return trees_.empty() ? 0 : shard_of_[v];
   }
 
   /// Global node → its id in shard_tree(shard_of(v)).
   [[nodiscard]] NodeId to_local(NodeId v) const {
-    TC_DCHECK(v < local_id_.size(), "node outside the universe");
-    return local_id_[v];
+    TC_DCHECK(v < universe_->size(), "node outside the universe");
+    if (trees_.empty()) return v;
+    return universe_->preorder_index(v) - rank_offset(shard_of_[v]);
   }
 
   /// Shard-local node → global node. The replica root (local 0 of shards
@@ -81,7 +91,11 @@ class ShardPlan {
   /// to_local(to_global(s, l)) == l holds for every node that can be
   /// requested and the replica maps to the rule it duplicates.
   [[nodiscard]] NodeId to_global(std::size_t s, NodeId local) const {
-    return global_id_[s][local];
+    TC_DCHECK(s < num_shards() && local < shard_tree(s).size(),
+              "shard-local node out of range");
+    if (trees_.empty()) return local;
+    if (s > 0 && local == 0) return universe_->root();
+    return universe_->preorder()[local + rank_offset(s)];
   }
 
   /// The request routed into its shard's id space.
@@ -89,33 +103,18 @@ class ShardPlan {
     return Request{to_local(request.node), request.sign};
   }
 
-  // --- Preorder remap tables --------------------------------------------
-  // Local ids are assigned in ascending global preorder, so every shard
-  // tree is preorder-labeled (Tree::is_preorder_labeled() holds): a shard's
-  // local NodeId IS its preorder rank, and the preorder-indexed NodeState
-  // SoA of its TreeCache needs no per-request permutation at all. These
-  // whole-table views let workers translate NodeId-keyed data in bulk
-  // instead of calling to_local/to_global per element.
-
-  /// Global node → shard-local id, as a whole table (element-wise this is
-  /// to_local; pair it with shard_of to know which shard owns the id).
-  [[nodiscard]] std::span<const NodeId> local_ids() const {
-    return local_id_;
-  }
-
-  /// Shard-local id → global node for shard `s` (element-wise to_global).
-  [[nodiscard]] std::span<const NodeId> global_ids(std::size_t s) const {
-    TC_DCHECK(s < global_id_.size(), "shard out of range");
-    return global_id_[s];
-  }
-
  private:
+  /// Global preorder rank minus shard-local id, for every node of shard
+  /// `s` except a replica root: the shard's first rank, minus one after
+  /// shard 0, where the replica root holds local id 0.
+  [[nodiscard]] std::uint32_t rank_offset(std::size_t s) const {
+    return shards_[s].preorder_begin - static_cast<std::uint32_t>(s != 0);
+  }
+
   const Tree* universe_;
   std::vector<Shard> shards_;
-  std::vector<Tree> trees_;
-  std::vector<std::uint32_t> shard_of_;          // per global node
-  std::vector<NodeId> local_id_;                 // per global node
-  std::vector<std::vector<NodeId>> global_id_;   // per shard, per local node
+  std::vector<Tree> trees_;              // one per shard; empty when trivial
+  std::vector<std::uint32_t> shard_of_;  // per global node; empty when trivial
 };
 
 }  // namespace treecache::engine

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/tree_cache.hpp"
 #include "util/stopwatch.hpp"
 
 #if defined(__linux__)
@@ -70,15 +69,14 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
 
   const std::size_t num_shards = plan_.num_shards();
   algs_.resize(num_shards);
-  tc_.resize(num_shards);
   if (config_.pin_threads) {
     // Build shard s on pinned worker s % workers — the owner under the
     // run-time mapping of every pool. The instance's cache bitmap,
     // NodeState block and scratch arena are first-touched on that worker's
     // core, so their pages are placed on its NUMA node. The registry is
     // read-only after static init, so concurrent make_algorithm calls are
-    // safe; each thread writes disjoint algs_/tc_/worker_cpus_ slots and
-    // the join publishes them.
+    // safe; each thread writes disjoint algs_/worker_cpus_ slots and the
+    // join publishes them.
     const std::size_t workers = effective_threads();
     worker_cpus_.assign(workers, -1);
     std::exception_ptr error;
@@ -92,7 +90,6 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
           for (std::size_t s = w; s < num_shards; s += workers) {
             algs_[s] =
                 sim::make_algorithm(algorithm, plan_.shard_tree(s), params);
-            tc_[s] = dynamic_cast<TreeCache*>(algs_[s].get());
           }
         } catch (...) {
           const std::lock_guard<std::mutex> lock(error_mutex);
@@ -105,20 +102,7 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
   } else {
     for (std::size_t s = 0; s < num_shards; ++s) {
       algs_[s] = sim::make_algorithm(algorithm, plan_.shard_tree(s), params);
-      // Downcast once here; step_shard then calls the final TreeCache
-      // directly, off the virtual path, for every chunk of the run.
-      tc_[s] = dynamic_cast<TreeCache*>(algs_[s].get());
     }
-  }
-}
-
-void ShardedEngine::step_shard(std::size_t s,
-                               std::span<const Request> requests,
-                               OutcomeSink& sink) {
-  if (TreeCache* const tc = tc_[s]) {
-    tc->step_batch(requests, sink);  // direct call: TreeCache is final
-  } else {
-    algs_[s]->step_batch(requests, sink);
   }
 }
 
@@ -182,7 +166,7 @@ EngineResult ShardedEngine::run(RequestSource& source) {
     // Sequential demux: identical routing and per-shard chunking, stepped
     // inline. Per-shard results match the threaded path by construction.
     const auto flush = [&](std::size_t s) {
-      step_shard(s, pending[s], sinks[s]);
+      algs_[s]->step_batch(pending[s], sinks[s]);
       pending[s].clear();
     };
     for (;;) {
@@ -224,7 +208,7 @@ EngineResult ShardedEngine::run(RequestSource& source) {
           }
           queue.space.notify_one();
           try {
-            step_shard(item.first, item.second, sinks[item.first]);
+            algs_[item.first]->step_batch(item.second, sinks[item.first]);
           } catch (...) {
             {
               const std::lock_guard<std::mutex> lock(error_mutex);
@@ -376,7 +360,7 @@ EngineResult ShardedEngine::run_split(
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
           continue;
         }
-        step_shard(s, {buffer.data(), n}, sinks[s]);
+        algs_[s]->step_batch({buffer.data(), n}, sinks[s]);
         ++i;
       }
     }

@@ -54,10 +54,6 @@
 #include "sim/registry.hpp"
 #include "sim/simulator.hpp"
 
-namespace treecache {
-class TreeCache;
-}
-
 namespace treecache::engine {
 
 struct EngineConfig {
@@ -137,14 +133,6 @@ class ShardedEngine {
   }
 
  private:
-  /// Steps one chunk on shard `s`. When the instance is the paper's TC the
-  /// call goes through a cached concrete TreeCache pointer — TreeCache is
-  /// final, so the compiler emits a direct (inlinable) call into the
-  /// preorder-SoA batch loop with no virtual dispatch anywhere on the
-  /// per-request path. Every other algorithm takes the virtual step_batch.
-  void step_shard(std::size_t s, std::span<const Request> requests,
-                  OutcomeSink& sink);
-
   [[nodiscard]] std::size_t effective_threads() const;
   /// Sums per-shard results (already finalized from the instances) into
   /// out.total, in shard order — fixed order, bit-reproducible totals.
@@ -157,9 +145,6 @@ class ShardedEngine {
   /// same w % hardware_concurrency slot.
   std::vector<int> worker_cpus_;
   std::vector<std::unique_ptr<OnlineAlgorithm>> algs_;  // one per shard
-  /// algs_[s] downcast once at construction: non-null iff shard s runs the
-  /// concrete TreeCache (the step_shard fast path), non-owning.
-  std::vector<TreeCache*> tc_;
 };
 
 }  // namespace treecache::engine

@@ -22,7 +22,8 @@ Tree::Tree(std::vector<NodeId> parent) : parent_(std::move(parent)) {
   }
   TC_CHECK(root_ != kNoNode, "no root (every node has a parent)");
 
-  // CSR children adjacency via counting sort.
+  // CSR children adjacency via counting sort. n < kNoNode, so every offset
+  // fits a u32.
   child_offset_.assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     if (v != root_) ++child_offset_[parent_[v] + 1];
@@ -30,8 +31,8 @@ Tree::Tree(std::vector<NodeId> parent) : parent_(std::move(parent)) {
   for (std::size_t i = 1; i <= n; ++i) child_offset_[i] += child_offset_[i - 1];
   child_list_.resize(n - 1);
   {
-    std::vector<std::size_t> cursor(child_offset_.begin(),
-                                    child_offset_.end() - 1);
+    std::vector<std::uint32_t> cursor(child_offset_.begin(),
+                                      child_offset_.end() - 1);
     for (NodeId v = 0; v < n; ++v) {
       if (v != root_) child_list_[cursor[parent_[v]]++] = v;
     }
@@ -43,11 +44,10 @@ Tree::Tree(std::vector<NodeId> parent) : parent_(std::move(parent)) {
         std::max(max_degree_, static_cast<std::uint32_t>(num_children(v)));
   }
 
-  // Iterative preorder DFS: fills depth, tin/tout, preorder, and detects
-  // cycles (a cycle leaves nodes unvisited).
+  // Iterative preorder DFS: fills depth, tin, preorder, and detects cycles
+  // (a cycle leaves nodes unvisited).
   depth_.assign(n, 0);
   tin_.assign(n, 0);
-  tout_.assign(n, 0);
   preorder_.clear();
   preorder_.reserve(n);
   std::vector<NodeId> stack;
@@ -68,30 +68,22 @@ Tree::Tree(std::vector<NodeId> parent) : parent_(std::move(parent)) {
   }
   TC_CHECK(preorder_.size() == n, "parent array contains a cycle");
 
-  // Reverse preorder lists every node after all of its descendants, which is
-  // the only property consumers of postorder() rely on (bottom-up
-  // aggregation); subtrees need not be contiguous.
-  postorder_.assign(preorder_.rbegin(), preorder_.rend());
-
-  // Subtree sizes and tout via reverse-preorder aggregation.
-  subtree_size_.assign(n, 1);
-  for (const NodeId v : postorder_) {
-    if (v != root_) subtree_size_[parent_[v]] += subtree_size_[v];
-  }
-  for (NodeId v = 0; v < n; ++v) tout_[v] = tin_[v] + subtree_size_[v] - 1;
-
   height_ = 0;
   for (NodeId v = 0; v < n; ++v) height_ = std::max(height_, depth_[v] + 1);
 
-  // Rank-space topology and the identity-permutation flag.
+  // Rank-space topology and the identity-permutation flag. A parent's rank
+  // is below its children's, so one reverse pass over the ranks adds every
+  // subtree into its parent's after the subtree itself is complete.
   rank_parent_.assign(n, kNoNode);
-  rank_size_.assign(n, 0);
+  rank_size_.assign(n, 1);
   preorder_labeled_ = true;
   for (std::uint32_t r = 0; r < n; ++r) {
     const NodeId v = preorder_[r];
     if (v != r) preorder_labeled_ = false;
-    rank_size_[r] = subtree_size_[v];
     if (v != root_) rank_parent_[r] = tin_[parent_[v]];
+  }
+  for (std::uint32_t r = static_cast<std::uint32_t>(n) - 1; r > 0; --r) {
+    rank_size_[rank_parent_[r]] += rank_size_[r];
   }
 }
 

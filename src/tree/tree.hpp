@@ -1,14 +1,20 @@
 // Immutable rooted tree — the universe of the tree-caching problem.
 //
-// The tree is stored in flat arrays (CSR children adjacency, Euler-tour
-// intervals, depths, subtree sizes), which keeps every query used by the
-// algorithm O(1) and cache-friendly. Trees are immutable after construction;
-// algorithms keep their own per-node state in parallel arrays indexed by
-// NodeId.
+// The tree is eight flat u32 arrays, 32 bytes per node: the parent array
+// and its CSR children adjacency (offsets and list), depths, the preorder
+// sequence and each node's position in it, and the rank-space topology
+// (parent rank and subtree size at each preorder rank). Every other fact
+// is derived from these on demand rather than stored twice: a subtree size
+// is the rank size at the node's position, T(v) is the rank interval
+// [tin(v), tin(v) + size(v)), and postorder is preorder reversed. That
+// keeps every query the algorithm uses O(1). Trees are immutable after
+// construction; algorithms keep their own per-node state in parallel
+// arrays indexed by NodeId or by preorder rank.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -71,13 +77,15 @@ class Tree {
   /// |T(v)|: v plus all its descendants.
   [[nodiscard]] std::uint32_t subtree_size(NodeId v) const {
     TC_DCHECK(v < size(), "node out of range");
-    return subtree_size_[v];
+    return rank_size_[tin_[v]];
   }
 
-  /// True iff a == d or a is a proper ancestor of d (O(1) via Euler tour).
+  /// True iff a == d or a is a proper ancestor of d: d's rank lies in the
+  /// rank interval of T(a). A d before a wraps the unsigned difference
+  /// past every subtree size.
   [[nodiscard]] bool is_ancestor_or_self(NodeId a, NodeId d) const {
     TC_DCHECK(a < size() && d < size(), "node out of range");
-    return tin_[a] <= tin_[d] && tout_[d] <= tout_[a];
+    return tin_[d] - tin_[a] < rank_size_[tin_[a]];
   }
 
   /// Nodes in preorder (parents before children).
@@ -90,23 +98,16 @@ class Tree {
     return tin_[v];
   }
 
-  // --- Preorder remap facility -----------------------------------------
+  // --- Rank space ------------------------------------------------------
   // Per-node state indexed by preorder rank makes every subtree a
-  // contiguous slice (core/node_state.hpp builds on this). The two
-  // permutation tables convert NodeId-keyed data in bulk; the rank-space
+  // contiguous slice (core/node_state.hpp builds on this). preorder_index
+  // maps a NodeId to its rank and from_preorder() maps back; the rank-space
   // topology accessors let ancestor walks and child scans stay entirely in
   // rank coordinates: the first child of rank r is r + 1 and the next
   // sibling of rank c is c + preorder_subtree_size(c), so child iteration
   // needs no adjacency array at all.
 
-  /// NodeId → preorder rank, as a whole table (element-wise this is
-  /// preorder_index).
-  [[nodiscard]] std::span<const std::uint32_t> to_preorder() const {
-    return tin_;
-  }
-
-  /// Preorder rank → NodeId — the inverse permutation (alias of
-  /// preorder()).
+  /// Preorder rank → NodeId (the same sequence as preorder()).
   [[nodiscard]] std::span<const NodeId> from_preorder() const {
     return preorder_;
   }
@@ -131,20 +132,16 @@ class Tree {
     return rank_size_;
   }
 
-  /// True iff NodeId already equals preorder rank, i.e. both remap tables
-  /// are the identity. ShardPlan's relabeled shard trees guarantee this.
+  /// True iff NodeId already equals preorder rank, i.e. preorder() is the
+  /// identity. ShardPlan's relabeled shard trees guarantee this.
   [[nodiscard]] bool is_preorder_labeled() const { return preorder_labeled_; }
 
-  /// A copy of `tree` whose NodeIds ARE preorder ranks (its remap tables
-  /// are the identity). The node at rank r of `tree` becomes node r.
-  [[nodiscard]] static Tree preorder_relabeled(const Tree& tree) {
-    return Tree(std::vector<NodeId>(tree.rank_parent_.begin(),
-                                    tree.rank_parent_.end()));
-  }
-
-  /// Nodes in postorder (children before parents).
-  [[nodiscard]] std::span<const NodeId> postorder() const {
-    return postorder_;
+  /// Nodes in postorder (children before parents): preorder() reversed.
+  /// Every node comes after all of its descendants, which is all that
+  /// bottom-up aggregation needs; siblings come in reverse child order.
+  [[nodiscard]] std::ranges::reverse_view<std::span<const NodeId>>
+  postorder() const {
+    return std::ranges::reverse_view(preorder());
   }
 
   /// All leaves of the tree.
@@ -160,15 +157,13 @@ class Tree {
 
  private:
   std::vector<NodeId> parent_;
-  std::vector<std::size_t> child_offset_;  // size n+1, CSR offsets
-  std::vector<NodeId> child_list_;         // size n-1
+  std::vector<std::uint32_t> child_offset_;  // size n+1, CSR offsets
+  std::vector<NodeId> child_list_;           // size n-1
   std::vector<std::uint32_t> depth_;
-  std::vector<std::uint32_t> subtree_size_;
-  std::vector<std::uint32_t> tin_, tout_;  // preorder interval of T(v)
-  std::vector<NodeId> preorder_, postorder_;
+  std::vector<std::uint32_t> tin_;  // NodeId → preorder rank
+  std::vector<NodeId> preorder_;    // preorder rank → NodeId
   // Rank-space topology: parent rank and subtree size of the node at each
-  // preorder rank (rank_parent_ doubles as the preorder-relabeled parent
-  // array).
+  // preorder rank.
   std::vector<std::uint32_t> rank_parent_;
   std::vector<std::uint32_t> rank_size_;
   NodeId root_ = kNoNode;

@@ -11,6 +11,12 @@ namespace treecache::workload {
 
 namespace {
 
+/// The constructors' check that a part is an open loop (see the header).
+void check_open_loop(const std::unique_ptr<RequestSource>& part) {
+  TC_CHECK(part != nullptr && !part->is_closed_loop(),
+           "combinator parts must be open-loop sources");
+}
+
 /// fork() for a part list: every part must fork or the composite cannot.
 std::vector<std::unique_ptr<RequestSource>> fork_parts(
     const std::vector<std::unique_ptr<RequestSource>>& parts) {
@@ -30,6 +36,7 @@ ConcatSource::ConcatSource(
     std::vector<std::unique_ptr<RequestSource>> parts)
     : parts_(std::move(parts)) {
   TC_CHECK(!parts_.empty(), "concat needs at least one part");
+  for (const auto& part : parts_) check_open_loop(part);
 }
 
 std::size_t ConcatSource::fill(std::span<Request> buffer) {
@@ -62,13 +69,6 @@ std::optional<std::uint64_t> ConcatSource::size_hint() const {
   return total;
 }
 
-void ConcatSource::observe_batch(std::span<const StepOutcome> outcomes) {
-  // All outcomes of a batch arrive before the next fill(), and a fill
-  // never spans a part boundary, so the whole batch belongs to the part
-  // that is still active.
-  if (active_ < parts_.size()) parts_[active_]->observe_batch(outcomes);
-}
-
 MixSource::MixSource(std::vector<std::unique_ptr<RequestSource>> parts,
                      std::vector<double> weights, Rng rng)
     : parts_(std::move(parts)),
@@ -77,6 +77,7 @@ MixSource::MixSource(std::vector<std::unique_ptr<RequestSource>> parts,
       rng_(rng),
       exhausted_(parts_.size(), 0) {
   TC_CHECK(!parts_.empty(), "mix needs at least one part");
+  for (const auto& part : parts_) check_open_loop(part);
   TC_CHECK(parts_.size() == weights_.size(),
            "mix needs one weight per part");
   for (const double w : weights_) {
@@ -142,6 +143,7 @@ ChurnInjectSource::ChurnInjectSource(std::unique_ptr<RequestSource> inner,
       start_rng_(rng),
       rng_(rng) {
   TC_CHECK(inner_ != nullptr, "churn-inject needs an inner source");
+  check_open_loop(inner_);
   TC_CHECK(period_ >= 1, "churn-period must be positive");
   TC_CHECK(alpha_ >= 1, "alpha must be positive");
 }
@@ -187,10 +189,6 @@ std::optional<std::uint64_t> ChurnInjectSource::size_hint() const {
   if (!inner_hint.has_value()) return std::nullopt;
   const std::uint64_t chunks_ahead = (since_chunk_ + *inner_hint) / period_;
   return *inner_hint + pending_ + chunks_ahead * alpha_;
-}
-
-void ChurnInjectSource::observe_batch(std::span<const StepOutcome> outcomes) {
-  inner_->observe_batch(outcomes);
 }
 
 // Registry adapters. Parts resolve recursively through the registry with

@@ -17,13 +17,12 @@
 //                                        to a uniformly random node after
 //                                        every N inner requests.
 //
-// Feedback routing: concat forwards every observed outcome batch to the
-// part that emitted the last fill (fill never spans a part boundary), and
-// churn-inject forwards every outcome — including those of its injected
-// requests — to the inner source, so a closed-loop inner keeps an accurate
-// view of the cache. mix interleaves parts per request, which cannot
-// respect a closed-loop source's batching contract; its parts must be
-// open-loop (every registered generator is).
+// Open loops only: every part must be open-loop (every registered
+// generator is), and each constructor throws CheckFailure otherwise. A
+// combinator is itself an open loop: it keeps the default observe_batch
+// and is_closed_loop, so its outcomes reach no part and the sharded
+// engine demuxes it like any generator. A closed-loop part would run
+// without the feedback its stream depends on, so none is accepted.
 #pragma once
 
 #include <memory>
@@ -35,8 +34,7 @@
 
 namespace treecache::workload {
 
-/// Plays each part to exhaustion, in order. fill() never spans a part
-/// boundary, so observe_batch() can always route to the emitting part.
+/// Plays each part to exhaustion, in order; parts must be open-loop.
 class ConcatSource final : public RequestSource {
  public:
   explicit ConcatSource(std::vector<std::unique_ptr<RequestSource>> parts);
@@ -44,7 +42,6 @@ class ConcatSource final : public RequestSource {
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
   [[nodiscard]] std::optional<std::uint64_t> size_hint() const override;
-  void observe_batch(std::span<const StepOutcome> outcomes) override;
   /// Forks every part; nullptr if any part cannot fork.
   [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
@@ -78,7 +75,7 @@ class MixSource final : public RequestSource {
 /// Periodic churn injection: after every `period` requests of the inner
 /// source, an alpha-chunk of negative requests to a uniformly random node
 /// is spliced into the stream (modelling background rule updates that the
-/// base workload does not know about).
+/// base workload does not know about). The inner source must be open-loop.
 class ChurnInjectSource final : public RequestSource {
  public:
   ChurnInjectSource(std::unique_ptr<RequestSource> inner, const Tree& tree,
@@ -87,7 +84,6 @@ class ChurnInjectSource final : public RequestSource {
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
   [[nodiscard]] std::optional<std::uint64_t> size_hint() const override;
-  void observe_batch(std::span<const StepOutcome> outcomes) override;
   /// Forks the inner source; nullptr if it cannot fork.
   [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -125,29 +126,77 @@ TEST(ShardPlan, ShardTreesArePreorderLabeled) {
   }
 }
 
-TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
-  Rng rng(13);
-  const Tree tree = trees::random_recursive(300, rng);
-  const engine::ShardPlan plan(tree, 4);
-  ASSERT_GE(plan.num_shards(), 2u);
+/// The id tables a ShardPlan once stored, rebuilt by relabeling: a
+/// one-shard plan maps ids to themselves; otherwise each shard numbers its
+/// nodes in ascending global preorder, after a replica of the global root
+/// at local 0 in every shard past the first.
+struct Relabeling {
+  std::vector<std::size_t> shard_of;           // per global node
+  std::vector<NodeId> local_id;                // per global node
+  std::vector<std::vector<NodeId>> global_id;  // per shard, per local node
+};
 
-  const std::span<const NodeId> local = plan.local_ids();
-  ASSERT_EQ(local.size(), tree.size());
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    EXPECT_EQ(local[v], plan.to_local(v));
+Relabeling relabel(const Tree& tree, const engine::ShardPlan& plan) {
+  Relabeling out;
+  out.shard_of.assign(tree.size(), 0);
+  out.local_id.resize(tree.size());
+  out.global_id.resize(plan.num_shards());
+  if (plan.num_shards() == 1) {
+    std::iota(out.local_id.begin(), out.local_id.end(), NodeId{0});
+    out.global_id[0] = out.local_id;
+    return out;
   }
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    const std::span<const NodeId> global = plan.global_ids(s);
-    ASSERT_EQ(global.size(), plan.shard_tree(s).size());
-    for (NodeId l = 0; l < global.size(); ++l) {
-      EXPECT_EQ(global[l], plan.to_global(s, l));
+    std::vector<NodeId>& global = out.global_id[s];
+    if (s > 0) global.push_back(tree.root());
+    for (std::uint32_t i = plan.shard(s).preorder_begin;
+         i < plan.shard(s).preorder_end; ++i) {
+      const NodeId v = tree.preorder()[i];
+      out.shard_of[v] = s;
+      out.local_id[v] = static_cast<NodeId>(global.size());
+      global.push_back(v);
     }
-    // Inverse round trip for every requestable node of the shard (the
-    // replica root of shards s > 0 maps to the global root, which shard 0
-    // owns — skip it).
-    for (NodeId l = (s == 0 ? 0u : 1u); l < global.size(); ++l) {
-      EXPECT_EQ(plan.shard_of(global[l]), s);
-      EXPECT_EQ(local[global[l]], l);
+  }
+  return out;
+}
+
+TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
+  // The plan stores no id tables: shard_of, to_local and to_global are
+  // arithmetic over preorder ranks. They must agree with the relabeling
+  // for every node, at every shard count, on random trees and on a FIB
+  // rule tree, whose ids are not preorder ranks.
+  Rng rng(13);
+  const Tree recursive = trees::random_recursive(300, rng);
+  const Tree bounded = trees::random_bounded_degree(200, 4, rng);
+  const fib::RuleTree rt = fib::rule_tree_from_params(smoke_params());
+  ASSERT_FALSE(rt.tree.is_preorder_labeled());
+  for (const Tree* tree : {&recursive, &bounded, &rt.tree}) {
+    SCOPED_TRACE(testing::Message() << tree->size() << " nodes");
+    for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards");
+      const engine::ShardPlan plan(*tree, shards);
+      const Relabeling ref = relabel(*tree, plan);
+      for (NodeId v = 0; v < tree->size(); ++v) {
+        EXPECT_EQ(plan.shard_of(v), ref.shard_of[v]) << "v=" << v;
+        EXPECT_EQ(plan.to_local(v), ref.local_id[v]) << "v=" << v;
+        // Each shard tree carries the universe's edges under the
+        // relabeling. A top-level subtree root hangs off local 0, which
+        // is local_id[root] whenever the plan has several shards.
+        const NodeId p = tree->parent(v);
+        if (p != kNoNode) {
+          EXPECT_EQ(plan.shard_tree(ref.shard_of[v]).parent(ref.local_id[v]),
+                    ref.local_id[p])
+              << "v=" << v;
+        }
+      }
+      for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+        const std::vector<NodeId>& global = ref.global_id[s];
+        ASSERT_EQ(global.size(), plan.shard_tree(s).size()) << "s=" << s;
+        for (NodeId l = 0; l < global.size(); ++l) {
+          EXPECT_EQ(plan.to_global(s, l), global[l])
+              << "s=" << s << " l=" << l;
+        }
+      }
     }
   }
 }

@@ -396,6 +396,36 @@ TEST(Combinators, ChurnInjectInsertsAlphaChunks) {
   EXPECT_EQ(materialize(source), trace);
 }
 
+TEST(Combinators, ClosedLoopPartsAreRejected) {
+  // A combinator is an open loop, so the engine would demux it and drop
+  // the feedback a closed-loop part depends on: every constructor refuses
+  // one, wherever it sits among the parts.
+  class ClosedStub final : public RequestSource {
+   public:
+    [[nodiscard]] std::size_t fill(std::span<Request>) override { return 0; }
+    void reset() override {}
+    [[nodiscard]] bool is_closed_loop() const override { return true; }
+  };
+  const auto parts = [](bool closed_first) {
+    std::vector<std::unique_ptr<RequestSource>> out;
+    out.push_back(std::make_unique<TraceSource>(ones(3, 1)));
+    out.insert(closed_first ? out.begin() : out.end(),
+               std::make_unique<ClosedStub>());
+    return out;
+  };
+  for (const bool closed_first : {true, false}) {
+    SCOPED_TRACE(closed_first);
+    EXPECT_THROW(workload::ConcatSource(parts(closed_first)), CheckFailure);
+    EXPECT_THROW(workload::MixSource(parts(closed_first), {1.0, 1.0}, Rng(5)),
+                 CheckFailure);
+  }
+  const Tree tree = trees::path(4);
+  EXPECT_THROW(workload::ChurnInjectSource(std::make_unique<ClosedStub>(),
+                                           tree, /*period=*/4, /*alpha=*/3,
+                                           Rng(9)),
+               CheckFailure);
+}
+
 TEST(Combinators, RegisteredNamesRunThroughTheScenarioEngine) {
   Rng rng(23);
   const Tree tree = trees::random_recursive(30, rng);

@@ -189,14 +189,11 @@ TEST(TreeIo, DotHasOneEdgePerNonRoot) {
 TEST(TreePreorder, RemapTablesAreInversePermutations) {
   Rng rng(11);
   const Tree t = trees::random_recursive(60, rng);
-  const auto to = t.to_preorder();
   const auto from = t.from_preorder();
-  ASSERT_EQ(to.size(), t.size());
   ASSERT_EQ(from.size(), t.size());
   for (NodeId v = 0; v < t.size(); ++v) {
-    EXPECT_EQ(to[v], t.preorder_index(v));
-    EXPECT_EQ(from[to[v]], v);
-    EXPECT_EQ(to[from[v]], v);
+    EXPECT_EQ(from[t.preorder_index(v)], v);
+    EXPECT_EQ(t.preorder_index(from[v]), v);
   }
 }
 
@@ -236,11 +233,16 @@ TEST(TreePreorder, FirstChildNextSiblingScanEnumeratesChildren) {
 TEST(TreePreorder, RelabeledTreeIsIdentityPermutation) {
   Rng rng(5);
   const Tree t = trees::random_recursive(45, rng);
-  const Tree r = Tree::preorder_relabeled(t);
+  // Relabel by rank: the node at rank k of t becomes node k, whose parent
+  // is the rank of its parent.
+  std::vector<NodeId> rank_parent(t.size());
+  for (std::uint32_t k = 0; k < t.size(); ++k) {
+    rank_parent[k] = t.preorder_parent(k);
+  }
+  const Tree r(std::move(rank_parent));
   EXPECT_TRUE(r.is_preorder_labeled());
   ASSERT_EQ(r.size(), t.size());
-  // Same shape: node at rank k of t becomes node k of r, preserving
-  // parenthood, subtree sizes and depths.
+  // Same shape: parenthood, subtree sizes and depths carry over.
   for (std::uint32_t k = 0; k < t.size(); ++k) {
     const NodeId v = t.from_preorder()[k];
     EXPECT_EQ(r.from_preorder()[k], k);
