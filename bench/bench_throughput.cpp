@@ -290,9 +290,10 @@ int main() {
 
   // Internet-scale RIB stress rows: synthesize a ~1M-route IPv4 table
   // plus an update stream, then time raw feed ingestion (records/s into
-  // the radix RIB) and the replay-FIB rebuild (tree nodes/s). The rows
-  // carry the trie's heap bytes and the process peak RSS — the memory
-  // audit that keeps internet-size tables honest.
+  // the RIB's hash table) and the replay-FIB rebuild (tree nodes/s). The
+  // rows carry the table's entries (withdrawn routes included) and heap
+  // bytes, and the process peak RSS — the memory audit that keeps
+  // internet-size tables honest.
   {
     rib::SyntheticFeedConfig feed_config;
     feed_config.routes = sim::bench_scaled(1000000);
@@ -304,8 +305,8 @@ int main() {
     double ingest_wall = 0.0;
     double rebuild_wall = 0.0;
     std::uint64_t live_routes = 0;
-    std::uint64_t trie_nodes = 0;
-    std::uint64_t trie_bytes = 0;
+    std::uint64_t rib_entries = 0;
+    std::uint64_t rib_bytes = 0;
     std::uint64_t rebuild_nodes = 0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       rib::IngestResult ingest;
@@ -321,8 +322,8 @@ int main() {
       if (rep == 0 || wall_rebuild < rebuild_wall) rebuild_wall = wall_rebuild;
       if (rep == 0) {
         live_routes = ingest.v4.rib.size();
-        trie_nodes = ingest.v4.rib.node_count();
-        trie_bytes = ingest.v4.rib.memory_bytes();
+        rib_entries = ingest.v4.rib.entry_count();
+        rib_bytes = ingest.v4.rib.memory_bytes();
         rebuild_nodes = replay.fib.tree.size();
       }
     }
@@ -352,8 +353,8 @@ int main() {
                        .set("speedup_vs_baseline", 1.0)
                        .set("routes", live_routes)
                        .set("routes_per_second", ingest_rps)
-                       .set("trie_nodes", trie_nodes)
-                       .set("trie_bytes", trie_bytes)
+                       .set("rib_entries", rib_entries)
+                       .set("rib_bytes", rib_bytes)
                        .set("peak_rss_bytes", rss));
     json_rows.push(util::Json::object()
                        .set("mode", "rib-1m-rebuild")
@@ -368,8 +369,8 @@ int main() {
                        .set("speedup_vs_baseline", 1.0)
                        .set("routes", live_routes)
                        .set("routes_per_second", rebuild_rps)
-                       .set("trie_nodes", trie_nodes)
-                       .set("trie_bytes", trie_bytes)
+                       .set("rib_entries", rib_entries)
+                       .set("rib_bytes", rib_bytes)
                        .set("peak_rss_bytes", rss));
   }
   table.print();
@@ -393,7 +394,8 @@ int main() {
       "subtree slice scans are long (tc-deep-8xN adds pinned, "
       "first-touched shard workers). The rib-1m rows stress the ingestion "
       "layer at internet scale: ~1M synthetic IPv4 routes applied to the "
-      "radix RIB (records/s) and rebuilt into the replay rule tree "
-      "(nodes/s), with trie heap bytes and peak RSS as the memory audit");
+      "RIB's hash table (records/s) and rebuilt into the replay rule tree "
+      "(nodes/s), with the table's entries and heap bytes and peak RSS as "
+      "the memory audit");
   return 0;
 }

@@ -4,12 +4,57 @@
 
 namespace treecache::fib {
 
+namespace {
+
+/// Byte `i` of a key, counting from the least significant.
+unsigned key_byte(Address bits, unsigned i) { return (bits >> (8 * i)) & 0xFF; }
+
+unsigned key_byte(const Address6& bits, unsigned i) {
+  const std::uint64_t limb = i < 8 ? bits.lo : bits.hi;
+  return static_cast<unsigned>(limb >> (8 * (i % 8))) & 0xFF;
+}
+
+/// Sorts `prefixes` into BasicPrefix's (bits, length) order with an LSD
+/// radix sort: one stable counting pass per key byte, the length first,
+/// then the bits from the least significant byte up. A pass whose byte is
+/// the same in every prefix would move nothing and is skipped.
+template <typename PrefixT>
+void radix_sort(std::vector<PrefixT>& prefixes) {
+  constexpr unsigned kPasses = 1 + PrefixT::kWidth / 8;
+  const auto digit = [](const PrefixT& p, unsigned pass) {
+    return pass == 0 ? unsigned{p.length} : key_byte(p.bits, pass - 1);
+  };
+  std::vector<std::array<std::size_t, 256>> counts(kPasses);
+  for (const PrefixT& p : prefixes) {
+    for (unsigned pass = 0; pass < kPasses; ++pass) {
+      ++counts[pass][digit(p, pass)];
+    }
+  }
+  std::vector<PrefixT> sorted(prefixes.size());
+  for (unsigned pass = 0; pass < kPasses; ++pass) {
+    std::array<std::size_t, 256>& next = counts[pass];
+    if (std::ranges::find(next, prefixes.size()) != next.end()) continue;
+    std::size_t offset = 0;
+    for (std::size_t& slot : next) {
+      const std::size_t count = slot;
+      slot = offset;
+      offset += count;
+    }
+    for (const PrefixT& p : prefixes) sorted[next[digit(p, pass)]++] = p;
+    prefixes.swap(sorted);
+  }
+}
+
+}  // namespace
+
 template <typename PrefixT>
 BasicRuleTree<PrefixT> build_rule_tree(std::vector<PrefixT> prefixes) {
-  // BasicPrefix's own (bits, length) order lists every prefix after the
-  // prefixes that contain it: a preorder of the nesting forest. Drop
-  // duplicates and any explicit default route (it is the artificial root).
-  std::sort(prefixes.begin(), prefixes.end());
+  // Sort into BasicPrefix's own (bits, length) order, which lists every
+  // prefix after the prefixes that contain it: a preorder of the nesting
+  // forest. A radix sort is linear in the prefixes, and a real feed names
+  // about a million. Drop duplicates and any explicit default route (it is
+  // the artificial root).
+  radix_sort(prefixes);
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                  prefixes.end());
   std::erase_if(prefixes, [](const PrefixT& p) { return p.length == 0; });

@@ -4,103 +4,109 @@
 
 namespace treecache::rib {
 
+namespace {
+
+/// splitmix64's finalizer: every key bit reaches every hash bit.
+constexpr std::uint64_t mix(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t prefix_hash(const fib::Prefix& p) {
+  return mix((std::uint64_t{p.bits} << 8) | p.length);
+}
+
+std::uint64_t prefix_hash(const fib::Prefix6& p) {
+  return mix(mix(p.bits.hi ^ p.length) ^ p.bits.lo);
+}
+
+}  // namespace
+
+template <typename PrefixT>
+std::size_t BasicRibTable<PrefixT>::probe(const PrefixT& prefix) const {
+  TC_DCHECK(
+      prefix.bits == (prefix.bits & fib::prefix_mask<Bits>(prefix.length)),
+      "prefix has host bits set");
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = prefix_hash(prefix) & mask;
+  while (slots_[i].state != State::kEmpty &&
+         (slots_[i].length != prefix.length || slots_[i].bits != prefix.bits)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+template <typename PrefixT>
+void BasicRibTable<PrefixT>::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& slot : old) {
+    if (slot.state != State::kEmpty) {
+      slots_[probe(PrefixT{slot.bits, slot.length})] = slot;
+    }
+  }
+}
+
 template <typename PrefixT>
 bool BasicRibTable<PrefixT>::route_add(const PrefixT& prefix,
                                        NextHop next_hop) {
-  std::uint32_t node = 0;
-  for (unsigned i = 0; i < prefix.length; ++i) {
-    const std::uint32_t branch = fib::key_bit(prefix.bits, i) ? 1 : 0;
-    if (nodes_[node].child[branch] == 0) {
-      // Child links are 32-bit; internet-scale tables stay far under
-      // this, but a hostile feed must fail loudly, not wrap.
-      TC_CHECK(nodes_.size() <= 0xFFFFFFFFull,
-               "RIB trie exceeds 2^32 nodes");
-      nodes_[node].child[branch] = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{});
+  std::size_t i = probe(prefix);
+  if (slots_[i].state == State::kEmpty) {
+    if (4 * (entries_ + 1) > 3 * slots_.size()) {
+      grow();
+      i = probe(prefix);
     }
-    node = nodes_[node].child[branch];
+    slots_[i].bits = prefix.bits;
+    slots_[i].length = prefix.length;
+    ++entries_;
   }
-  const bool fresh = !nodes_[node].occupied;
-  nodes_[node].occupied = true;
-  nodes_[node].next_hop = next_hop;
-  if (fresh) ++routes_;
-  return fresh;
+  Slot& slot = slots_[i];
+  slot.next_hop = next_hop;
+  if (slot.state == State::kLive) return false;
+  slot.state = State::kLive;
+  ++routes_;
+  ++live_by_length_[prefix.length];
+  return true;
 }
 
 template <typename PrefixT>
 bool BasicRibTable<PrefixT>::route_delete(const PrefixT& prefix) {
-  const auto [node, found] = find(prefix);
-  if (!found || !nodes_[node].occupied) return false;
-  nodes_[node].occupied = false;
-  nodes_[node].next_hop = 0;
+  Slot& slot = slots_[probe(prefix)];
+  if (slot.state != State::kLive) return false;
+  slot.state = State::kWithdrawn;
+  slot.next_hop = 0;
   --routes_;
+  --live_by_length_[prefix.length];
   return true;
 }
 
 template <typename PrefixT>
 std::optional<NextHop> BasicRibTable<PrefixT>::lookup(const Bits& addr) const {
-  std::optional<NextHop> best;
-  std::uint32_t node = 0;
-  for (unsigned depth = 0;; ++depth) {
-    if (nodes_[node].occupied) best = nodes_[node].next_hop;
-    if (depth == PrefixT::kWidth) break;
-    const std::uint32_t child =
-        nodes_[node].child[fib::key_bit(addr, depth) ? 1 : 0];
-    if (child == 0) break;
-    node = child;
+  for (unsigned length = PrefixT::kWidth + 1; length-- > 0;) {
+    if (live_by_length_[length] == 0) continue;
+    const Slot& slot =
+        slots_[probe(PrefixT::make(addr, static_cast<std::uint8_t>(length)))];
+    if (slot.state == State::kLive) return slot.next_hop;
   }
-  return best;
+  return std::nullopt;
 }
 
 template <typename PrefixT>
 std::optional<NextHop> BasicRibTable<PrefixT>::exact(
     const PrefixT& prefix) const {
-  const auto [node, found] = find(prefix);
-  if (!found || !nodes_[node].occupied) return std::nullopt;
-  return nodes_[node].next_hop;
-}
-
-template <typename PrefixT>
-std::pair<std::uint32_t, bool> BasicRibTable<PrefixT>::find(
-    const PrefixT& prefix) const {
-  std::uint32_t node = 0;
-  for (unsigned i = 0; i < prefix.length; ++i) {
-    const std::uint32_t child =
-        nodes_[node].child[fib::key_bit(prefix.bits, i) ? 1 : 0];
-    if (child == 0) return {0, false};
-    node = child;
-  }
-  return {node, true};
+  const Slot& slot = slots_[probe(prefix)];
+  if (slot.state != State::kLive) return std::nullopt;
+  return slot.next_hop;
 }
 
 template <typename PrefixT>
 std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
   std::vector<PrefixT> out;
   out.reserve(routes_);
-  // Iterative DFS carrying the path (bits, depth); child order makes the
-  // walk deterministic, and the final sort pins the rebuild input order
-  // regardless of insertion history.
-  struct Frame {
-    std::uint32_t node;
-    PrefixT prefix;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{0, PrefixT{}});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[frame.node];
-    if (node.occupied) out.push_back(frame.prefix);
-    for (int branch = 1; branch >= 0; --branch) {
-      const std::uint32_t child = node.child[branch];
-      if (child == 0) continue;
-      PrefixT next = frame.prefix;
-      if (branch == 1) {
-        next.bits = next.bits | (typename PrefixT::Bits{1}
-                                 << (PrefixT::kWidth - 1 - next.length));
-      }
-      next.length = static_cast<std::uint8_t>(next.length + 1);
-      stack.push_back(Frame{child, next});
+  for (const Slot& slot : slots_) {
+    if (slot.state == State::kLive) {
+      out.push_back(PrefixT{slot.bits, slot.length});
     }
   }
   std::sort(out.begin(), out.end(), [](const PrefixT& a, const PrefixT& b) {

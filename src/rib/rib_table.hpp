@@ -1,11 +1,24 @@
-// Radix-trie RIB: the full routing table the control plane maintains,
-// from which the FIB (rule tree) is rebuilt. Modeled on classic
-// rib_route_add / rib_route_delete / rebuild_fib_from_rib designs: a
-// binary radix trie keyed by the prefix bits, one optional route per
-// node. Generic over the key width — RibTable (IPv4) and RibTable6
-// (IPv6) are the two instantiations.
+// The RIB: the full routing table the control plane maintains, from which
+// the FIB (rule tree) is rebuilt. Modeled on classic rib_route_add /
+// rib_route_delete / rebuild_fib_from_rib designs, over one flat
+// open-addressing hash table keyed by the whole prefix (bits and length).
+// Generic over the key width — RibTable (IPv4) and RibTable6 (IPv6) are the
+// two instantiations, and only the key hash differs between them.
+//
+// Layout: one slot per prefix ever announced, linear probing, doubling at
+// 3/4 load. A mixing hash spreads the keys, so runs of consecutive /24s (the
+// bulk of a real table) do not fill runs of neighbouring slots. A withdrawn
+// route keeps its slot, flagged not live (tombstone-style, like production
+// RIBs): no slot is ever freed, so a probe run ends at the first empty
+// slot, and rebuild_fib_from_rib compacts.
+//
+// Costs: route_add, route_delete and exact are one probe run, O(1) expected
+// at this load. lookup (LPM) probes, longest first, only the lengths that
+// hold a live route: at most kWidth + 1 runs. Worst case, a probe run is
+// O(entries) when keys collide, where a binary trie's descent was O(W).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -25,15 +38,16 @@ class BasicRibTable {
  public:
   using Bits = typename PrefixT::Bits;
 
-  BasicRibTable() { nodes_.push_back(Node{}); }
+  BasicRibTable() : slots_(kMinSlots) {}
 
-  /// Inserts or replaces the route for `prefix`. Returns true when the
-  /// route is new, false when an existing route was replaced.
+  /// Inserts or replaces the route for `prefix` (host bits zero, as
+  /// PrefixT::make and the feed decoders leave them). Returns true when
+  /// the route is new, false when an existing route was replaced.
   bool route_add(const PrefixT& prefix, NextHop next_hop);
 
   /// Removes the route stored at exactly `prefix`. Returns false when no
-  /// such route exists. Trie nodes are not reclaimed (tombstone-style,
-  /// like production radix RIBs); rebuild_fib_from_rib compacts.
+  /// such route exists. Its slot is not reclaimed (tombstone-style, like
+  /// production RIBs); rebuild_fib_from_rib compacts.
   bool route_delete(const PrefixT& prefix);
 
   /// Longest-prefix match over live routes.
@@ -45,14 +59,15 @@ class BasicRibTable {
   /// Number of live routes.
   [[nodiscard]] std::size_t size() const { return routes_; }
 
-  /// Trie nodes allocated, root and tombstones included — the
-  /// denominator of the memory audit.
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// Slots holding a prefix, withdrawn ones included — the denominator of
+  /// the memory audit.
+  [[nodiscard]] std::size_t entry_count() const { return entries_; }
 
-  /// Heap bytes held by the trie (capacity, not just size — what the
-  /// process actually pays). Reported by the 1M-route stress rows.
+  /// Heap bytes held by the table: every slot allocated, empty ones
+  /// included (what the process actually pays). Reported by the 1M-route
+  /// stress rows.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return nodes_.capacity() * sizeof(Node);
+    return slots_.capacity() * sizeof(Slot);
   }
 
   /// All live routes, sorted shortest-first then numerically — the
@@ -60,19 +75,30 @@ class BasicRibTable {
   [[nodiscard]] std::vector<PrefixT> prefixes() const;
 
  private:
-  struct Node {
-    std::uint32_t child[2] = {0, 0};  // 0 = absent (node 0 is the root)
+  enum class State : std::uint8_t { kEmpty, kWithdrawn, kLive };
+
+  // 16-byte aligned, so a slot (16 bytes for IPv4, 32 for IPv6) never
+  // straddles two cache lines.
+  struct alignas(16) Slot {
+    Bits bits{};
     NextHop next_hop = 0;
-    bool occupied = false;
+    std::uint8_t length = 0;
+    State state = State::kEmpty;
   };
 
-  /// Index of the node for `prefix`, or 0 with found=false when the path
-  /// does not exist. (Root IS index 0; `found` disambiguates.)
-  [[nodiscard]] std::pair<std::uint32_t, bool> find(
-      const PrefixT& prefix) const;
+  static constexpr std::size_t kMinSlots = 16;  // a power of two
 
-  std::vector<Node> nodes_;
+  /// Index of the slot holding `prefix`, or of the empty slot that ends
+  /// its probe run.
+  [[nodiscard]] std::size_t probe(const PrefixT& prefix) const;
+
+  /// Doubles the slot array and re-places every entry.
+  void grow();
+
+  std::vector<Slot> slots_;  // size is a power of two
+  std::size_t entries_ = 0;
   std::size_t routes_ = 0;
+  std::array<std::size_t, PrefixT::kWidth + 1> live_by_length_{};
 };
 
 using RibTable = BasicRibTable<fib::Prefix>;

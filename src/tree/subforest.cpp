@@ -112,11 +112,12 @@ std::vector<NodeId> Subforest::maximal_roots() const {
 
 void Subforest::maximal_roots(std::vector<NodeId>& out) const {
   out.clear();
-  for (NodeId v = 0; v < tree_->size(); ++v) {
-    if (!contains(v)) continue;
-    const NodeId p = tree_->parent(v);
-    if (p == kNoNode || !contains(p)) out.push_back(v);
-  }
+  const auto from = tree_->from_preorder();
+  for_each_cached_rank([&](std::uint32_t r) {
+    const std::uint32_t p = tree_->preorder_parent(r);
+    if (p == kNoNode || !contains_rank(p)) out.push_back(from[r]);
+  });
+  std::sort(out.begin(), out.end());
 }
 
 NodeId Subforest::cached_tree_root(NodeId v) const {
@@ -156,9 +157,9 @@ std::vector<NodeId> Subforest::as_vector() const {
 void Subforest::as_vector(std::vector<NodeId>& out) const {
   out.clear();
   out.reserve(size_);
-  for (NodeId v = 0; v < tree_->size(); ++v) {
-    if (contains(v)) out.push_back(v);
-  }
+  const auto from = tree_->from_preorder();
+  for_each_cached_rank([&](std::uint32_t r) { out.push_back(from[r]); });
+  std::sort(out.begin(), out.end());
 }
 
 }  // namespace treecache

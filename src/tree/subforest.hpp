@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -105,7 +106,8 @@ class Subforest {
       std::span<const NodeId> changeset) const;
 
   /// Cached nodes whose parent is not cached — the roots of the maximal
-  /// cached trees.
+  /// cached trees — in increasing id order. Scans the set bits of the
+  /// bitmap, not the tree: O(n / 64 + size() · log size()).
   [[nodiscard]] std::vector<NodeId> maximal_roots() const;
 
   // Output-buffer forms of the collection queries, for hot-path callers
@@ -128,7 +130,7 @@ class Subforest {
   /// !contains(u). The result is returned in preorder (parents first).
   [[nodiscard]] std::vector<NodeId> missing_subtree(NodeId u) const;
 
-  /// Cached nodes in increasing id order.
+  /// Cached nodes in increasing id order, by the same set-bit scan.
   [[nodiscard]] std::vector<NodeId> as_vector() const;
 
   friend bool operator==(const Subforest& a, const Subforest& b) {
@@ -139,6 +141,17 @@ class Subforest {
   // Debug-check helpers for the rank-space preconditions.
   [[nodiscard]] bool children_cached(std::uint32_t r) const;
   [[nodiscard]] bool parent_cached(std::uint32_t r) const;
+
+  /// Calls f(r) for each cached rank r, ascending: a scan of the set bits
+  /// of each bitmap word, so O(n / 64 + size()) rather than O(n).
+  template <typename F>
+  void for_each_cached_rank(F&& f) const {
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+      for (std::uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+        f(static_cast<std::uint32_t>(w * 64 + std::countr_zero(word)));
+      }
+    }
+  }
 
   const Tree* tree_;
   std::vector<std::uint64_t> bits_;  // rank-indexed, (n + 63) / 64 words

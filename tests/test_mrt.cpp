@@ -367,7 +367,7 @@ TEST(MrtCodec, CountersMatchGroundTruthAtScale) {
                 result.v4.stats.replaced_routes - result.v4.stats.withdraws);
   // The memory audit accessors cover the allocation, not just the count.
   EXPECT_GE(result.v4.rib.memory_bytes(),
-            result.v4.rib.node_count() * sizeof(std::uint32_t));
+            result.v4.rib.entry_count() * sizeof(std::uint32_t));
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,8 @@
 // The RIB subsystem, unit-level: U128 arithmetic, IPv6 parsing and RFC
 // 5952 formatting, feed-line grammar (round trips and line-numbered
-// errors), the radix RibTable against a naive sorted-vector LPM
-// reference over both key widths, FIB rebuild invariants, and the
-// synthetic feed generator's self-consistency.
+// errors), the flat RibTable against a naive std::map reference over
+// both key widths, FIB rebuild invariants, and the synthetic feed
+// generator's self-consistency.
 #include "rib/rib_table.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -296,7 +297,19 @@ class NaiveRib {
     }
     return best;
   }
+  [[nodiscard]] std::optional<NextHop> exact(const PrefixT& prefix) const {
+    const auto it = routes_.find(prefix);
+    if (it == routes_.end()) return std::nullopt;
+    return it->second;
+  }
   [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  /// Some length holds no live route while a longer one does.
+  [[nodiscard]] bool has_length_gap() const {
+    std::vector<bool> live(PrefixT::kWidth + 1, false);
+    for (const auto& entry : routes_) live[entry.first.length] = true;
+    const auto longest = std::find(live.rbegin(), live.rend(), true);
+    return std::find(longest, live.rend(), false) != live.rend();
+  }
 
  private:
   std::map<PrefixT, NextHop> routes_;
@@ -355,6 +368,114 @@ TEST(RibTable, MatchesNaiveReferenceIpv4) {
 
 TEST(RibTable, MatchesNaiveReferenceIpv6) {
   rib_matches_naive_reference<Prefix6>(202);
+}
+
+/// Many add / delete cycles over a small pool of prefixes whose lengths
+/// step through 0..kWidth: the even ones nest along one address, so aimed
+/// lookups walk a chain of lengths, and the odd ones are scattered. Every
+/// prefix is withdrawn, re-announced and replaced many times, which reuses
+/// its slot, and withdrawn slots live through the table's growths.
+template <typename PrefixT>
+void slot_reuse_matches_naive_reference(std::uint64_t seed) {
+  using Bits = typename PrefixT::Bits;
+  using Family = fib::AddressFamily<Bits>;
+  Rng rng(seed);
+  constexpr std::size_t kPool = 64;
+  const Bits base = Family::random(rng);
+  std::vector<PrefixT> pool;
+  for (std::size_t i = 0; i < kPool; ++i) {
+    const auto length =
+        static_cast<std::uint8_t>(i * PrefixT::kWidth / (kPool - 1));
+    const Bits bits = i % 2 == 0 ? base : Family::random(rng);
+    pool.push_back(PrefixT::make(bits, length));
+  }
+
+  BasicRibTable<PrefixT> rib;
+  NaiveRib<PrefixT> naive;
+  std::set<PrefixT> announced;  // every prefix ever added: one slot each
+  std::size_t growths_with_withdrawn = 0;
+  std::size_t reannounced = 0;
+  std::size_t replaced = 0;
+  std::size_t gap_lookups = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const PrefixT& prefix = pool[rng.below(pool.size())];
+    const std::size_t bytes_before = rib.memory_bytes();
+    if (rng.chance(0.4)) {
+      ASSERT_EQ(rib.route_delete(prefix), naive.route_delete(prefix));
+    } else {
+      const auto next_hop = static_cast<NextHop>(1 + rng.below(3));
+      const bool fresh = naive.route_add(prefix, next_hop);
+      ASSERT_EQ(rib.route_add(prefix, next_hop), fresh) << "round " << round;
+      if (fresh && announced.contains(prefix)) ++reannounced;
+      if (!fresh) ++replaced;
+      announced.insert(prefix);
+    }
+    if (rib.memory_bytes() != bytes_before &&
+        rib.size() < rib.entry_count()) {
+      ++growths_with_withdrawn;
+    }
+    ASSERT_EQ(rib.size(), naive.size());
+    ASSERT_EQ(rib.entry_count(), announced.size());
+    for (const PrefixT& p : pool) {
+      ASSERT_EQ(rib.exact(p), naive.exact(p)) << "round " << round;
+    }
+    const Bits span = ~fib::prefix_mask<Bits>(prefix.length);
+    const Bits aimed = prefix.bits | (Family::random(rng) & span);
+    if (naive.has_length_gap()) ++gap_lookups;
+    ASSERT_EQ(rib.lookup(aimed), naive.lookup(aimed)) << "round " << round;
+    ASSERT_EQ(rib.lookup(base), naive.lookup(base)) << "round " << round;
+  }
+  std::vector<PrefixT> live;
+  for (const PrefixT& p : announced) {
+    if (naive.exact(p).has_value()) live.push_back(p);
+  }
+  std::ranges::sort(live, [](const PrefixT& a, const PrefixT& b) {
+    return std::pair(a.length, a.bits) < std::pair(b.length, b.bits);
+  });
+  EXPECT_EQ(rib.prefixes(), live);
+  EXPECT_GE(growths_with_withdrawn, 2u);
+  EXPECT_GT(reannounced, 100u);
+  EXPECT_GT(replaced, 100u);
+  EXPECT_GT(gap_lookups, 100u);
+}
+
+TEST(RibTable, SlotReuseMatchesNaiveReferenceIpv4) {
+  slot_reuse_matches_naive_reference<Prefix>(303);
+}
+
+TEST(RibTable, SlotReuseMatchesNaiveReferenceIpv6) {
+  slot_reuse_matches_naive_reference<Prefix6>(404);
+}
+
+TEST(RibTable, DeletingAnAbsentPrefixChangesNothing) {
+  RibTable rib;
+  ASSERT_TRUE(rib.route_add(Prefix::parse("10.0.0.0/8"), 1));
+  ASSERT_TRUE(rib.route_add(Prefix::parse("10.1.0.0/16"), 2));
+  ASSERT_TRUE(rib.route_delete(Prefix::parse("10.1.0.0/16")));
+  const std::vector<Prefix> prefixes = rib.prefixes();
+  const std::size_t size = rib.size();
+  const std::size_t entries = rib.entry_count();
+  const auto delete_misses = [&](const char* text) {
+    EXPECT_FALSE(rib.route_delete(Prefix::parse(text))) << text;
+    EXPECT_EQ(rib.size(), size) << text;
+    EXPECT_EQ(rib.entry_count(), entries) << text;
+    EXPECT_EQ(rib.prefixes(), prefixes) << text;
+  };
+  // Never added: a shorter and a longer prefix of a live route, a sibling
+  // and the default route. The withdrawn /16 misses too.
+  delete_misses("10.0.0.0/7");
+  delete_misses("10.0.0.0/9");
+  delete_misses("11.0.0.0/8");
+  delete_misses("0.0.0.0/0");
+  delete_misses("10.1.0.0/16");
+  EXPECT_EQ(size, 1u);
+  EXPECT_EQ(entries, 2u);
+
+  RibTable6 rib6;
+  EXPECT_FALSE(rib6.route_delete(Prefix6::parse("2001:db8::/32")));
+  EXPECT_EQ(rib6.size(), 0u);
+  EXPECT_EQ(rib6.entry_count(), 0u);
+  EXPECT_TRUE(rib6.prefixes().empty());
 }
 
 TEST(RibTable, PrefixesAreSortedAndComplete) {

@@ -175,6 +175,47 @@ TEST(Subforest, OutputBufferOverloadsMatchConvenienceForms) {
   }
 }
 
+TEST(Subforest, SetBitScanMatchesAllNodeScan) {
+  // maximal_roots() and as_vector() scan the set bits of the rank bitmap
+  // and sort the translated ids. The reference is the all-node scan they
+  // replace. The tree's ids are not its preorder ranks, so a missing
+  // translation shows; its 200 ranks end in a partial word.
+  Rng rng(31);
+  const Tree t = trees::random_recursive(200, rng);
+  ASSERT_FALSE(t.is_preorder_labeled());
+  const auto from = t.from_preorder();
+  const auto cache_subtree = [&](Subforest& cache, NodeId u) {
+    if (cache.contains(u)) return;
+    const std::vector<NodeId> missing = cache.missing_subtree(u);
+    for (auto it = missing.rbegin(); it != missing.rend(); ++it) {
+      cache.insert(*it);
+    }
+  };
+  // Ranks on the word edges and in the last, partial word.
+  const std::uint32_t edges[] = {63, 64, 127, 128, 192, 199};
+  for (int trial = 0; trial < 200; ++trial) {
+    Subforest cache(t);
+    for (const std::uint32_t r : edges) {
+      if (rng.chance(0.5)) cache_subtree(cache, from[r]);
+    }
+    const std::size_t extra = rng.below(6);
+    for (std::size_t i = 0; i < extra; ++i) {
+      cache_subtree(cache, static_cast<NodeId>(rng.below(t.size())));
+    }
+    ASSERT_TRUE(cache.is_valid());
+    std::vector<NodeId> roots;
+    std::vector<NodeId> cached;
+    for (NodeId v = 0; v < t.size(); ++v) {
+      if (!cache.contains(v)) continue;
+      cached.push_back(v);
+      const NodeId p = t.parent(v);
+      if (p == kNoNode || !cache.contains(p)) roots.push_back(v);
+    }
+    ASSERT_EQ(cache.maximal_roots(), roots) << "trial " << trial;
+    ASSERT_EQ(cache.as_vector(), cached) << "trial " << trial;
+  }
+}
+
 TEST(Subforest, PositiveChangesetValidity) {
   const Tree t = trees::path(4);
   const Subforest cache = path_cache_suffix(t, 3);  // {3} cached

@@ -30,9 +30,9 @@
 //   ingest     --rib-feed dump.feed[,updates.feed...] [--json out.json]
 //              [--follow [--poll-ms P] [--idle-ms I]]; streams the
 //              feed(s) — text or binary MRT, sniffed per file — into
-//              per-family radix RIBs (route_add/route_delete), rebuilds
-//              the replay FIBs, and reports routes, churn, bytes,
-//              routes/sec and tree depth histograms (schema
+//              per-family flat hash-table RIBs (route_add/route_delete),
+//              rebuilds the replay FIBs, and reports routes, churn,
+//              bytes, routes/sec and tree depth histograms (schema
 //              treecache.ingest/1). --follow tail-polls the last file
 //              for growth and stops after --idle-ms with no new bytes
 //              (0 = follow until killed)
