@@ -8,7 +8,9 @@
 // (ingested dump+update churn) through the same open-loop engine at 1x1
 // and 8xN. The tc-deep rows run a 13-level universe, deep enough that
 // TC's subtree slice scans carry the round, at 1x1 and at 8xN with
-// pinned, first-touched workers.
+// pinned workers, each shard's state first-touched on worker s % workers
+// (the open loop's idle workers take any queued shard, so that placement
+// holds until a shard first moves).
 // Identical seed per mode, best of TREECACHE_BENCH_REPS repetitions; emits
 // BENCH_throughput.json when TREECACHE_BENCH_JSON_DIR is set (the CI perf
 // artifact).
@@ -46,7 +48,7 @@ struct Mode {
   bool real_feed = false;    // fib-real: ingested RIB feed replay
   std::string baseline{};    // mode name the speedup column divides by
   bool deep = false;         // run on the deep (13-level) universe
-  bool pin = false;  // pin workers + first-touch shard state (open loop)
+  bool pin = false;  // pin workers; first-touch shard s on s % workers
 };
 
 /// Every row runs the paper's TC.
@@ -219,7 +221,7 @@ int main() {
        .real_feed = true,
        .baseline = "fib-real-1x1"},
       // Deep-universe rows: TC on the 13-level tree, unsharded and then
-      // sharded 8xN with pinned, first-touched workers.
+      // sharded 8xN with pinned workers and first-touched shard state.
       {.name = "tc-deep-1x1",
        .shards = 1,
        .baseline = "tc-deep-1x1",
@@ -382,7 +384,9 @@ int main() {
       "the batched no-observer hot path is the single-instance ceiling; "
       "8 contiguous-preorder shards keep the aggregate cost bit-identical "
       "across thread counts while requests/sec scales with the worker "
-      "count (bounded by the machine's cores — see the threads column). "
+      "count (bounded by the machine's cores — see the threads column); "
+      "open-loop workers are work-conserving: any idle worker steps any "
+      "shard that has queued chunks. "
       "The fib-closed rows shard the closed loop itself: one producer "
       "generates the event stream once, behind a mutex, and each worker "
       "runs the fill/step/observe loops of the shards it owns — so the "
@@ -391,8 +395,9 @@ int main() {
       "whether that pays on this machine. "
       "The fib-real rows swap the synthetic stream for replayed RIB-feed "
       "churn. The tc-deep rows run TC on a 13-level universe where the "
-      "subtree slice scans are long (tc-deep-8xN adds pinned, "
-      "first-touched shard workers). The rib-1m rows stress the ingestion "
+      "subtree slice scans are long (tc-deep-8xN adds pinned workers, "
+      "each shard's state first-touched on worker s % workers until the "
+      "shard first moves). The rib-1m rows stress the ingestion "
       "layer at internet scale: ~1M synthetic IPv4 routes applied to the "
       "RIB's hash table (records/s) and rebuilt into the replay rule tree "
       "(nodes/s), with the table's entries and heap bytes and peak RSS as "

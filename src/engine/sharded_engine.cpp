@@ -37,22 +37,47 @@ int pin_to_cpu(std::size_t w) {
   return -1;
 }
 
-/// Bound on chunks buffered per worker by the open-loop demux. Generation
-/// outruns stepping, so every queue sits at this bound and it sets the
-/// demux's resident memory (workers × bound × EngineConfig::batch
-/// requests). A slow shard backpressures the producer instead of growing
-/// memory; four chunks already keep a worker fed through each refill.
+/// Bound on the chunks the open-loop demux keeps queued, per worker: all
+/// workers share one pool of kMaxQueuedChunks × workers chunks. Generation
+/// outruns stepping, so the pool sits at this bound and it sets the demux's
+/// resident memory (workers × bound × EngineConfig::batch requests). A slow
+/// shard backpressures the producer instead of growing memory; four chunks
+/// per worker already keep every worker fed through each refill.
 constexpr std::size_t kMaxQueuedChunks = 4;
 
-/// FIFO of (shard, chunk) pairs feeding one worker. A shard is pinned to
-/// exactly one worker, so per-shard order is the queue order.
-struct WorkerQueue {
-  std::mutex mutex;
-  std::condition_variable ready;  // consumer: work available or shutdown
-  std::condition_variable space;  // producer: below the chunk bound
-  std::deque<std::pair<std::size_t, std::vector<Request>>> chunks;
-  bool done = false;
+/// One shard's tally: the RunResult its AccountingSink bumps every round,
+/// alone in a 128-byte slot (two cache lines, because the L2 spatial
+/// prefetcher pulls lines in pairs), so workers stepping neighbouring
+/// shards never write to one line. Copied into EngineResult::per_shard
+/// after the join.
+struct alignas(128) Tally {
+  sim::RunResult result;
 };
+
+/// Copies each shard's tally into out.per_shard, finalized from its
+/// instance, and sums them into out.total in shard order (a fixed order, so
+/// the totals are reproducible bit for bit).
+void finalize(EngineResult& out, std::span<const Tally> tallies,
+              std::span<const std::unique_ptr<OnlineAlgorithm>> algs) {
+  out.per_shard.reserve(tallies.size());
+  for (std::size_t s = 0; s < tallies.size(); ++s) {
+    sim::RunResult& r = out.per_shard.emplace_back(tallies[s].result);
+    r.cost = algs[s]->cost();
+    r.final_cache_size = algs[s]->cache().size();
+    out.total.cost += r.cost;
+    out.total.rounds += r.rounds;
+    out.total.paid_requests += r.paid_requests;
+    out.total.paid_positive += r.paid_positive;
+    out.total.paid_negative += r.paid_negative;
+    out.total.fetched_nodes += r.fetched_nodes;
+    out.total.evicted_nodes += r.evicted_nodes;
+    out.total.phase_restarts += r.phase_restarts;
+    out.total.restart_evictions += r.restart_evictions;
+    out.total.max_cache_size =
+        std::max(out.total.max_cache_size, r.max_cache_size);
+    out.total.final_cache_size += r.final_cache_size;
+  }
+}
 
 }  // namespace
 
@@ -149,12 +174,12 @@ EngineResult ShardedEngine::run(RequestSource& source) {
 
   const std::size_t workers = effective_threads();
   out.threads = workers;
-  out.per_shard.resize(num_shards);
 
+  std::vector<Tally> tallies(num_shards);
   std::vector<sim::AccountingSink> sinks;
   sinks.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    sinks.emplace_back(out.per_shard[s], *algs_[s], nullptr);
+    sinks.emplace_back(tallies[s].result, *algs_[s], nullptr);
   }
 
   // Per-shard demux buffers, flushed to the shard's executor when full.
@@ -182,64 +207,90 @@ EngineResult ShardedEngine::run(RequestSource& source) {
       if (!pending[s].empty()) flush(s);
     }
   } else {
-    // Threaded: shard s is pinned to worker s % workers; the caller thread
-    // demuxes and the workers drain their queues through step_batch.
-    std::vector<WorkerQueue> queues(workers);
+    // Threaded: the caller thread demuxes full chunks into per-shard FIFOs,
+    // and any idle worker steps any runnable shard — one with queued chunks
+    // that no other worker is running — staying on it while chunks remain.
+    // A shard thus runs on one worker at a time, in FIFO order. `runnable`
+    // holds a shard exactly when it has chunks and is not running. A chunk
+    // is ~0.4 ms of stepping at the default batch, so the one mutex is
+    // taken rarely.
+    std::mutex mutex;
+    std::condition_variable work;   // workers: a runnable shard, done, failed
+    std::condition_variable space;  // demux: below the bound, or failed
+    std::vector<std::deque<std::vector<Request>>> chunks(num_shards);
+    std::vector<char> running(num_shards, 0);
+    std::deque<std::size_t> runnable;
+    std::size_t queued = 0;  // chunks in every FIFO
+    const std::size_t bound = kMaxQueuedChunks * workers;
+    bool done = false;
+    // Written under `mutex`; read without it by the demux's fill loop.
     std::atomic<bool> failed{false};
     std::exception_ptr error;
-    std::mutex error_mutex;
+
+    const auto drain = [&](std::size_t w) {
+      if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
+      std::unique_lock<std::mutex> lock(mutex);
+      for (;;) {
+        work.wait(lock, [&] {
+          return !runnable.empty() || done ||
+                 failed.load(std::memory_order_relaxed);
+        });
+        // Done and drained: chunks left belong to shards still running.
+        if (runnable.empty() || failed.load(std::memory_order_relaxed)) {
+          return;
+        }
+        const std::size_t s = runnable.front();
+        runnable.pop_front();
+        running[s] = 1;
+        while (!chunks[s].empty() &&
+               !failed.load(std::memory_order_relaxed)) {
+          std::vector<Request> chunk = std::move(chunks[s].front());
+          chunks[s].pop_front();
+          --queued;
+          lock.unlock();
+          space.notify_one();
+          algs_[s]->step_batch(chunk, sinks[s]);
+          chunk = {};  // free outside the lock
+          lock.lock();
+        }
+        running[s] = 0;
+      }
+    };
 
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
-        if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-        WorkerQueue& queue = queues[w];
-        for (;;) {
-          std::pair<std::size_t, std::vector<Request>> item;
+        try {
+          drain(w);
+        } catch (...) {
+          // Flip `failed` under the mutex, so a demux blocked on the bound
+          // cannot evaluate its predicate between the store and the wakeup
+          // (a lost notify would deadlock run()); wake every waiter.
           {
-            std::unique_lock<std::mutex> lock(queue.mutex);
-            queue.ready.wait(lock, [&] {
-              return !queue.chunks.empty() || queue.done;
-            });
-            if (queue.chunks.empty()) return;  // done and drained
-            item = std::move(queue.chunks.front());
-            queue.chunks.pop_front();
+            const std::lock_guard<std::mutex> lock(mutex);
+            if (!error) error = std::current_exception();
+            failed.store(true, std::memory_order_relaxed);
           }
-          queue.space.notify_one();
-          try {
-            algs_[item.first]->step_batch(item.second, sinks[item.first]);
-          } catch (...) {
-            {
-              const std::lock_guard<std::mutex> lock(error_mutex);
-              if (!error) error = std::current_exception();
-            }
-            // The producer may be blocked on this queue's bound; flip
-            // `failed` under the queue mutex so it cannot evaluate the wait
-            // predicate between the store and the wakeup (a lost notify
-            // would deadlock run()), then wake it.
-            {
-              const std::lock_guard<std::mutex> lock(queue.mutex);
-              failed.store(true, std::memory_order_relaxed);
-            }
-            queue.space.notify_all();
-            return;
-          }
+          space.notify_all();
+          work.notify_all();
         }
       });
     }
 
     const auto enqueue = [&](std::size_t s) {
-      WorkerQueue& queue = queues[s % workers];
+      bool wake = false;
       {
-        std::unique_lock<std::mutex> lock(queue.mutex);
-        queue.space.wait(lock, [&] {
-          return queue.chunks.size() < kMaxQueuedChunks ||
-                 failed.load(std::memory_order_relaxed);
+        std::unique_lock<std::mutex> lock(mutex);
+        space.wait(lock, [&] {
+          return queued < bound || failed.load(std::memory_order_relaxed);
         });
-        queue.chunks.emplace_back(s, std::move(pending[s]));
+        wake = chunks[s].empty() && running[s] == 0;
+        if (wake) runnable.push_back(s);
+        chunks[s].push_back(std::move(pending[s]));
+        ++queued;
       }
-      queue.ready.notify_one();
+      if (wake) work.notify_one();
       pending[s] = {};
       pending[s].reserve(config_.batch);
     };
@@ -267,49 +318,19 @@ EngineResult ShardedEngine::run(RequestSource& source) {
     } catch (...) {
       producer_error = std::current_exception();
     }
-    for (auto& queue : queues) {
-      {
-        const std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.done = true;
-      }
-      queue.ready.notify_one();
-      // A failed run may leave a producer-side wait pending in theory;
-      // wake it so shutdown cannot stall.
-      queue.space.notify_all();
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      done = true;
     }
+    work.notify_all();
     for (auto& worker : pool) worker.join();
     if (producer_error) std::rethrow_exception(producer_error);
     if (error) std::rethrow_exception(error);
   }
 
-  finalize(out);
+  finalize(out, tallies, algs_);
   out.total.wall_seconds = timer.seconds();
   return out;
-}
-
-void ShardedEngine::finalize(EngineResult& out) const {
-  // Finalize each shard from its instance, then aggregate in shard order
-  // (a fixed order, so the totals are reproducible bit for bit).
-  for (std::size_t s = 0; s < plan_.num_shards(); ++s) {
-    sim::RunResult& r = out.per_shard[s];
-    r.cost = algs_[s]->cost();
-    r.final_cache_size = algs_[s]->cache().size();
-    // Per-shard results uniformly carry no wall time; only the aggregate
-    // does (some paths, e.g. run_source per shard, measure one).
-    r.wall_seconds = 0.0;
-    out.total.cost += r.cost;
-    out.total.rounds += r.rounds;
-    out.total.paid_requests += r.paid_requests;
-    out.total.paid_positive += r.paid_positive;
-    out.total.paid_negative += r.paid_negative;
-    out.total.fetched_nodes += r.fetched_nodes;
-    out.total.evicted_nodes += r.evicted_nodes;
-    out.total.phase_restarts += r.phase_restarts;
-    out.total.restart_evictions += r.restart_evictions;
-    out.total.max_cache_size =
-        std::max(out.total.max_cache_size, r.max_cache_size);
-    out.total.final_cache_size += r.final_cache_size;
-  }
 }
 
 EngineResult ShardedEngine::run_split(
@@ -326,15 +347,15 @@ EngineResult ShardedEngine::run_split(
   out.shards = num_shards;
   out.pinned = config_.pin_threads;
   out.worker_cpus = worker_cpus_;
-  out.per_shard.resize(num_shards);
   const Stopwatch timer;
   const std::size_t workers = num_shards == 1 ? 1 : effective_threads();
   out.threads = workers;
 
+  std::vector<Tally> tallies(num_shards);
   std::vector<sim::AccountingSink> sinks;
   sinks.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    sinks.emplace_back(out.per_shard[s], *algs_[s], mirrors[s].get());
+    sinks.emplace_back(tallies[s].result, *algs_[s], mirrors[s].get());
   }
 
   // Worker w runs the closed loops of the shards it owns (s % workers == w):
@@ -345,6 +366,12 @@ EngineResult ShardedEngine::run_split(
   // and draining one shard first would queue most of the stream for its
   // siblings. Shards share no state but that producer, so the order is
   // free and per-shard results are unchanged; no outcome crosses a thread.
+  // Ownership stays static, unlike run()'s work-conserving pool: a closed
+  // loop hands over ~1.24 requests per fill, so moving shards costs more
+  // than the balance gains. On a 4-vCPU KVM guest, a variant that claimed
+  // any free shard per pass ran a 1M-route FIB at 8 shards on 3 workers at
+  // 1.69–1.77M ops/s against 1.99–2.25M, with CPU per op up from 784–875
+  // to 1,061–1,119 ns.
   std::atomic<bool> failed{false};
   const auto drive = [&](std::size_t w) {
     std::vector<Request> buffer(config_.batch);
@@ -390,7 +417,7 @@ EngineResult ShardedEngine::run_split(
     for (auto& worker : pool) worker.join();
     if (error) std::rethrow_exception(error);
   }
-  finalize(out);
+  finalize(out, tallies, algs_);
   out.total.wall_seconds = timer.seconds();
   return out;
 }

@@ -9,21 +9,24 @@
 // OnlineAlgorithm::step_batch hot path.
 //
 // Determinism contract: routing is a pure function of the requested node,
-// each shard consumes its subsequence in stream order (a shard is pinned
-// to one worker; queues are FIFO), and shard instances share no state — so
-// every per-shard RunResult, and therefore the aggregate, is bit-identical
-// regardless of the worker-thread count, including the sequential
-// threads=1 demux. Tests enforce equality against independent per-shard
-// sequential runs and across thread counts.
+// each shard consumes its subsequence in stream order (a shard runs on one
+// worker at a time, with its chunks in FIFO order), and shard instances
+// share no state — so every per-shard RunResult, and therefore the
+// aggregate, is bit-identical regardless of the worker-thread count,
+// including the sequential threads=1 demux. Tests enforce equality against
+// independent per-shard sequential runs and across thread counts.
 //
 // Open loops: every multi-shard open loop takes the demux, whatever the
 // worker count. The caller thread fills each batch once, routes each
 // request with ShardPlan::shard_of/to_local into per-shard chunks, and
-// hands every full chunk to the worker that owns the shard (a bounded
-// FIFO per worker; with one worker it steps the chunk inline). Each
-// request is generated exactly once, and the source is consumed from
-// wherever it stands — the engine never calls fork() or split() on an
-// open loop.
+// appends every full chunk to its shard's FIFO (with one worker it steps
+// the chunk inline). The workers are work-conserving: any idle worker
+// takes any shard that has queued chunks and that no other worker is
+// running, and steps its chunks in order while chunks remain, so shards
+// move between workers from chunk to chunk. All FIFOs together hold a
+// bounded number of chunks. Each request is generated exactly once, and
+// the source is consumed from wherever it stands — the engine never calls
+// fork() or split() on an open loop.
 //
 // Closed loops: with one shard the engine delegates to sim::run_source,
 // which feeds outcomes back to the source, so closed-loop sources (the FIB
@@ -69,13 +72,15 @@ struct EngineConfig {
   /// so config() reports the geometry actually used.
   std::size_t batch = sim::kDriverBatchSize;
   /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
-  /// a no-op elsewhere and when affinity is denied). Shard instances are
-  /// then also *constructed* on their pinned worker, so each shard's
-  /// cache bitmap, NodeState block and scratch arena are first-touched —
-  /// hence placed — on the core (and NUMA node) that runs it. Only
-  /// effective when the run actually uses more than one worker; the
-  /// constructor normalizes it to false otherwise, so config() reports
-  /// what was done.
+  /// a no-op elsewhere and when affinity is denied). Shard s's instance is
+  /// then also *constructed* on pinned worker s % workers, so its cache
+  /// bitmap, NodeState block and scratch arena are first-touched — hence
+  /// placed — on that worker's core (and NUMA node). run_split keeps shard
+  /// s on that worker for the whole run; run()'s open loop moves shards
+  /// between workers, so there the placement holds only until a shard
+  /// first moves. Only effective when the run actually uses more than one
+  /// worker; the constructor normalizes it to false otherwise, so config()
+  /// reports what was done.
   bool pin_threads = false;
 };
 
@@ -134,9 +139,6 @@ class ShardedEngine {
 
  private:
   [[nodiscard]] std::size_t effective_threads() const;
-  /// Sums per-shard results (already finalized from the instances) into
-  /// out.total, in shard order — fixed order, bit-reproducible totals.
-  void finalize(EngineResult& out) const;
 
   ShardPlan plan_;
   EngineConfig config_;

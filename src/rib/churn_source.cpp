@@ -7,7 +7,13 @@ namespace treecache::rib {
 template <typename PrefixT>
 BasicChurnReplay<PrefixT> make_churn_replay(
     const BasicIngest<PrefixT>& ingest) {
-  fib::BasicRuleTree<PrefixT> fib_tree = fib::build_rule_tree(ingest.touched);
+  // Every prefix the feed named: the RIB's entries (withdrawn routes keep
+  // theirs) plus the churn, whose withdraws may name a prefix that never
+  // held a route. build_rule_tree sorts and drops the repeats.
+  std::vector<PrefixT> named = ingest.rib.entries();
+  named.insert(named.end(), ingest.churn.begin(), ingest.churn.end());
+  fib::BasicRuleTree<PrefixT> fib_tree =
+      fib::build_rule_tree(std::move(named));
   std::vector<NodeId> churn_nodes;
   churn_nodes.reserve(ingest.churn.size());
   for (const PrefixT& p : ingest.churn) {

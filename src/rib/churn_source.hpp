@@ -41,9 +41,10 @@ struct BasicChurnReplay {
 using ChurnReplay = BasicChurnReplay<fib::Prefix>;
 using ChurnReplay6 = BasicChurnReplay<fib::Prefix6>;
 
-/// Builds a family's replay from its ingest: rule tree over `touched`
-/// (build_rule_tree drops its repeats), churn prefixes resolved to node
-/// ids (every churned prefix is in `touched`, so resolution cannot miss).
+/// Builds a family's replay from its ingest: rule tree over every prefix
+/// the feed named — the RIB's entries plus the churn prefixes — and the
+/// churn prefixes resolved to node ids (each is in the tree, so resolution
+/// cannot miss).
 template <typename PrefixT>
 [[nodiscard]] BasicChurnReplay<PrefixT> make_churn_replay(
     const BasicIngest<PrefixT>& ingest);

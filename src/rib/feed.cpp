@@ -148,7 +148,9 @@ std::string format_feed_record(const FeedRecord& record) {
     case FeedOp::kWithdraw:
       return std::to_string(record.timestamp) + "|withdraw|" + prefix;
   }
-  TC_CHECK(false, "unreachable feed op");
+  // A direct call: gcc does not see TC_CHECK(false, ...) as noreturn at -O0.
+  ::treecache::detail::check_failed("false", __FILE__, __LINE__,
+                                    "unreachable feed op");
 }
 
 FeedReader::FeedReader(std::vector<std::string> paths)

@@ -7,7 +7,6 @@ namespace {
 template <typename PrefixT>
 void apply_family(BasicIngest<PrefixT>& family, const FeedRecord& record,
                   const PrefixT& prefix) {
-  family.touched.push_back(prefix);
   switch (record.op) {
     case FeedOp::kDump:
       ++family.stats.dump_routes;

@@ -29,16 +29,15 @@ struct IngestStats {
 };
 
 /// One family's ingest product: the RIB after all updates, the counters,
-/// every prefix the feed named, once per record and in feed order (the
-/// replay FIB is built over this superset, and its build drops the
-/// repeats; withdrawn routes keep their tree node — in the paper's model
-/// an update to a rule is an update to its node, whether the route
-/// survives or not), and the churn events in feed order.
+/// and the churn events in feed order. The RIB's entries (withdrawn routes
+/// keep their slot) plus the churn prefixes are every prefix the feed
+/// named: the replay FIB is built over that superset, so withdrawn routes
+/// keep their tree node — in the paper's model an update to a rule is an
+/// update to its node, whether the route survives or not.
 template <typename PrefixT>
 struct BasicIngest {
   BasicRibTable<PrefixT> rib;
   IngestStats stats;
-  std::vector<PrefixT> touched;
   std::vector<PrefixT> churn;
 
   [[nodiscard]] bool empty() const {

@@ -116,6 +116,18 @@ std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
 }
 
 template <typename PrefixT>
+std::vector<PrefixT> BasicRibTable<PrefixT>::entries() const {
+  std::vector<PrefixT> out;
+  out.reserve(entries_);
+  for (const Slot& slot : slots_) {
+    if (slot.state != State::kEmpty) {
+      out.push_back(PrefixT{slot.bits, slot.length});
+    }
+  }
+  return out;
+}
+
+template <typename PrefixT>
 fib::BasicRuleTree<PrefixT> rebuild_fib_from_rib(
     const BasicRibTable<PrefixT>& table) {
   return fib::build_rule_tree(table.prefixes());

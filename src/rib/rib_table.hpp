@@ -74,6 +74,10 @@ class BasicRibTable {
   /// deterministic input order for FIB rebuilds.
   [[nodiscard]] std::vector<PrefixT> prefixes() const;
 
+  /// Every prefix holding a slot (entry_count() of them: each prefix ever
+  /// announced, withdrawn ones included), in slot order — unsorted.
+  [[nodiscard]] std::vector<PrefixT> entries() const;
+
  private:
   enum class State : std::uint8_t { kEmpty, kWithdrawn, kLive };
 

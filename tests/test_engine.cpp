@@ -1,7 +1,9 @@
 // The sharded execution engine: shard-plan partition invariants, the
 // determinism contract (worker-thread count never changes results; the
-// sharded run equals independent per-shard sequential runs), and the
-// batched hot path (step_batch ≡ scalar step for every registered
+// sharded run equals independent per-shard sequential runs, also while
+// shards move between work-conserving workers), the failure protocol (a
+// throwing worker or source stops the run, which rethrows after the join),
+// and the batched hot path (step_batch ≡ scalar step for every registered
 // algorithm on every registered workload).
 #include "engine/sharded_engine.hpp"
 
@@ -9,10 +11,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/shard_plan.hpp"
@@ -621,6 +628,233 @@ TEST(ShardedEngine, ReportsWallTimeAndThroughput) {
   sim::RunResult b = result.total;
   b.wall_seconds = a.wall_seconds + 1.0;
   EXPECT_EQ(a, b);
+}
+
+// --- Work-conserving open-loop workers -----------------------------------
+
+/// Fills of the source the fault-injection test gates on; the probe
+/// algorithm reads it to wait until the demux stands still.
+std::atomic<std::uint64_t> g_gated_fills{0};
+
+/// Wraps a registered algorithm (param `inner`, default tc) and records the
+/// threads that stepped it, so a test can see shards move between workers.
+/// With param `throw-at` = r > 0 its r-th step waits until the demux stops
+/// filling (g_gated_fills stands still), then throws. Registered in this
+/// test binary only; with the defaults it is `inner`, so the step_batch
+/// suite below checks it like every other algorithm.
+class ProbeAlgorithm final : public OnlineAlgorithm {
+ public:
+  ProbeAlgorithm(std::unique_ptr<OnlineAlgorithm> inner,
+                 std::uint64_t throw_at)
+      : inner_(std::move(inner)), throw_at_(throw_at) {}
+
+  [[nodiscard]] std::string_view name() const override { return "probe"; }
+
+  StepOutcome step(Request request) override {
+    const std::thread::id self = std::this_thread::get_id();
+    if (std::find(threads_.begin(), threads_.end(), self) == threads_.end()) {
+      threads_.push_back(self);
+    }
+    if (++rounds_ == throw_at_) {
+      wait_for_stalled_demux();
+      throw std::runtime_error("probe: injected step failure");
+    }
+    return inner_->step(request);
+  }
+
+  void reset() override {
+    inner_->reset();
+    threads_.clear();
+    rounds_ = 0;
+  }
+  [[nodiscard]] const Subforest& cache() const override {
+    return inner_->cache();
+  }
+  [[nodiscard]] const Cost& cost() const override { return inner_->cost(); }
+
+  /// Distinct threads that stepped this instance since its last reset.
+  [[nodiscard]] std::size_t threads_seen() const { return threads_.size(); }
+
+ private:
+  /// Returns once g_gated_fills has not moved for 50 ms (or after 10 s):
+  /// with every worker held here, the demux then sits blocked on its
+  /// chunk bound.
+  static void wait_for_stalled_demux() {
+    using namespace std::chrono_literals;
+    std::uint64_t seen = g_gated_fills.load();
+    auto still_since = std::chrono::steady_clock::now();
+    const auto give_up = still_since + 10s;
+    while (std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(5ms);
+      const std::uint64_t now = g_gated_fills.load();
+      if (now != seen) {
+        seen = now;
+        still_since = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - still_since >= 50ms) {
+        return;
+      }
+    }
+  }
+
+  std::unique_ptr<OnlineAlgorithm> inner_;
+  std::uint64_t throw_at_;
+  std::uint64_t rounds_ = 0;
+  std::vector<std::thread::id> threads_;
+};
+
+const sim::AlgorithmRegistrar kProbeRegistrar{
+    "probe", "test only: an inner algorithm that records its threads",
+    [](const Tree& tree, const sim::Params& params) {
+      return std::make_unique<ProbeAlgorithm>(
+          sim::make_algorithm(params.get("inner", "tc"), tree, params),
+          params.get_u64("throw-at", 0));
+    }};
+
+/// Hands out at most `per_fill` requests of an inner stream per fill(),
+/// counts its fills into g_gated_fills, and throws from fill number
+/// `throw_at` (0 = never).
+class GatedSource final : public RequestSource {
+ public:
+  GatedSource(std::unique_ptr<RequestSource> inner, std::size_t per_fill,
+              std::uint64_t throw_at = 0)
+      : inner_(std::move(inner)), per_fill_(per_fill), throw_at_(throw_at) {
+    g_gated_fills = 0;
+  }
+  [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
+    if (++g_gated_fills == throw_at_) {
+      throw std::runtime_error("source: injected fill failure");
+    }
+    return inner_->fill(buffer.first(std::min(buffer.size(), per_fill_)));
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<RequestSource> inner_;
+  std::size_t per_fill_;
+  std::uint64_t throw_at_;
+};
+
+TEST(ShardedEngine, ShardsMoveBetweenWorkersAndMatchSequentialRuns) {
+  // Small chunks and uneven worker counts make idle workers take shards
+  // that other workers ran before. Every algorithm's per-shard results must
+  // still equal independent sequential runs of each shard's subsequence,
+  // on a uniform stream and on one where shard 5 takes most requests.
+  const Tree tree = trees::complete_kary(4, 8);
+  const engine::ShardPlan plan(tree, 8);
+  ASSERT_EQ(plan.num_shards(), 8u);
+  std::vector<NodeId> hot;
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    if (plan.shard_of(v) == 5) hot.push_back(v);
+  }
+  Rng rng(37);
+  Trace uniform;
+  Trace skewed;
+  for (std::size_t i = 0; i < 12000; ++i) {
+    const Sign sign = rng.chance(0.2) ? Sign::kNegative : Sign::kPositive;
+    uniform.push_back({static_cast<NodeId>(rng.below(tree.size())), sign});
+    const NodeId v = rng.chance(0.8)
+                         ? rng.pick(hot)
+                         : static_cast<NodeId>(rng.below(tree.size()));
+    skewed.push_back({v, sign});
+  }
+
+  struct Geometry {
+    std::size_t threads;
+    std::size_t batch;
+  };
+  const Geometry geometries[] = {{2, 16}, {3, 37}, {5, 64}};
+  for (const std::string& algorithm :
+       sim::AlgorithmRegistry::instance().names()) {
+    if (algorithm == "probe") continue;
+    sim::Params params = engine_params();
+    params.set("inner", algorithm);
+    for (const auto& [stream_name, trace] :
+         {std::pair{"uniform", &uniform}, std::pair{"skewed", &skewed}}) {
+      std::vector<sim::RunResult> reference;
+      for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+        Trace local;
+        for (const Request& r : *trace) {
+          if (plan.shard_of(r.node) == s) local.push_back(plan.to_local(r));
+        }
+        const auto alg =
+            sim::make_algorithm(algorithm, plan.shard_tree(s), params);
+        reference.push_back(sim::run_trace(*alg, local));
+      }
+      for (const Geometry& g : geometries) {
+        SCOPED_TRACE(algorithm + " x " + stream_name + " x " +
+                     std::to_string(g.threads) + " threads");
+        engine::ShardedEngine eng(
+            tree, "probe", params,
+            {.shards = 8, .threads = g.threads, .batch = g.batch});
+        TraceSource source{std::span<const Request>(*trace)};
+        const engine::EngineResult result = eng.run(source);
+        EXPECT_EQ(result.threads, g.threads);
+        ASSERT_EQ(result.per_shard.size(), reference.size());
+        std::size_t moved = 0;
+        for (std::size_t s = 0; s < reference.size(); ++s) {
+          EXPECT_EQ(result.per_shard[s], reference[s]) << "shard " << s;
+          const auto& probe =
+              dynamic_cast<const ProbeAlgorithm&>(eng.algorithm(s));
+          if (probe.threads_seen() > 1) ++moved;
+        }
+        EXPECT_EQ(result.total.rounds, trace->size());
+        // How often shards moved depends on the scheduler and the cores
+        // available, so it is printed, never asserted.
+        std::printf("[ moved    ] %s %s %zu threads: %zu of 8 shards ran on "
+                    "more than one worker\n",
+                    algorithm.c_str(), stream_name, g.threads, moved);
+      }
+    }
+  }
+}
+
+TEST(ShardedEngine, WorkerThrowWakesTheDemuxBlockedOnTheBound) {
+  // Every worker's first step holds until the demux stops filling — it is
+  // then blocked on the full chunk bound — and throws. run() must wake the
+  // demux, join every worker and rethrow, having generated only what the
+  // bound let through.
+  const Tree tree = trees::complete_kary(4, 8);
+  sim::Params params = engine_params();
+  params.set("length", "200000");
+  params.set("throw-at", "1");
+  engine::ShardedEngine eng(tree, "probe", params,
+                            {.shards = 8, .threads = 2, .batch = 16});
+  GatedSource source(sim::make_source("uniform", tree, params, 5), 16);
+  try {
+    (void)eng.run(source);
+    ADD_FAILURE() << "run() returned despite a throwing worker";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "probe: injected step failure");
+  }
+  EXPECT_LT(g_gated_fills.load() * 16, 200000u);
+}
+
+TEST(ShardedEngine, SourceThrowMidStreamJoinsWorkersAndRethrows) {
+  const Tree tree = trees::complete_kary(4, 8);
+  const sim::Params params = engine_params();
+  engine::ShardedEngine eng(tree, "tc", params,
+                            {.shards = 8, .threads = 3, .batch = 16});
+  GatedSource failing(sim::make_source("uniform", tree, params, 9), 64,
+                      /*throw_at=*/40);
+  try {
+    (void)eng.run(failing);
+    ADD_FAILURE() << "run() returned despite a throwing source";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "source: injected fill failure");
+  }
+  EXPECT_EQ(g_gated_fills.load(), 40u);
+
+  // The engine stays usable: a clean run matches a fresh engine's.
+  GatedSource clean(sim::make_source("uniform", tree, params, 9), 64);
+  const engine::EngineResult again = eng.run(clean);
+  engine::ShardedEngine fresh(tree, "tc", params,
+                              {.shards = 8, .threads = 3, .batch = 16});
+  const auto source = sim::make_source("uniform", tree, params, 9);
+  const engine::EngineResult expected = fresh.run(*source);
+  EXPECT_EQ(again.total, expected.total);
+  for (std::size_t s = 0; s < expected.per_shard.size(); ++s) {
+    EXPECT_EQ(again.per_shard[s], expected.per_shard[s]) << "shard " << s;
+  }
 }
 
 // --- step_batch ≡ scalar step --------------------------------------------

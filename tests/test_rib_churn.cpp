@@ -65,10 +65,17 @@ TEST(FixtureFeeds, IngestEndToEnd) {
   EXPECT_FALSE(both.v4.empty());
   EXPECT_FALSE(both.v6.empty());
 
-  // touched ⊇ live ∪ churned: every churn event resolves in the replay.
+  // The replay tree holds every entry (live or withdrawn) and every churned
+  // prefix: every churn event resolves in the replay.
   const ChurnReplay replay = make_churn_replay(both.v4);
   EXPECT_EQ(replay.churn_nodes.size(), both.v4.stats.updates());
-  EXPECT_GE(both.v4.touched.size(), both.v4.rib.size());
+  EXPECT_GE(both.v4.rib.entry_count(), both.v4.rib.size());
+  // No withdraw missed, so the churn names no prefix beyond the entries;
+  // node 0 is the artificial default rule.
+  EXPECT_EQ(replay.fib.tree.size(), both.v4.rib.entry_count() + 1);
+  for (const fib::Prefix& p : both.v4.rib.entries()) {
+    EXPECT_TRUE(replay.fib.exact(p).has_value()) << p.to_string();
+  }
   for (const NodeId node : replay.churn_nodes) {
     ASSERT_LT(node, replay.fib.tree.size());
   }
