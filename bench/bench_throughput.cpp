@@ -1,7 +1,7 @@
 // Throughput trajectory: requests/sec of the driver stack, from the
-// legacy per-round observer loop through the batched hot path to the
-// sharded engine at 8 shards — plus the closed loop: the FIB router
-// source sharded into per-shard mirrors, each shard's loop on its worker.
+// unsharded run_source driver to the sharded engine at 8 shards — plus the
+// closed loop: the FIB router source sharded into per-shard mirrors, each
+// shard's loop on its worker.
 // Open-loop rows share one Zipf stream over a tree with eight equal
 // top-level subtrees; closed-loop rows run the router event loop on a
 // synthetic RIB. The fib-real rows replay the checked-in RIB feed fixture
@@ -43,7 +43,6 @@ struct Mode {
   std::string name;
   std::size_t shards = 1;   // 1 = plain run_source driver
   std::size_t threads = 1;  // 0 = one worker per shard (hardware-capped)
-  bool observer = false;    // force the per-round observer slow path
   bool closed_loop = false;  // FIB router source instead of the Zipf stream
   bool real_feed = false;    // fib-real: ingested RIB feed replay
   std::string baseline{};    // mode name the speedup column divides by
@@ -64,16 +63,6 @@ Sample run_mode(const Mode& mode, const Tree& tree,
   const auto source = sim::make_source("zipf", tree, params, seed);
   if (mode.shards == 1) {
     const auto alg = sim::make_algorithm(kAlgo, tree, params);
-    if (mode.observer) {
-      // The pre-batching driver shape: a live (no-op) observer forces the
-      // scalar loop with its per-round std::function dispatch.
-      std::uint64_t sink = 0;
-      const sim::StepObserver observer =
-          [&sink](std::size_t, Request, const StepOutcome& out) {
-            sink += out.paid ? 1 : 0;
-          };
-      return {sim::run_source(*alg, *source, observer), 1};
-    }
     return {sim::run_source(*alg, *source), 1};
   }
   engine::ShardedEngine eng(tree, kAlgo, params,
@@ -188,9 +177,6 @@ int main() {
   // unsharded router loop — a closed-loop "speedup" vs an open-loop
   // baseline would compare different substrates and mean nothing.
   const std::vector<Mode> modes{
-      {.name = "scalar+observer",
-       .observer = true,
-       .baseline = "single-thread"},
       {.name = "single-thread", .shards = 1, .baseline = "single-thread"},
       {.name = "sharded-8x1",
        .shards = 8,
@@ -234,8 +220,8 @@ int main() {
        .pin = true},
   };
 
-  // Measure everything first: the single-thread baseline row itself gets a
-  // real speedup ratio (< 1 for the observer loop), not a placeholder.
+  // Measure everything first, so every row's speedup divides by its
+  // baseline's best rep.
   std::vector<Sample> best(modes.size());
   for (std::size_t m = 0; m < modes.size(); ++m) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -381,7 +367,7 @@ int main() {
   if (!json_path.empty()) sim::print_note("json", json_path);
   sim::print_note(
       "reading",
-      "the batched no-observer hot path is the single-instance ceiling; "
+      "the unsharded run_source driver is the single-instance ceiling; "
       "8 contiguous-preorder shards keep the aggregate cost bit-identical "
       "across thread counts while requests/sec scales with the worker "
       "count (bounded by the machine's cores — see the threads column); "

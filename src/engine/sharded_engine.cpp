@@ -19,9 +19,9 @@ namespace treecache::engine {
 namespace {
 
 /// Pins the calling thread to the CPU owned by worker `w` (w modulo the
-/// hardware concurrency — the same mapping every pool uses, so a worker
-/// lands on the same core at construction and on every run). Returns the
-/// CPU, or -1 when pinning is unavailable or denied (reported, not fatal).
+/// hardware concurrency, so a worker lands on the same core at construction
+/// and on every run). Returns the CPU, or -1 when pinning is unavailable or
+/// denied (reported, not fatal).
 int pin_to_cpu(std::size_t w) {
 #if defined(__linux__)
   const unsigned hardware =
@@ -79,6 +79,54 @@ void finalize(EngineResult& out, std::span<const Tally> tallies,
   }
 }
 
+/// The engine's one thread pool. Spawns `workers` threads, worker w running
+/// work(w) — pinned first, when `pin` is set, to the CPU of pin_to_cpu(w),
+/// which lands in cpus[w] when `cpus` is not empty — and runs caller() on
+/// the calling thread. The first exception thrown by any of them wins:
+/// stop() is called, which must make every sibling return, and the
+/// exception is rethrown once every thread has joined. With one worker it
+/// spawns nothing: the calling thread runs caller() and then work(0).
+template <typename Work, typename Caller, typename Stop>
+void run_pool(std::size_t workers, bool pin, std::span<int> cpus,
+              const Work& work, const Caller& caller, const Stop& stop) {
+  if (workers <= 1) {
+    caller();
+    work(0);
+    return;
+  }
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  const auto guarded = [&](const auto& part) {
+    try {
+      part();
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+      stop();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  // A failed spawn counts as the caller's throw: the workers already
+  // running are stopped and joined before it is rethrown.
+  guarded([&] {
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        if (pin) {
+          const int cpu = pin_to_cpu(w);
+          if (!cpus.empty()) cpus[w] = cpu;
+        }
+        guarded([&] { work(w); });
+      });
+    }
+    caller();
+  });
+  for (auto& thread : pool) thread.join();
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
@@ -94,41 +142,22 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
 
   const std::size_t num_shards = plan_.num_shards();
   algs_.resize(num_shards);
-  if (config_.pin_threads) {
-    // Build shard s on pinned worker s % workers — the owner under the
-    // run-time mapping of every pool. The instance's cache bitmap,
-    // NodeState block and scratch arena are first-touched on that worker's
-    // core, so their pages are placed on its NUMA node. The registry is
-    // read-only after static init, so concurrent make_algorithm calls are
-    // safe; each thread writes disjoint algs_/worker_cpus_ slots and the
-    // join publishes them.
-    const std::size_t workers = effective_threads();
-    worker_cpus_.assign(workers, -1);
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        worker_cpus_[w] = pin_to_cpu(w);
-        try {
-          for (std::size_t s = w; s < num_shards; s += workers) {
-            algs_[s] =
-                sim::make_algorithm(algorithm, plan_.shard_tree(s), params);
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-      });
-    }
-    for (auto& worker : pool) worker.join();
-    if (error) std::rethrow_exception(error);
-  } else {
-    for (std::size_t s = 0; s < num_shards; ++s) {
+  // With pin_threads, shard s is built on pinned worker s % workers, the
+  // worker that runs it in run_split: the instance's cache bitmap,
+  // NodeState block and scratch arena are first-touched on that worker's
+  // core, so their pages are placed on its NUMA node. The registry is
+  // read-only after static init, so concurrent make_algorithm calls are
+  // safe; each thread writes disjoint algs_/worker_cpus_ slots and the join
+  // publishes them.
+  const std::size_t builders = config_.pin_threads ? effective_threads() : 1;
+  if (config_.pin_threads) worker_cpus_.assign(builders, -1);
+  const auto build = [&](std::size_t w) {
+    for (std::size_t s = w; s < num_shards; s += builders) {
       algs_[s] = sim::make_algorithm(algorithm, plan_.shard_tree(s), params);
     }
-  }
+  };
+  // Each builder ends after its shards, so a throw needs no stop hook.
+  run_pool(builders, config_.pin_threads, worker_cpus_, build, [] {}, [] {});
 }
 
 std::size_t ShardedEngine::effective_threads() const {
@@ -182,19 +211,82 @@ EngineResult ShardedEngine::run(RequestSource& source) {
     sinks.emplace_back(tallies[s].result, *algs_[s], nullptr);
   }
 
-  // Per-shard demux buffers, flushed to the shard's executor when full.
+  // The caller thread demuxes each filled batch into per-shard chunks. With
+  // one worker it steps every full chunk inline, so the pool's drain(0),
+  // which runs after it on the same thread, finds the run done. Otherwise
+  // it appends the chunk to its shard's FIFO, and any idle worker steps any
+  // runnable shard — one with queued chunks that no other worker is
+  // running — staying on it while chunks remain. A shard thus runs on one
+  // worker at a time, in FIFO order. `runnable` holds a shard exactly when
+  // it has chunks and is not running. A chunk is ~0.4 ms of stepping at the
+  // default batch, so the one mutex is taken rarely.
   std::vector<std::vector<Request>> pending(num_shards);
   for (auto& p : pending) p.reserve(config_.batch);
   std::array<Request, sim::kDriverBatchSize> buffer;
+  std::mutex mutex;
+  std::condition_variable work;   // workers: a runnable shard, done, failed
+  std::condition_variable space;  // demux: below the bound, or failed
+  std::vector<std::deque<std::vector<Request>>> chunks(num_shards);
+  std::vector<char> running(num_shards, 0);
+  std::deque<std::size_t> runnable;
+  std::size_t queued = 0;  // chunks in every FIFO
+  const std::size_t bound = kMaxQueuedChunks * workers;
+  bool done = false;
+  // Written under `mutex`; read without it by the demux's fill loop.
+  std::atomic<bool> failed{false};
 
-  if (workers <= 1) {
-    // Sequential demux: identical routing and per-shard chunking, stepped
-    // inline. Per-shard results match the threaded path by construction.
-    const auto flush = [&](std::size_t s) {
+  const auto drain = [&](std::size_t /*worker*/) {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      work.wait(lock, [&] {
+        return !runnable.empty() || done ||
+               failed.load(std::memory_order_relaxed);
+      });
+      // Done and drained: chunks left belong to shards still running.
+      if (runnable.empty() || failed.load(std::memory_order_relaxed)) {
+        return;
+      }
+      const std::size_t s = runnable.front();
+      runnable.pop_front();
+      running[s] = 1;
+      while (!chunks[s].empty() && !failed.load(std::memory_order_relaxed)) {
+        std::vector<Request> chunk = std::move(chunks[s].front());
+        chunks[s].pop_front();
+        --queued;
+        lock.unlock();
+        space.notify_one();
+        algs_[s]->step_batch(chunk, sinks[s]);
+        chunk = {};  // free outside the lock
+        lock.lock();
+      }
+      running[s] = 0;
+    }
+  };
+
+  const auto flush = [&](std::size_t s) {
+    if (workers == 1) {
       algs_[s]->step_batch(pending[s], sinks[s]);
       pending[s].clear();
-    };
-    for (;;) {
+      return;
+    }
+    bool wake = false;
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      space.wait(lock, [&] {
+        return queued < bound || failed.load(std::memory_order_relaxed);
+      });
+      wake = chunks[s].empty() && running[s] == 0;
+      if (wake) runnable.push_back(s);
+      chunks[s].push_back(std::move(pending[s]));
+      ++queued;
+    }
+    if (wake) work.notify_one();
+    pending[s] = {};
+    pending[s].reserve(config_.batch);
+  };
+
+  const auto demux = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t n = source.fill(buffer);
       if (n == 0) break;
       for (std::size_t i = 0; i < n; ++i) {
@@ -204,130 +296,30 @@ EngineResult ShardedEngine::run(RequestSource& source) {
       }
     }
     for (std::size_t s = 0; s < num_shards; ++s) {
-      if (!pending[s].empty()) flush(s);
-    }
-  } else {
-    // Threaded: the caller thread demuxes full chunks into per-shard FIFOs,
-    // and any idle worker steps any runnable shard — one with queued chunks
-    // that no other worker is running — staying on it while chunks remain.
-    // A shard thus runs on one worker at a time, in FIFO order. `runnable`
-    // holds a shard exactly when it has chunks and is not running. A chunk
-    // is ~0.4 ms of stepping at the default batch, so the one mutex is
-    // taken rarely.
-    std::mutex mutex;
-    std::condition_variable work;   // workers: a runnable shard, done, failed
-    std::condition_variable space;  // demux: below the bound, or failed
-    std::vector<std::deque<std::vector<Request>>> chunks(num_shards);
-    std::vector<char> running(num_shards, 0);
-    std::deque<std::size_t> runnable;
-    std::size_t queued = 0;  // chunks in every FIFO
-    const std::size_t bound = kMaxQueuedChunks * workers;
-    bool done = false;
-    // Written under `mutex`; read without it by the demux's fill loop.
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-
-    const auto drain = [&](std::size_t w) {
-      if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-      std::unique_lock<std::mutex> lock(mutex);
-      for (;;) {
-        work.wait(lock, [&] {
-          return !runnable.empty() || done ||
-                 failed.load(std::memory_order_relaxed);
-        });
-        // Done and drained: chunks left belong to shards still running.
-        if (runnable.empty() || failed.load(std::memory_order_relaxed)) {
-          return;
-        }
-        const std::size_t s = runnable.front();
-        runnable.pop_front();
-        running[s] = 1;
-        while (!chunks[s].empty() &&
-               !failed.load(std::memory_order_relaxed)) {
-          std::vector<Request> chunk = std::move(chunks[s].front());
-          chunks[s].pop_front();
-          --queued;
-          lock.unlock();
-          space.notify_one();
-          algs_[s]->step_batch(chunk, sinks[s]);
-          chunk = {};  // free outside the lock
-          lock.lock();
-        }
-        running[s] = 0;
+      if (!pending[s].empty() && !failed.load(std::memory_order_relaxed)) {
+        flush(s);
       }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          drain(w);
-        } catch (...) {
-          // Flip `failed` under the mutex, so a demux blocked on the bound
-          // cannot evaluate its predicate between the store and the wakeup
-          // (a lost notify would deadlock run()); wake every waiter.
-          {
-            const std::lock_guard<std::mutex> lock(mutex);
-            if (!error) error = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-          }
-          space.notify_all();
-          work.notify_all();
-        }
-      });
-    }
-
-    const auto enqueue = [&](std::size_t s) {
-      bool wake = false;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        space.wait(lock, [&] {
-          return queued < bound || failed.load(std::memory_order_relaxed);
-        });
-        wake = chunks[s].empty() && running[s] == 0;
-        if (wake) runnable.push_back(s);
-        chunks[s].push_back(std::move(pending[s]));
-        ++queued;
-      }
-      if (wake) work.notify_one();
-      pending[s] = {};
-      pending[s].reserve(config_.batch);
-    };
-
-    // A demux-side throw (source.fill, shard_of on an out-of-range node)
-    // must not unwind past joinable workers — that would std::terminate.
-    // Capture it, run the regular shutdown, and rethrow after the join.
-    std::exception_ptr producer_error;
-    try {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t n = source.fill(buffer);
-        if (n == 0) break;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t s = plan_.shard_of(buffer[i].node);
-          pending[s].push_back(plan_.to_local(buffer[i]));
-          if (pending[s].size() >= config_.batch) enqueue(s);
-        }
-      }
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (!pending[s].empty() &&
-            !failed.load(std::memory_order_relaxed)) {
-          enqueue(s);
-        }
-      }
-    } catch (...) {
-      producer_error = std::current_exception();
     }
     {
       const std::lock_guard<std::mutex> lock(mutex);
       done = true;
     }
     work.notify_all();
-    for (auto& worker : pool) worker.join();
-    if (producer_error) std::rethrow_exception(producer_error);
-    if (error) std::rethrow_exception(error);
-  }
+  };
 
+  // Flip `failed` under the mutex, so a demux blocked on the bound cannot
+  // evaluate its predicate between the store and the wakeup (a lost notify
+  // would deadlock run()); wake every waiter.
+  const auto stop = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      failed.store(true, std::memory_order_relaxed);
+    }
+    space.notify_all();
+    work.notify_all();
+  };
+
+  run_pool(workers, config_.pin_threads, {}, drain, demux, stop);
   finalize(out, tallies, algs_);
   out.total.wall_seconds = timer.seconds();
   return out;
@@ -392,31 +384,9 @@ EngineResult ShardedEngine::run_split(
       }
     }
   };
-
-  if (workers <= 1) {
-    drive(0);
-  } else {
-    // A throw on one worker stops its siblings at their next pass; the
-    // first error is rethrown once every worker has joined.
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-        try {
-          drive(w);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-      });
-    }
-    for (auto& worker : pool) worker.join();
-    if (error) std::rethrow_exception(error);
-  }
+  // A throw on one worker stops its siblings at their next pass.
+  run_pool(workers, config_.pin_threads, {}, drive, [] {},
+           [&] { failed.store(true, std::memory_order_relaxed); });
   finalize(out, tallies, algs_);
   out.total.wall_seconds = timer.seconds();
   return out;

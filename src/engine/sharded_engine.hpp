@@ -12,21 +12,21 @@
 // each shard consumes its subsequence in stream order (a shard runs on one
 // worker at a time, with its chunks in FIFO order), and shard instances
 // share no state — so every per-shard RunResult, and therefore the
-// aggregate, is bit-identical regardless of the worker-thread count,
-// including the sequential threads=1 demux. Tests enforce equality against
-// independent per-shard sequential runs and across thread counts.
+// aggregate, is bit-identical regardless of the worker-thread count and of
+// pinning. Tests enforce equality against independent per-shard
+// sequential runs and across thread counts.
 //
-// Open loops: every multi-shard open loop takes the demux, whatever the
-// worker count. The caller thread fills each batch once, routes each
+// Open loops: every multi-shard open loop runs one demux loop, whatever
+// the worker count. The caller thread fills each batch once, routes each
 // request with ShardPlan::shard_of/to_local into per-shard chunks, and
-// appends every full chunk to its shard's FIFO (with one worker it steps
-// the chunk inline). The workers are work-conserving: any idle worker
-// takes any shard that has queued chunks and that no other worker is
-// running, and steps its chunks in order while chunks remain, so shards
-// move between workers from chunk to chunk. All FIFOs together hold a
-// bounded number of chunks. Each request is generated exactly once, and
-// the source is consumed from wherever it stands — the engine never calls
-// fork() or split() on an open loop.
+// flushes every full chunk: with one worker it steps the chunk inline,
+// otherwise it appends the chunk to its shard's FIFO. The workers are
+// work-conserving: any idle worker takes any shard that has queued chunks
+// and that no other worker is running, and steps its chunks in order
+// while chunks remain, so shards move between workers from chunk to chunk.
+// All FIFOs together hold a bounded number of chunks. Each request is
+// generated exactly once, and the source is consumed from wherever it
+// stands — the engine never calls fork() or split() on an open loop.
 //
 // Closed loops: with one shard the engine delegates to sim::run_source,
 // which feeds outcomes back to the source, so closed-loop sources (the FIB
@@ -40,11 +40,21 @@
 // interleaved round-robin one chunk per pass. No outcome crosses a thread:
 // the one structure sibling mirrors share is the producer, which
 // serializes generation behind its own mutex. Per-shard results are
-// therefore bit-identical for every thread count and equal to independent
-// per-shard sequential runs (the differential suite in
-// tests/test_engine_closed_loop.cpp enforces this for every registered
-// algorithm). A closed-loop source whose split() returns empty is refused
-// with more than one shard.
+// therefore bit-identical for every thread count and equal to the
+// reference event loop fib::run_router_sim over each shard (the
+// differential suite in tests/test_engine_closed_loop.cpp enforces this
+// for every registered algorithm). A closed-loop source whose split()
+// returns empty is refused with more than one shard.
+//
+// Threads and failures: construction (with pin_threads), run() and
+// run_split share one pool. It spawns the workers — none when one worker
+// suffices, and then the caller thread does all the work — and runs the
+// caller's part (run()'s demux loop) on the caller thread. The first
+// exception thrown on any thread wins: every other thread is stopped at
+// its next chunk or pass, and the exception is rethrown once all have
+// joined. So run() rethrows whichever of a demux error and a worker error
+// came first, and after a demux error the workers stop without stepping
+// the chunks still queued; the instances are reset by the next run.
 #pragma once
 
 #include <memory>
@@ -115,7 +125,10 @@ class ShardedEngine {
   /// count. Only a multi-shard closed loop is split() into mirrors and
   /// routed through run_split (it must be shardable or the run is
   /// refused); its mirrors replay the stream from the very beginning —
-  /// pass a fresh or reset source.
+  /// pass a fresh or reset source. A throw from the source's fill(), the
+  /// demux or any instance stops every worker at its next chunk, chunks
+  /// still queued included, and the first throw is rethrown once all have
+  /// joined.
   [[nodiscard]] EngineResult run(RequestSource& source);
 
   /// Resets every instance and runs one pre-split per-shard source per
@@ -143,8 +156,8 @@ class ShardedEngine {
   ShardPlan plan_;
   EngineConfig config_;
   /// CPU each worker was pinned to at construction (-1 = affinity denied);
-  /// empty when pin_threads is off. Run-time pools re-pin worker w to the
-  /// same w % hardware_concurrency slot.
+  /// empty when pin_threads is off. Every run re-pins worker w to the same
+  /// w % hardware_concurrency slot.
   std::vector<int> worker_cpus_;
   std::vector<std::unique_ptr<OnlineAlgorithm>> algs_;  // one per shard
 };

@@ -1,7 +1,8 @@
 // Controller/switch simulation of Figure 1 — the self-contained reference
 // event loop. Production paths run the same loop through the unified
 // driver instead (fib/router_source.hpp + sim::run_source); equality of
-// the two is enforced by tests/test_fib_engine.cpp.
+// the two is enforced by tests/test_fib_engine.cpp, and per shard of a
+// sharded run by tests/test_engine_closed_loop.cpp.
 //
 // The switch holds the cached subforest of rules; packets are looked up by
 // LPM over the cached rules only: the deepest cached rule on the address's
@@ -28,6 +29,7 @@
 #include <cstdint>
 
 #include "core/online_algorithm.hpp"
+#include "engine/shard_plan.hpp"
 #include "fib/traffic.hpp"
 
 namespace treecache::fib {
@@ -79,9 +81,23 @@ struct RouterSimResult {
   }
 };
 
-/// Runs the event loop against `alg` (whose tree must be rules.tree).
+/// Runs the event loop against `alg` (whose tree must be rules.tree): the
+/// trivial one-shard plan's shard 0 of the overload below.
 [[nodiscard]] RouterSimResult run_router_sim(const RuleTree& rules,
                                              OnlineAlgorithm& alg,
                                              const RouterSimConfig& config);
+
+/// The event loop as line card `shard` of `plan` (a plan of rules.tree)
+/// sees it, against `alg`, whose tree must be plan.shard_tree(shard). The
+/// global stream is drawn exactly as above and the run ends after
+/// config.packets packets of the whole stream, but only the events whose
+/// rule `shard` owns reach `alg`, in shard-local ids, and only they are
+/// counted. The card's cached-LPM walk reads the default rule as local
+/// node 0: shard 0 holds it, every other shard a replica.
+[[nodiscard]] RouterSimResult run_router_sim(const RuleTree& rules,
+                                             OnlineAlgorithm& alg,
+                                             const RouterSimConfig& config,
+                                             const engine::ShardPlan& plan,
+                                             std::size_t shard);
 
 }  // namespace treecache::fib

@@ -19,17 +19,6 @@ std::shared_ptr<RouterEventProducer> require_producer(
   return producer;
 }
 
-/// A private producer for a standalone mirror: nobody consumes the other
-/// shards' queues, so their events are dropped at generation time.
-std::shared_ptr<RouterEventProducer> make_solo_producer(
-    const RuleTree& rules, const RouterSimConfig& config,
-    const engine::ShardPlan& plan, std::size_t shard) {
-  auto producer =
-      std::make_shared<RouterEventProducer>(rules, config, plan);
-  producer->discard_foreign(shard);
-  return producer;
-}
-
 }  // namespace
 
 // --- RouterEventProducer --------------------------------------------------
@@ -66,12 +55,6 @@ RouterEventProducer::RouterEventProducer(const RouterEventProducer& stream,
            "stream's rule tree");
 }
 
-void RouterEventProducer::discard_foreign(std::size_t shard) {
-  TC_CHECK(shard < queues_.size(), "shard index outside the plan");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  solo_shard_ = shard;
-}
-
 std::size_t RouterEventProducer::pump(std::size_t budget) {
   const std::lock_guard<std::mutex> lock(mutex_);
   return generate(budget);
@@ -80,26 +63,14 @@ std::size_t RouterEventProducer::pump(std::size_t budget) {
 std::size_t RouterEventProducer::generate(std::size_t budget) {
   std::size_t generated = 0;
   while (generated < budget && packets_generated_ < config_.packets) {
-    if (rng_.chance(config_.update_probability)) {
-      const NodeId rule = sampler_->sample_rule(rng_);
-      const std::size_t owner = plan_->shard_of(rule);
-      if (solo_shard_ == kAllShards || owner == solo_shard_) {
-        queues_[owner].push_back(
-            RouterEvent{.node = rule, .kind = RouterEventKind::kUpdate});
-      }
-    } else {
-      // The sampler resolves the full-table match here, once; a mirror
-      // needs nothing else of the packet. No match is the default rule:
-      // sample_rule ranks only the non-root rules, and sample_packet
-      // descends from the drawn rule.
-      const NodeId match = sampler_->sample_packet(rng_).match;
-      ++packets_generated_;
-      const std::size_t owner = plan_->shard_of(match);
-      if (solo_shard_ == kAllShards || owner == solo_shard_) {
-        queues_[owner].push_back(
-            RouterEvent{.node = match, .kind = RouterEventKind::kPacket});
-      }
-    }
+    // The sampler resolves a packet's full-table match here, once; a
+    // mirror needs nothing else of the packet. No event names the default
+    // rule: sample_rule ranks only the non-root rules, and sample_packet
+    // descends from the drawn rule.
+    const RouterEvent event =
+        sampler_->sample_event(rng_, config_.update_probability);
+    if (event.kind == RouterEventKind::kPacket) ++packets_generated_;
+    queues_[plan_->shard_of(event.node)].push_back(event);
     ++generated;
   }
   return generated;
@@ -137,13 +108,6 @@ void RouterEventProducer::reset() {
 }
 
 // --- RouterMirrorSource ---------------------------------------------------
-
-RouterMirrorSource::RouterMirrorSource(const RuleTree& rules,
-                                       const RouterSimConfig& config,
-                                       const engine::ShardPlan& plan,
-                                       std::size_t shard)
-    : RouterMirrorSource(make_solo_producer(rules, config, plan, shard),
-                         shard) {}
 
 RouterMirrorSource::RouterMirrorSource(
     std::shared_ptr<RouterEventProducer> producer, std::size_t shard)

@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -55,18 +54,6 @@
 #include "fib/traffic.hpp"
 
 namespace treecache::fib {
-
-enum class RouterEventKind : std::uint8_t { kPacket, kUpdate };
-
-/// One pre-generated event of the global router stream. `node` is the
-/// GLOBAL id of the packet's full-table LPM match (resp. the updated
-/// rule); the mirror localizes it only when emitting a request.
-struct RouterEvent {
-  NodeId node = 0;
-  RouterEventKind kind = RouterEventKind::kPacket;
-
-  friend bool operator==(const RouterEvent&, const RouterEvent&) = default;
-};
 
 /// Generates the global event stream ONCE — in exactly the RNG order of
 /// the reference loop — and routes every event into a per-shard queue
@@ -119,20 +106,11 @@ class RouterEventProducer {
   /// All sibling mirrors must be reset together (the kShared contract).
   void reset();
 
-  /// Standalone-mirror mode: drop every event not owned by `shard` at
-  /// generation time instead of queuing it — the other queues have no
-  /// consumer, and without this a lone mirror would buffer O(stream).
-  /// Generation (RNG, packet count) is unaffected.
-  void discard_foreign(std::size_t shard);
-
   [[nodiscard]] const RuleTree& rules() const { return sampler_->rules(); }
   [[nodiscard]] const RouterSimConfig& config() const { return config_; }
   [[nodiscard]] const engine::ShardPlan& plan() const { return *plan_; }
 
  private:
-  static constexpr std::size_t kAllShards =
-      std::numeric_limits<std::size_t>::max();
-
   /// pump() without the lock; the caller holds mutex_.
   std::size_t generate(std::size_t budget);
 
@@ -146,7 +124,6 @@ class RouterEventProducer {
   Rng rng_;
   std::vector<std::vector<RouterEvent>> queues_;  // one per shard
   std::uint64_t packets_generated_ = 0;  // global termination condition
-  std::size_t solo_shard_ = kAllShards;  // discard_foreign() mode
 };
 
 /// One shard's slice of the closed loop: consumes its shard's events from
@@ -158,14 +135,6 @@ class RouterEventProducer {
 /// drift apart.
 class RouterMirrorSource final : public RequestSource {
  public:
-  /// Standalone mirror with a PRIVATE producer — the sequential reference
-  /// shape (tests drive one per shard independently). Replays the full
-  /// global generation per mirror, so S standalone mirrors pay the S×
-  /// generation tax the shared split exists to avoid. `rules` and `plan`
-  /// must outlive the source.
-  RouterMirrorSource(const RuleTree& rules, const RouterSimConfig& config,
-                     const engine::ShardPlan& plan, std::size_t shard);
-
   /// Producer-fed mirror sharing `producer` with its sibling shards (the
   /// shape RouterSource::split builds): generation runs once for all of
   /// them. See the kShared contract in the header comment.
@@ -183,7 +152,6 @@ class RouterMirrorSource final : public RequestSource {
   /// of a plan reconstructs the full event stream: every packet and every
   /// update is owned by exactly one shard.
   [[nodiscard]] const RouterSimResult& stats() const { return stats_; }
-  [[nodiscard]] std::size_t shard() const { return shard_; }
 
  private:
   /// Cache-mirror lookup by GLOBAL rule id. fill() asks only about its
@@ -232,10 +200,6 @@ class RouterSource final : public RequestSource {
   void reset() override;
   void observe_batch(std::span<const StepOutcome> outcomes) override;
   [[nodiscard]] bool is_closed_loop() const override { return true; }
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override {
-    return std::make_unique<RouterSource>(producer_->rules(),
-                                          producer_->config());
-  }
 
   /// One producer-fed RouterMirrorSource per shard, all sharing a single
   /// RouterEventProducer (see the header comment): generation runs once,

@@ -64,11 +64,13 @@ std::size_t FibTraceSource::fill(std::span<Request> buffer) {
     }
     if (events_done_ == config_.events) break;
     ++events_done_;
-    if (rng_.chance(config_.update_probability)) {
-      pending_node_ = sampler_.sample_rule(rng_);
+    const RouterEvent event =
+        sampler_.sample_event(rng_, config_.update_probability);
+    if (event.kind == RouterEventKind::kUpdate) {
+      pending_node_ = event.node;
       pending_ = config_.alpha;
     } else {
-      buffer[n++] = positive(sampler_.sample_packet(rng_).match);
+      buffer[n++] = positive(event.node);
     }
   }
   return n;
@@ -94,14 +96,15 @@ ChunkedTrace make_fib_workload(const RuleTree& rules,
   const PacketSampler packets(rules, config.zipf_skew, rng);
   ChunkedTrace out;
   out.trace.reserve(config.events);
-  for (std::size_t event = 0; event < config.events; ++event) {
-    if (rng.chance(config.update_probability)) {
-      const NodeId rule = packets.sample_rule(rng);
+  for (std::size_t i = 0; i < config.events; ++i) {
+    const RouterEvent event =
+        packets.sample_event(rng, config.update_probability);
+    if (event.kind == RouterEventKind::kUpdate) {
       const std::size_t begin = out.trace.size();
-      append_repeated(out.trace, negative(rule), config.alpha);
+      append_repeated(out.trace, negative(event.node), config.alpha);
       out.chunks.emplace_back(begin, out.trace.size());
     } else {
-      out.trace.push_back(positive(packets.sample_packet(rng).match));
+      out.trace.push_back(positive(event.node));
     }
   }
   return out;

@@ -17,6 +17,17 @@
 
 namespace treecache::fib {
 
+enum class RouterEventKind : std::uint8_t { kPacket, kUpdate };
+
+/// One event of a FIB stream: a packet, with `node` the GLOBAL id of its
+/// full-table LPM match, or an update to rule `node`.
+struct RouterEvent {
+  NodeId node = 0;
+  RouterEventKind kind = RouterEventKind::kPacket;
+
+  friend bool operator==(const RouterEvent&, const RouterEvent&) = default;
+};
+
 /// Zipf popularity over rules, with addresses drawn inside the chosen
 /// rule's prefix. Generic over the key width: PacketSampler draws IPv4
 /// packets; the fib-real churn replay draws both families.
@@ -53,6 +64,17 @@ class BasicPacketSampler {
   /// more specific rule, realistic either way. The match is then the rule
   /// itself or, after the last try, the descent below that child.
   [[nodiscard]] Packet sample_packet(Rng& rng) const;
+
+  /// One event of every FIB stream: with probability `update_probability`
+  /// an update to sample_rule(rng), otherwise a packet to the match of
+  /// sample_packet(rng). Each caller decides when its stream ends.
+  [[nodiscard]] RouterEvent sample_event(Rng& rng,
+                                         double update_probability) const {
+    if (rng.chance(update_probability)) {
+      return {sample_rule(rng), RouterEventKind::kUpdate};
+    }
+    return {sample_packet(rng).match, RouterEventKind::kPacket};
+  }
 
   /// The address of sample_packet(rng): the same draw, descents included.
   [[nodiscard]] Bits sample_address(Rng& rng) const {

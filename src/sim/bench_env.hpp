@@ -14,6 +14,7 @@
 #include <string>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace treecache::sim {
 
@@ -23,35 +24,21 @@ namespace treecache::sim {
 [[nodiscard]] inline std::size_t bench_reps(std::size_t full_reps) {
   const char* env = std::getenv("TREECACHE_BENCH_REPS");
   if (env == nullptr) return full_reps;
-  std::size_t used = 0;
-  std::uint64_t cap = 0;
-  try {
-    cap = std::stoull(std::string(env), &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  TC_CHECK(used == std::string(env).size() && cap >= 1,
-           "TREECACHE_BENCH_REPS=" + std::string(env) +
-               " is not a positive integer");
-  return std::min<std::size_t>(full_reps, cap);
+  const auto cap = parse_u64(env);
+  TC_CHECK(cap && *cap >= 1, "TREECACHE_BENCH_REPS=" + std::string(env) +
+                                 " is not a positive integer");
+  return std::min<std::size_t>(full_reps, *cap);
 }
 
 /// Scales a size/length by $TREECACHE_BENCH_SCALE in (0, 1] (min result 1).
 [[nodiscard]] inline std::size_t bench_scaled(std::size_t full_size) {
   const char* env = std::getenv("TREECACHE_BENCH_SCALE");
   if (env == nullptr) return full_size;
-  std::size_t used = 0;
-  double scale = 0.0;
-  try {
-    scale = std::stod(std::string(env), &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  TC_CHECK(used == std::string(env).size() && scale > 0.0 && scale <= 1.0,
-           "TREECACHE_BENCH_SCALE=" + std::string(env) +
-               " is not in (0, 1]");
+  const auto scale = parse_double(env);
+  TC_CHECK(scale && *scale > 0.0 && *scale <= 1.0,
+           "TREECACHE_BENCH_SCALE=" + std::string(env) + " is not in (0, 1]");
   return std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(full_size) * scale));
+      1, static_cast<std::size_t>(static_cast<double>(full_size) * *scale));
 }
 
 /// Peak resident set size of this process in bytes (VmHWM from

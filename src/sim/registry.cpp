@@ -1,45 +1,30 @@
 #include "sim/registry.hpp"
 
-#include <stdexcept>
-
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace treecache::sim {
 
-namespace {
-
-std::uint64_t parse_u64(const std::string& key, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used);
-    TC_CHECK(used == text.size(), "trailing junk");
-    return value;
-  } catch (const std::exception&) {
+std::uint64_t Params::get_u64(const std::string& key,
+                              std::uint64_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::string text = get(key, "");
+  const auto value = parse_u64(text);
+  if (!value) {
     throw CheckFailure("parameter " + key + "=" + text +
                        " is not an unsigned integer");
   }
-}
-
-double parse_double(const std::string& key, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    TC_CHECK(used == text.size(), "trailing junk");
-    return value;
-  } catch (const std::exception&) {
-    throw CheckFailure("parameter " + key + "=" + text + " is not a number");
-  }
-}
-
-}  // namespace
-
-std::uint64_t Params::get_u64(const std::string& key,
-                              std::uint64_t fallback) const {
-  return has(key) ? parse_u64(key, get(key, "")) : fallback;
+  return *value;
 }
 
 double Params::get_double(const std::string& key, double fallback) const {
-  return has(key) ? parse_double(key, get(key, "")) : fallback;
+  if (!has(key)) return fallback;
+  const std::string text = get(key, "");
+  const auto value = parse_double(text);
+  if (!value) {
+    throw CheckFailure("parameter " + key + "=" + text + " is not a number");
+  }
+  return *value;
 }
 
 template <typename Factory>

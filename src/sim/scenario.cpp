@@ -13,7 +13,7 @@ ScenarioResult run_scenario(const Tree& tree, const Scenario& scenario,
       make_source(scenario.workload, tree, scenario.params, scenario.seed);
   const auto alg = make_algorithm(scenario.algorithm, tree, scenario.params);
   ScenarioResult out{.scenario = scenario, .run = {}};
-  out.run = run_source(*alg, *source, {}, validate_every_step);
+  out.run = run_source(*alg, *source, validate_every_step);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "util/stopwatch.hpp"
@@ -7,36 +8,23 @@
 namespace treecache::sim {
 
 RunResult run_source(OnlineAlgorithm& alg, RequestSource& source,
-                     const StepObserver& observer, bool validate_every_step) {
+                     bool validate_every_step) {
   RunResult result;
   const Stopwatch timer;
+  AccountingSink sink(result, alg, &source);
   std::array<Request, kDriverBatchSize> buffer;
-  if (!observer && !validate_every_step) {
-    // Hot path: whole batches go through step_batch with the accounting
-    // sink — no per-round std::function test, no StepOutcome copy, and no
-    // virtual step() dispatch for algorithms that override step_batch.
-    AccountingSink sink(result, alg, &source);
-    for (;;) {
-      const std::size_t n = source.fill(buffer);
-      if (n == 0) break;
-      alg.step_batch(std::span<const Request>(buffer.data(), n), sink);
-    }
-  } else {
-    for (;;) {
-      const std::size_t n = source.fill(buffer);
-      if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Request request = buffer[i];
-        const StepOutcome out = alg.step(request);
-        accumulate_outcome(result, request, out, alg.cache().size());
-        if (validate_every_step) {
-          TC_CHECK(alg.cache().is_valid(), "cache stopped being a subforest");
-        }
-        // Feedback before the observer: the source's view must be current
-        // by the time anything else inspects the round.
-        source.observe(out);
-        if (observer) observer(result.rounds, request, out);
-      }
+  // Validation steps one request per step_batch call, so that the cache is
+  // checked after every round.
+  const std::size_t stride = validate_every_step ? 1 : buffer.size();
+  for (;;) {
+    const std::size_t n = source.fill(buffer);
+    if (n == 0) break;
+    for (std::size_t i = 0; i < n; i += stride) {
+      alg.step_batch(std::span<const Request>(buffer.data() + i,
+                                              std::min(stride, n - i)),
+                     sink);
+      TC_CHECK(!validate_every_step || alg.cache().is_valid(),
+               "cache stopped being a subforest");
     }
   }
   result.cost = alg.cost();
@@ -46,9 +34,9 @@ RunResult run_source(OnlineAlgorithm& alg, RequestSource& source,
 }
 
 RunResult run_trace(OnlineAlgorithm& alg, std::span<const Request> trace,
-                    const StepObserver& observer, bool validate_every_step) {
+                    bool validate_every_step) {
   TraceSource source(trace);
-  return run_source(alg, source, observer, validate_every_step);
+  return run_source(alg, source, validate_every_step);
 }
 
 }  // namespace treecache::sim

@@ -1,17 +1,12 @@
 // The one driver every experiment runs through: pulls requests from a
 // RequestSource (open-loop trace generators and closed-loop feedback
-// sources alike), steps the algorithm, feeds outcomes back to the source,
-// and aggregates statistics. run_trace is the span convenience over it.
-//
-// The no-observer, no-validation configuration is the hot path: it drives
-// the algorithm through OnlineAlgorithm::step_batch with an AccountingSink,
-// so a round pays no std::function emptiness test, no StepOutcome copy and
-// (for algorithms that override step_batch) no virtual step() dispatch.
-// sharded execution at scale lives in engine/sharded_engine.hpp, which
+// sources alike), steps the algorithm through OnlineAlgorithm::step_batch
+// with an AccountingSink, which feeds every outcome back to the source and
+// aggregates statistics. run_trace is the span convenience over it.
+// Sharded execution at scale lives in engine/sharded_engine.hpp, which
 // reuses the same per-round accounting so its totals are comparable.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "core/online_algorithm.hpp"
@@ -92,15 +87,15 @@ inline void accumulate_outcome(RunResult& result, const Request& request,
   if (cache_size > result.max_cache_size) result.max_cache_size = cache_size;
 }
 
-/// The hot-path sink: accumulates every outcome into a RunResult and
+/// The driver's sink: accumulates every outcome into a RunResult and
 /// (when a source is attached) forwards the closed-loop feedback through
 /// observe() — i.e. an observe_batch() of one, straight from the
 /// algorithm's scratch, no copies; sources must accept any feedback
-/// granularity. This is what run_source hands to step_batch when no
-/// observer is set. The sharded engine attaches one per shard: without a
-/// source on the open-loop demux, and with the shard's mirror in
-/// run_split, whose closed loops step and observe on the same worker —
-/// see engine/sharded_engine.hpp.
+/// granularity. run_source hands one to every step_batch call. The
+/// sharded engine attaches one per shard: without a source on the
+/// open-loop demux, and with the shard's mirror in run_split, whose closed
+/// loops step and observe on the same worker — see
+/// engine/sharded_engine.hpp.
 class AccountingSink final : public OutcomeSink {
  public:
   AccountingSink(RunResult& result, const OnlineAlgorithm& alg,
@@ -123,28 +118,21 @@ class AccountingSink final : public OutcomeSink {
 /// demux chunk the sharded engine defaults to).
 inline constexpr std::size_t kDriverBatchSize = 4096;
 
-/// Called after every round with (1-based round, request, outcome).
-using StepObserver =
-    std::function<void(std::size_t, Request, const StepOutcome&)>;
-
 /// Runs the source to exhaustion from the algorithm's current state: pulls
-/// batches via RequestSource::fill, steps each request, and hands every
-/// StepOutcome back to the source's observe_batch() feedback (closed-loop
-/// sources depend on this). Memory use is O(1) in the stream length.
-/// With no observer and no validation the run goes through the batched
-/// hot path; when
-/// `validate_every_step` is set, the cache is checked to be a subforest
-/// after every round (O(n) per round — test-sized runs only).
+/// batches via RequestSource::fill, steps each through step_batch, and
+/// hands every StepOutcome back to the source's observe_batch() feedback
+/// (closed-loop sources depend on this). Memory use is O(1) in the stream
+/// length. When `validate_every_step` is set, each request gets its own
+/// step_batch call and the cache is checked to be a subforest after it
+/// (O(n) per round — test-sized runs only).
 [[nodiscard]] RunResult run_source(OnlineAlgorithm& alg,
                                    RequestSource& source,
-                                   const StepObserver& observer = {},
                                    bool validate_every_step = false);
 
 /// Convenience: runs an in-memory trace through run_source via a borrowing
 /// TraceSource, so both paths share one accounting loop.
 [[nodiscard]] RunResult run_trace(OnlineAlgorithm& alg,
                                   std::span<const Request> trace,
-                                  const StepObserver& observer = {},
                                   bool validate_every_step = false);
 
 }  // namespace treecache::sim

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "sim/registry.hpp"
+#include "util/parse.hpp"
 
 namespace treecache::workload {
 
@@ -211,11 +212,9 @@ std::vector<std::string> split_names(const std::string& csv) {
 std::vector<double> split_weights(const std::string& csv) {
   std::vector<double> out;
   for (const std::string& item : split_names(csv)) {
-    try {
-      out.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw CheckFailure("weight '" + item + "' is not a number");
-    }
+    const auto weight = parse_double(item);
+    if (!weight) throw CheckFailure("weight '" + item + "' is not a number");
+    out.push_back(*weight);
   }
   return out;
 }

@@ -133,7 +133,8 @@ TEST_P(BaselineSafety, CacheStaysValidSubforestUnderRandomTraffic) {
 
   for (OnlineAlgorithm* alg :
        std::initializer_list<OnlineAlgorithm*>{&lru, &lru_inv, &local}) {
-    const auto result = sim::run_trace(*alg, trace, {}, true);
+    const auto result =
+        sim::run_trace(*alg, trace, /*validate_every_step=*/true);
     EXPECT_LE(result.max_cache_size, 12u) << alg->name();
     EXPECT_EQ(result.cost.total(), alg->cost().total());
   }

@@ -609,6 +609,10 @@ TEST(ShardedEngine, RunsClosedLoopSourcesThroughTheMirrorSplit) {
   const engine::EngineResult via_split = sharded.run(closed);
   EXPECT_GT(via_split.total.rounds, 0u);
   EXPECT_GT(via_split.shards, 1u);
+  // run() is sugar over run_split on the source's own split.
+  const fib::RouterSource split_from(rt, router);
+  EXPECT_EQ(sharded.run_split(split_from.split(sharded.plan())).per_shard,
+            via_split.per_shard);
   // The single-shard path delegates to run_source and accepts it.
   engine::ShardedEngine single(rt.tree, "tc", params, {.shards = 1});
   fib::RouterSource fresh(rt, router);

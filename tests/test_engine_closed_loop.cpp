@@ -1,14 +1,14 @@
 // Closed-loop sharding, proven differentially: the sharded engine run of
 // the FIB router source — per-shard mirrors off one shared event
-// producer, each shard's closed loop on the worker that owns it — must be
-// bit-identical to the single-threaded reference (each shard's mirror
-// driven through sim::run_source on a fresh instance, no engine machinery
-// at all) for every registered algorithm × shard count × thread count ×
-// traffic shape. Feedback-
-// dependent streams are where parallel caching goes subtly wrong, so
-// nothing here is spot-checked: the sweep is exhaustive over the
-// registry, the seeds are randomized (override TREECACHE_DIFF_SEED to
-// replay a failure), and CI runs the suite under both ASan and TSan.
+// producer, each shard's closed loop on the worker that owns it — must
+// equal the paper's event loop run over each shard on its own
+// (fib::run_router_sim with a shard of the plan: no mirror, producer or
+// engine machinery at all) for every registered algorithm × shard count ×
+// thread count × traffic shape. Feedback-dependent streams are where
+// parallel caching goes subtly wrong, so nothing here is spot-checked: the
+// sweep is exhaustive over the registry, the seeds are randomized
+// (override TREECACHE_DIFF_SEED to replay a failure), and CI runs the
+// suite under both ASan and TSan.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,6 +18,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,31 +68,46 @@ std::uint64_t harness_seed() {
   return 20260730;
 }
 
-struct Reference {
-  std::vector<sim::RunResult> per_shard;
-  std::vector<fib::RouterSimResult> stats;
+/// One shard of the reference: the event loop's statistics (its cost in
+/// algorithm_cost) and the instance's final cache, in shard-local ids.
+struct ShardReference {
+  fib::RouterSimResult stats;
+  std::vector<NodeId> cache;
 };
 
-/// The single-threaded reference of the S-shard closed loop: shard by
-/// shard, a fresh mirror driven through sim::run_source against a fresh
-/// registry-built instance over the shard tree. This is the definition
-/// the engine's queue machinery must reproduce bit for bit.
-Reference sequential_reference(const fib::RuleTree& rules,
-                               const engine::ShardPlan& plan,
-                               const std::string& algorithm,
-                               const sim::Params& params,
-                               const fib::RouterSimConfig& router) {
-  Reference ref;
+/// The reference of the S-shard closed loop: shard by shard, the paper's
+/// event loop fib::run_router_sim over that shard of `plan`, against a
+/// fresh registry-built instance over the shard tree. This is the
+/// definition the engine's mirrors and queues must reproduce bit for bit.
+std::vector<ShardReference> per_shard_reference(
+    const fib::RuleTree& rules, const engine::ShardPlan& plan,
+    const std::string& algorithm, const sim::Params& params,
+    const fib::RouterSimConfig& router) {
+  std::vector<ShardReference> ref;
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    fib::RouterMirrorSource mirror(rules, router, plan, s);
     const auto alg =
         sim::make_algorithm(algorithm, plan.shard_tree(s), params);
-    sim::RunResult result = sim::run_source(*alg, mirror);
-    result.wall_seconds = 0.0;
-    ref.per_shard.push_back(result);
-    ref.stats.push_back(mirror.stats());
+    const fib::RouterSimResult stats =
+        fib::run_router_sim(rules, *alg, router, plan, s);
+    ref.push_back({stats, alg->cache().as_vector()});
   }
   return ref;
+}
+
+/// The router statistics of split() part `s`.
+const fib::RouterSimResult& mirror_stats(
+    std::span<const std::unique_ptr<RequestSource>> mirrors, std::size_t s) {
+  return dynamic_cast<const fib::RouterMirrorSource&>(*mirrors[s]).stats();
+}
+
+void expect_equal_stats(const fib::RouterSimResult& got,
+                        const fib::RouterSimResult& want) {
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.updates, want.updates);
+  EXPECT_EQ(got.cached_updates, want.cached_updates);
+  EXPECT_EQ(got.forwarding_errors, want.forwarding_errors);
 }
 
 // --- The randomized differential stress sweep ----------------------------
@@ -119,29 +135,38 @@ TEST(ClosedLoopSharding, DifferentialSweepMatchesSequentialReference) {
                      std::to_string(rib_seed) + ", seed " +
                      std::to_string(traffic_seed) + ")");
         const engine::ShardPlan plan(rules.tree, shards);
-        const Reference ref =
-            sequential_reference(rules, plan, algorithm, params, router);
+        const std::vector<ShardReference> ref =
+            per_shard_reference(rules, plan, algorithm, params, router);
 
+        std::vector<sim::RunResult> first;  // the one-thread run
         for (const std::size_t threads : kThreadCounts) {
           SCOPED_TRACE(std::to_string(threads) + " threads");
           engine::ShardedEngine eng(rules.tree, algorithm, params,
                                     {.shards = shards, .threads = threads});
           ASSERT_EQ(eng.plan().num_shards(), plan.num_shards());
           fib::RouterSource source(rules, router);
-          const engine::EngineResult got = eng.run(source);
+          const auto mirrors = source.split(eng.plan());
+          const engine::EngineResult got = eng.run_split(mirrors);
 
-          // Per-shard AND aggregate equality with the reference — which
-          // also makes every thread count bit-identical to every other.
-          ASSERT_EQ(got.per_shard.size(), ref.per_shard.size());
+          // Every shard equals its reference: cost, router statistics,
+          // rounds and final cache.
+          ASSERT_EQ(got.per_shard.size(), ref.size());
           Cost cost_sum;
-          std::uint64_t rounds_sum = 0;
-          for (std::size_t s = 0; s < ref.per_shard.size(); ++s) {
-            EXPECT_EQ(got.per_shard[s], ref.per_shard[s]) << "shard " << s;
-            cost_sum += ref.per_shard[s].cost;
-            rounds_sum += ref.per_shard[s].rounds;
+          for (std::size_t s = 0; s < ref.size(); ++s) {
+            SCOPED_TRACE("shard " + std::to_string(s));
+            const fib::RouterSimResult& want = ref[s].stats;
+            EXPECT_EQ(got.per_shard[s].cost, want.algorithm_cost);
+            expect_equal_stats(mirror_stats(mirrors, s), want);
+            EXPECT_EQ(got.per_shard[s].rounds,
+                      want.misses + router.alpha * want.updates);
+            EXPECT_EQ(want.forwarding_errors, 0u);
+            EXPECT_EQ(eng.algorithm(s).cache().as_vector(), ref[s].cache);
+            cost_sum += want.algorithm_cost;
           }
           EXPECT_EQ(got.total.cost, cost_sum);
-          EXPECT_EQ(got.total.rounds, rounds_sum);
+          // Every field of every shard's result, at every thread count.
+          if (first.empty()) first = got.per_shard;
+          EXPECT_EQ(got.per_shard, first);
         }
       }
     }
@@ -156,22 +181,18 @@ TEST(ClosedLoopSharding, TrivialPlanMirrorEqualsRouterSource) {
   const fib::RouterSimConfig router = sim::fib_router_config(params, 9);
   const engine::ShardPlan plan(rules.tree, 1);
 
-  fib::RouterMirrorSource mirror(rules, router, plan, 0);
+  const fib::RouterSource split_from(rules, router);
+  const auto mirrors = split_from.split(plan);
+  ASSERT_EQ(mirrors.size(), 1u);
   const auto mirror_alg = sim::make_algorithm("tc", rules.tree, params);
-  const sim::RunResult via_mirror = sim::run_source(*mirror_alg, mirror);
+  const sim::RunResult via_mirror = sim::run_source(*mirror_alg, *mirrors[0]);
 
   fib::RouterSource source(rules, router);
   const auto source_alg = sim::make_algorithm("tc", rules.tree, params);
   const sim::RunResult via_source = sim::run_source(*source_alg, source);
 
   EXPECT_EQ(via_mirror, via_source);
-  EXPECT_EQ(mirror.stats().packets, source.stats().packets);
-  EXPECT_EQ(mirror.stats().hits, source.stats().hits);
-  EXPECT_EQ(mirror.stats().misses, source.stats().misses);
-  EXPECT_EQ(mirror.stats().updates, source.stats().updates);
-  EXPECT_EQ(mirror.stats().cached_updates, source.stats().cached_updates);
-  EXPECT_EQ(mirror.stats().forwarding_errors,
-            source.stats().forwarding_errors);
+  expect_equal_stats(mirror_stats(mirrors, 0), source.stats());
 }
 
 TEST(ClosedLoopSharding, MirrorStatsPartitionTheEventStream) {
@@ -190,12 +211,14 @@ TEST(ClosedLoopSharding, MirrorStatsPartitionTheEventStream) {
 
   for (const std::size_t shards : {2u, 4u, 8u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
-    const engine::ShardPlan plan(rules.tree, shards);
-    const Reference ref =
-        sequential_reference(rules, plan, "tc", params, router);
+    engine::ShardedEngine eng(rules.tree, "tc", params,
+                              {.shards = shards, .threads = 2});
+    fib::RouterSource source(rules, router);
+    const auto mirrors = source.split(eng.plan());
+    (void)eng.run_split(mirrors);
     fib::RouterSimResult sum;
-    for (std::size_t s = 0; s < ref.stats.size(); ++s) {
-      const fib::RouterSimResult& stats = ref.stats[s];
+    for (std::size_t s = 0; s < mirrors.size(); ++s) {
+      const fib::RouterSimResult& stats = mirror_stats(mirrors, s);
       EXPECT_EQ(stats.hits + stats.misses + stats.forwarding_errors,
                 stats.packets)
           << "shard " << s;
@@ -358,9 +381,8 @@ TEST(ClosedLoopSharding, SplitsOfOneSourceShareItsSampler) {
   };
   const auto router_stats = [](const Split& split) {
     std::vector<std::array<std::uint64_t, 5>> out;
-    for (const auto& mirror : split.mirrors) {
-      const auto& stats =
-          dynamic_cast<const fib::RouterMirrorSource&>(*mirror).stats();
+    for (std::size_t s = 0; s < split.mirrors.size(); ++s) {
+      const auto& stats = mirror_stats(split.mirrors, s);
       out.push_back({stats.packets, stats.hits, stats.misses, stats.updates,
                      stats.cached_updates});
     }
@@ -438,16 +460,6 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
     ASSERT_GT(requests, 0u);
   };
 
-  const auto expect_equal_stats = [](const fib::RouterSimResult& got,
-                                     const fib::RouterSimResult& want) {
-    EXPECT_EQ(got.packets, want.packets);
-    EXPECT_EQ(got.hits, want.hits);
-    EXPECT_EQ(got.misses, want.misses);
-    EXPECT_EQ(got.updates, want.updates);
-    EXPECT_EQ(got.cached_updates, want.cached_updates);
-    EXPECT_EQ(got.forwarding_errors, want.forwarding_errors);
-  };
-
   {
     SCOPED_TRACE("RouterSource");
     fib::RouterSource unit(rules, router);
@@ -455,13 +467,16 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
     drive(unit, batched, rules.tree);
     expect_equal_stats(batched.stats(), unit.stats());
   }
+  // Mirror s of two separate splits: the other mirrors of each split are
+  // never driven, so their events just queue up.
   const engine::ShardPlan plan(rules.tree, 4);
+  const fib::RouterSource source(rules, router);
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
     SCOPED_TRACE("mirror shard " + std::to_string(s));
-    fib::RouterMirrorSource unit(rules, router, plan, s);
-    fib::RouterMirrorSource batched(rules, router, plan, s);
-    drive(unit, batched, plan.shard_tree(s));
-    expect_equal_stats(batched.stats(), unit.stats());
+    const auto unit = source.split(plan);
+    const auto batched = source.split(plan);
+    drive(*unit[s], *batched[s], plan.shard_tree(s));
+    expect_equal_stats(mirror_stats(batched, s), mirror_stats(unit, s));
   }
 }
 
@@ -478,13 +493,10 @@ TEST(ClosedLoopSharding, ShardedFibScenarioAggregatesMirrorStats) {
   ASSERT_GT(got.shards, 1u);
 
   const engine::ShardPlan plan(rules.tree, scenario.engine.shards);
-  const Reference ref = sequential_reference(
-      rules, plan, "tc", params, sim::fib_router_config(params, 7));
   fib::RouterSimResult expected;
-  Cost cost_sum;
-  for (std::size_t s = 0; s < ref.stats.size(); ++s) {
-    expected += ref.stats[s];
-    cost_sum += ref.per_shard[s].cost;
+  for (const ShardReference& shard : per_shard_reference(
+           rules, plan, "tc", params, sim::fib_router_config(params, 7))) {
+    expected += shard.stats;
   }
   EXPECT_EQ(got.router.packets, expected.packets);
   EXPECT_EQ(got.router.hits, expected.hits);
@@ -493,7 +505,7 @@ TEST(ClosedLoopSharding, ShardedFibScenarioAggregatesMirrorStats) {
   EXPECT_EQ(got.router.cached_updates, expected.cached_updates);
   // The subforest invariant holds per line card, too.
   EXPECT_EQ(got.router.forwarding_errors, 0u);
-  EXPECT_EQ(got.router.algorithm_cost, cost_sum);
+  EXPECT_EQ(got.router.algorithm_cost, expected.algorithm_cost);
 
   // Scenario-level thread invariance.
   sim::FibScenario single_threaded = scenario;

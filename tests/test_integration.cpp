@@ -135,7 +135,8 @@ TEST(Integration, AllAlgorithmsSurviveAPathologicalMix) {
   LocalTc local(tree, {.alpha = 64, .capacity = 3});
   for (OnlineAlgorithm* alg :
        std::initializer_list<OnlineAlgorithm*>{&tc, &lru, &local}) {
-    const auto result = sim::run_trace(*alg, trace, {}, true);
+    const auto result =
+        sim::run_trace(*alg, trace, /*validate_every_step=*/true);
     EXPECT_LE(result.max_cache_size, 3u) << alg->name();
   }
 }

@@ -1,16 +1,21 @@
 // The registry is the extension point every future policy/workload PR plugs
 // into, so these tests enumerate it exhaustively: every registered algorithm
 // must run cleanly against a smoke workload, and every registered workload
-// must produce a valid trace.
+// must produce a valid trace. Its Params, like the CLI's Flags, must read a
+// number only from text that is that number and nothing else.
 #include "sim/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "fib/fib_workloads.hpp"
 #include "rib/workloads.hpp"
 #include "sim/simulator.hpp"
+#include "tools/flags.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
 
@@ -85,7 +90,7 @@ TEST(Registry, EveryAlgorithmRunsOneSmokeTrace) {
     alg->reset();
     EXPECT_EQ(alg->cost().total(), 0u);
     const auto result =
-        sim::run_trace(*alg, trace, {}, /*validate_every_step=*/true);
+        sim::run_trace(*alg, trace, /*validate_every_step=*/true);
     EXPECT_EQ(result.rounds, trace.size());
     EXPECT_EQ(result.cost.total(), alg->cost().total());
   }
@@ -170,6 +175,71 @@ TEST(Registry, ParamsParseAndDefault) {
   EXPECT_EQ(p.get("missing", "x"), "x");
   p.set("alpha", "junk");
   EXPECT_THROW((void)p.alpha(), CheckFailure);
+}
+
+// Texts a number must not read as. std::stoull and std::stod accepted
+// each: "-1" as 2^64 - 1, "4x" as 4, " 7" as 7, "nan" as NaN.
+constexpr const char* kMalformedNumbers[] = {"-1", "4x", "", " 7", "nan"};
+
+/// Runs `parse`, expects it to throw a CheckFailure, and returns the
+/// message.
+template <typename Parse>
+std::string failure_of(const Parse& parse) {
+  try {
+    (void)parse();
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "parsed without a failure";
+  return "";
+}
+
+TEST(Params, NumbersMustBeTheWholeText) {
+  for (const char* text : kMalformedNumbers) {
+    SCOPED_TRACE(std::string("'") + text + "'");
+    const sim::Params p(std::map<std::string, std::string>{{"length", text}});
+    EXPECT_NE(failure_of([&] { return p.get_u64("length", 1); })
+                  .find("parameter length="),
+              std::string::npos);
+    if (std::string(text) != "-1") {
+      EXPECT_NE(failure_of([&] { return p.get_double("length", 1.0); })
+                    .find("parameter length="),
+                std::string::npos);
+    }
+  }
+  // What the README and CI pass still parses.
+  const sim::Params p(std::map<std::string, std::string>{
+      {"length", "10000000"}, {"skew", "1.1"}, {"update-prob", "0.02"}});
+  EXPECT_EQ(p.get_u64("length", 1), 10000000u);
+  EXPECT_DOUBLE_EQ(p.get_double("skew", 1.0), 1.1);
+  EXPECT_DOUBLE_EQ(p.get_double("update-prob", 0.0), 0.02);
+  EXPECT_DOUBLE_EQ(p.get_double("length", 0.0), 1e7);
+}
+
+TEST(Flags, NumbersMustBeTheWholeText) {
+  const auto flags_of = [](std::vector<std::string> args) {
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    return tools::Flags(static_cast<int>(argv.size()), argv.data(), 0);
+  };
+  for (const char* text : kMalformedNumbers) {
+    SCOPED_TRACE(std::string("'") + text + "'");
+    const tools::Flags flags = flags_of({"--capacity", text});
+    EXPECT_NE(failure_of([&] { return flags.get_u64("capacity", 1); })
+                  .find("--capacity"),
+              std::string::npos);
+    if (std::string(text) != "-1") {
+      EXPECT_NE(failure_of([&] { return flags.get_double("capacity", 1.0); })
+                    .find("--capacity"),
+                std::string::npos);
+    }
+  }
+  const tools::Flags flags = flags_of(
+      {"--shards", "8", "--length", "2000000", "--skew", "1.1", "--pin", "on"});
+  EXPECT_EQ(flags.get_u64("shards", 1), 8u);
+  EXPECT_EQ(flags.get_u64("length", 1), 2000000u);
+  EXPECT_DOUBLE_EQ(flags.get_double("skew", 1.0), 1.1);
+  EXPECT_EQ(flags.get_u64("threads", 3), 3u);  // absent: the fallback
 }
 
 TEST(Registry, OfflineEvaluatorsAgreeWithDirectCalls) {

@@ -35,23 +35,6 @@ TEST(Simulator, AccountingMatchesAlgorithmCost) {
   EXPECT_EQ(result.final_cache_size, tc.cache().size());
 }
 
-TEST(Simulator, ObserverSeesEveryRound) {
-  const Tree t = trees::path(3);
-  Trace trace{positive(2), positive(2), positive(1)};
-  TreeCache tc(t, {.alpha = 2, .capacity = 3});
-  std::size_t calls = 0;
-  std::size_t fetch_round = 0;
-  (void)sim::run_trace(tc, trace,
-                       [&](std::size_t round, Request, const StepOutcome& o) {
-                         ++calls;
-                         if (o.change == ChangeKind::kFetch) {
-                           fetch_round = round;
-                         }
-                       });
-  EXPECT_EQ(calls, 3u);
-  EXPECT_EQ(fetch_round, 2u);
-}
-
 TEST(Metrics, SummaryBasics) {
   const auto s = sim::summarize({4.0, 1.0, 3.0, 2.0, 5.0});
   EXPECT_EQ(s.count, 5u);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace treecache::tools {
 
@@ -36,27 +37,31 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// The value of --key as a whole unsigned integer (see util/parse.hpp),
+  /// or `fallback` when the flag is absent.
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      return std::stoull(it->second);
-    } catch (const std::exception&) {
+    const auto value = parse_u64(it->second);
+    if (!value) {
       throw CheckFailure("--" + key + " " + it->second +
                          " is not an unsigned integer");
     }
+    return *value;
   }
 
+  /// The value of --key as a whole finite number, or `fallback` when the
+  /// flag is absent.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
+    const auto value = parse_double(it->second);
+    if (!value) {
       throw CheckFailure("--" + key + " " + it->second + " is not a number");
     }
+    return *value;
   }
 
   /// All parsed flags, e.g. to seed a sim::Params with every --key value.

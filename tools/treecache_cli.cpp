@@ -82,7 +82,6 @@
 // `--json` writes the machine-readable result document (schemas in
 // sim/reporting.hpp); "-" means stdout.
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -114,6 +113,7 @@
 #include "tree/tree_builder.hpp"
 #include "tree/tree_io.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace treecache::tools {
@@ -160,11 +160,9 @@ std::vector<std::string> split_csv(const std::string& text) {
 std::vector<double> split_csv_doubles(const std::string& text) {
   std::vector<double> out;
   for (const std::string& item : split_csv(text)) {
-    try {
-      out.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw CheckFailure("'" + item + "' is not a number");
-    }
+    const auto value = parse_double(item);
+    if (!value) throw CheckFailure("'" + item + "' is not a number");
+    out.push_back(*value);
   }
   return out;
 }
@@ -173,14 +171,11 @@ template <typename T>
 std::vector<T> split_csv_u64(const std::string& text) {
   std::vector<T> out;
   for (const std::string& item : split_csv(text)) {
-    // from_chars, not stoull: stoull accepts "-1" and wraps it mod 2^64.
-    std::uint64_t value = 0;
-    const auto [end, ec] =
-        std::from_chars(item.data(), item.data() + item.size(), value);
-    if (ec != std::errc{} || end != item.data() + item.size()) {
+    const auto value = parse_u64(item);
+    if (!value) {
       throw CheckFailure("'" + item + "' is not an unsigned integer");
     }
-    out.push_back(static_cast<T>(value));
+    out.push_back(static_cast<T>(*value));
   }
   return out;
 }
@@ -510,7 +505,7 @@ int cmd_run(const Flags& flags) {
   }();
 
   const auto result =
-      sim::run_source(*alg, *source, {}, flags.has("validate"));
+      sim::run_source(*alg, *source, flags.has("validate"));
   if (flags.has("json")) {
     const sim::Scenario scenario{.algorithm = name,
                                  .workload = flags.get("workload", ""),
