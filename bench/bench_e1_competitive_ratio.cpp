@@ -12,9 +12,9 @@
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
 
@@ -71,38 +71,27 @@ int main() {
   ConsoleTable by_shape({"shape", "n", "h", "alpha", "k", "mean ratio",
                          "max ratio", "max ratio/(h*R)"});
   for (const auto& sc : shapes) {
+    const auto make_tree = [&](Rng& rng) {
+      if (sc.name == "path") return trees::path(sc.n);
+      if (sc.name == "star") return trees::star(sc.n - 1);
+      if (sc.name == "binary") return trees::complete_kary(3, 2);
+      return trees::random_recursive(sc.n, rng);
+    };
     for (const std::uint64_t alpha : {1ull, 4ull}) {
       std::vector<double> ratios;
       std::vector<double> fractions;
-      std::uint32_t height = 0;
-      const std::size_t reps = sim::bench_reps(24);
-      const auto results = sim::parallel_sweep<Measurement>(
-          reps, 1000 + sc.n * 7 + alpha, [&](std::size_t, Rng& rng) {
-            Rng tree_rng = rng.split();
-            const Tree tree = sc.name == "path" ? trees::path(sc.n)
-                              : sc.name == "star"
-                                  ? trees::star(sc.n - 1)
-                              : sc.name == "binary"
-                                  ? trees::complete_kary(3, 2)
-                                  : trees::random_recursive(sc.n, tree_rng);
-            return measure(tree, alpha, sc.k, rng);
-          });
-      // Height of a representative instance (shapes are deterministic
-      // except "random"; report the family's typical height).
-      {
-        Rng hr(1);
-        const Tree rep = sc.name == "path" ? trees::path(sc.n)
-                         : sc.name == "star"
-                             ? trees::star(sc.n - 1)
-                         : sc.name == "binary" ? trees::complete_kary(3, 2)
-                                               : trees::random_recursive(
-                                                     sc.n, hr);
-        height = rep.height();
-      }
-      for (const auto& m : results) {
+      for (const std::uint64_t seed :
+           point_seeds(1000 + sc.n * 7 + alpha, sim::bench_reps(24))) {
+        Rng rng(seed);
+        Rng tree_rng = rng.split();
+        const Measurement m = measure(make_tree(tree_rng), alpha, sc.k, rng);
         ratios.push_back(m.ratio);
         fractions.push_back(m.bound_fraction);
       }
+      // Height of a representative instance (shapes are deterministic
+      // except "random"; report the family's typical height).
+      Rng hr(1);
+      const std::uint32_t height = make_tree(hr).height();
       const auto rs = sim::summarize(ratios);
       const auto fs = sim::summarize(fractions);
       by_shape.add_row({sc.name, ConsoleTable::fmt(std::uint64_t{sc.n}),
@@ -138,11 +127,11 @@ int main() {
            {11, 1}, {5, 2}, {3, 3}, {2, 5}, {1, 11}}) {
     const Tree tree = trees::spider(legs, leg_len);
     std::vector<double> ratios;
-    const auto results = sim::parallel_sweep<Measurement>(
-        sim::bench_reps(24), 77 + legs, [&](std::size_t, Rng& rng) {
-          return measure(tree, 2, 4, rng);
-        });
-    for (const auto& m : results) ratios.push_back(m.ratio);
+    for (const std::uint64_t seed :
+         point_seeds(77 + legs, sim::bench_reps(24))) {
+      Rng rng(seed);
+      ratios.push_back(measure(tree, 2, 4, rng).ratio);
+    }
     const auto rs = sim::summarize(ratios);
     if (base_mean == 0.0) base_mean = rs.mean;
     by_height.add_row(

@@ -4,10 +4,10 @@
 //
 //   $ ./adversarial_analysis [k_onl] [chunks]
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/opt_offline.hpp"
 #include "core/tree_cache.hpp"
+#include "example_args.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/table.hpp"
 #include "workload/adversary.hpp"
@@ -15,9 +15,10 @@
 using namespace treecache;
 
 int main(int argc, char** argv) {
-  const std::size_t k_onl = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  const std::size_t k_onl =
+      examples::positional_u64(argc, argv, 1, "k_onl", 6);
   const std::size_t chunks =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 120;
+      examples::positional_u64(argc, argv, 2, "chunks", 120);
   const std::uint64_t alpha = 4;
 
   if (k_onl > 16) {

@@ -10,6 +10,7 @@
 #include "baselines/lru_closure.hpp"
 #include "baselines/never_cache.hpp"
 #include "core/tree_cache.hpp"
+#include "example_args.hpp"
 #include "fib/rib_gen.hpp"
 #include "fib/router_sim.hpp"
 #include "util/table.hpp"
@@ -18,11 +19,12 @@ using namespace treecache;
 using namespace treecache::fib;
 
 int main(int argc, char** argv) {
-  const std::size_t rules = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const std::size_t rules =
+      examples::positional_u64(argc, argv, 1, "rules", 20000);
   const std::size_t packets =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 200000;
+      examples::positional_u64(argc, argv, 2, "packets", 200000);
   const std::size_t cache_size =
-      argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 1000;
+      examples::positional_u64(argc, argv, 3, "cache_size", 1000);
   const std::uint64_t alpha = 16;
 
   std::printf("generating synthetic RIB: %zu rules...\n", rules);

@@ -8,21 +8,22 @@
 // are the fields their windows belong to, '*' marks the artificial fetch
 // of a finished phase, '.' is the open field F∞.
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/field_tracker.hpp"
 #include "core/tree_cache.hpp"
+#include "example_args.hpp"
 #include "tree/tree_builder.hpp"
 #include "workload/generators.hpp"
 
 using namespace treecache;
 
 int main(int argc, char** argv) {
-  const std::size_t nodes = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  const std::size_t nodes =
+      examples::positional_u64(argc, argv, 1, "nodes", 6);
   const std::size_t rounds =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 120;
+      examples::positional_u64(argc, argv, 2, "rounds", 120);
   const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 11;
+      examples::positional_u64(argc, argv, 3, "seed", 11);
   const std::uint64_t alpha = 3;
 
   const Tree line = trees::path(nodes);

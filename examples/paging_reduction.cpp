@@ -11,10 +11,10 @@
 // offline tree-caching solution must pay on the lifted instance, up to the
 // same factor.
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/paging.hpp"
 #include "core/tree_cache.hpp"
+#include "example_args.hpp"
 #include "sim/simulator.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
@@ -24,10 +24,11 @@
 using namespace treecache;
 
 int main(int argc, char** argv) {
-  const std::size_t pages = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 12;
-  const std::size_t k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 6;
+  const std::size_t pages =
+      examples::positional_u64(argc, argv, 1, "pages", 12);
+  const std::size_t k = examples::positional_u64(argc, argv, 2, "cache", 6);
   const std::size_t requests =
-      argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 5000;
+      examples::positional_u64(argc, argv, 3, "requests", 5000);
   const std::uint64_t alpha = 8;
 
   // A Zipf-ish paging workload.

@@ -3,9 +3,9 @@
 //
 //   $ ./update_churn [rules] [events]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/tree_cache.hpp"
+#include "example_args.hpp"
 #include "fib/canonicalizer.hpp"
 #include "fib/rib_gen.hpp"
 #include "fib/traffic.hpp"
@@ -15,9 +15,10 @@ using namespace treecache;
 using namespace treecache::fib;
 
 int main(int argc, char** argv) {
-  const std::size_t rules = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
+  const std::size_t rules =
+      examples::positional_u64(argc, argv, 1, "rules", 5000);
   const std::size_t events =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 100000;
+      examples::positional_u64(argc, argv, 2, "events", 100000);
   const std::uint64_t alpha = 12;
   const std::size_t capacity = 400;
 

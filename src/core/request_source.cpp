@@ -84,18 +84,7 @@ FileTraceSource::FileTraceSource(std::string path, std::size_t tree_size)
 }
 
 std::size_t FileTraceSource::fill(std::span<Request> buffer) {
-  std::size_t n = 0;
-  std::string line;
-  while (n < buffer.size() && std::getline(in_, line)) {
-    ++line_number_;
-    if (line.empty()) continue;
-    buffer[n++] = parse_request_line(line, line_number_, tree_size_);
-  }
-  // A read error must not masquerade as a clean end of stream — the run
-  // would silently report costs for a truncated trace.
-  TC_CHECK(!in_.bad(), "read error in " + path_ + " near line " +
-                           std::to_string(line_number_));
-  return n;
+  return read_requests(in_, buffer, tree_size_, line_number_);
 }
 
 void FileTraceSource::reset() {

@@ -1,5 +1,6 @@
 #include "core/trace.hpp"
 
+#include <array>
 #include <charconv>
 #include <istream>
 #include <ostream>
@@ -61,14 +62,27 @@ Request parse_request_line(const std::string& line, std::size_t line_number,
   return Request{static_cast<NodeId>(node), sign};
 }
 
-Trace load_trace(std::istream& is, std::size_t tree_size) {
-  Trace trace;
+std::size_t read_requests(std::istream& is, std::span<Request> buffer,
+                          std::size_t tree_size, std::size_t& line_number) {
+  std::size_t n = 0;
   std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(is, line)) {
+  while (n < buffer.size() && std::getline(is, line)) {
     ++line_number;
     if (line.empty()) continue;
-    trace.push_back(parse_request_line(line, line_number, tree_size));
+    buffer[n++] = parse_request_line(line, line_number, tree_size);
+  }
+  TC_CHECK(!is.bad(),
+           "trace read error near line " + std::to_string(line_number));
+  return n;
+}
+
+Trace load_trace(std::istream& is, std::size_t tree_size) {
+  Trace trace;
+  std::size_t line_number = 0;
+  std::array<Request, 1024> buffer;
+  while (const std::size_t n =
+             read_requests(is, buffer, tree_size, line_number)) {
+    trace.insert(trace.end(), buffer.begin(), buffer.begin() + n);
   }
   return trace;
 }

@@ -44,8 +44,19 @@ void save_trace(std::ostream& os, std::span<const Request> trace);
                                          std::size_t line_number,
                                          std::size_t tree_size);
 
-/// Parses the save_trace format, streaming line by line (empty lines are
-/// skipped). Errors carry the line number via parse_request_line.
+/// The one line loop behind load_trace and FileTraceSource: parses
+/// save_trace-format lines from `is` into `buffer` until it is full or the
+/// stream ends, skipping empty lines, and returns how many requests it
+/// wrote. `line_number` counts the lines read so far, across calls. A
+/// stream read error throws CheckFailure: it must not read as a clean end
+/// of stream, or a run would report costs for a truncated trace.
+[[nodiscard]] std::size_t read_requests(std::istream& is,
+                                        std::span<Request> buffer,
+                                        std::size_t tree_size,
+                                        std::size_t& line_number);
+
+/// Parses the save_trace format, streaming line by line through
+/// read_requests. Errors carry the line number via parse_request_line.
 [[nodiscard]] Trace load_trace(std::istream& is, std::size_t tree_size);
 
 }  // namespace treecache

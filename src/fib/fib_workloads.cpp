@@ -13,8 +13,8 @@ RibConfig rib_config_from_params(const sim::Params& params) {
   return RibConfig{
       .rules = params.get_u64("rules", 4096),
       .deaggregation = params.get_double("deagg", 0.45),
-      .max_length =
-          static_cast<std::uint8_t>(params.get_u64("max-len", 24))};
+      .max_length = static_cast<std::uint8_t>(
+          params.get_u64("max-len", 24, Prefix::kWidth))};
 }
 
 RuleTree rule_tree_from_params(const sim::Params& params) {

@@ -4,8 +4,8 @@
 #include "fib/fib_workloads.hpp"
 #include "fib/router_source.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace treecache::sim {
 
@@ -21,28 +21,21 @@ fib::RouterSimConfig fib_router_config(const Params& params,
 
 FibScenarioResult run_fib_scenario(const fib::RuleTree& rules,
                                    const FibScenario& scenario) {
-  // The closed-loop router is just another RequestSource. With one shard
-  // the engine delegates to run_source (outcomes feed back after every
-  // round); with more, the source splits into per-shard mirrors and each
-  // engine worker runs the closed loops of the shards it owns — we split
-  // here rather than inside run() so the mirrors' router statistics
-  // survive the run and can be aggregated into the result.
+  // The closed-loop router is just another RequestSource. It splits into
+  // one router mirror per shard of the engine's plan (one for the trivial
+  // plan), and each engine worker runs the closed loops of the shards it
+  // owns. We split here rather than inside run() so the mirrors' router
+  // statistics survive the run and can be aggregated into the result.
   engine::ShardedEngine eng(rules.tree, scenario.algorithm, scenario.params,
                             scenario.engine);
-  fib::RouterSource source(rules,
-                           fib_router_config(scenario.params, scenario.seed));
-  FibScenarioResult out{.scenario = scenario, .router = {}};
-  out.shards = eng.plan().num_shards();
-  if (out.shards == 1) {
-    const engine::EngineResult result = eng.run(source);
-    out.router = source.stats();
-    out.router.algorithm_cost = result.total.cost;
-    out.threads = result.threads;
-    return out;
-  }
+  const fib::RouterSource source(
+      rules, fib_router_config(scenario.params, scenario.seed));
   const auto mirrors = source.split(eng.plan());
   const engine::EngineResult result = eng.run_split(mirrors);
-  out.threads = result.threads;
+  FibScenarioResult out{.scenario = scenario,
+                        .router = {},
+                        .shards = result.shards,
+                        .threads = result.threads};
   for (const auto& part : mirrors) {
     const auto* mirror =
         dynamic_cast<const fib::RouterMirrorSource*>(part.get());
@@ -74,29 +67,27 @@ std::vector<FibScenarioResult> run_fib_sweep(const fib::RuleTree& rules,
   // a point replay the identical packet/update stream.
   const std::size_t points =
       axes.skews.size() * axes.capacities.size() * axes.alphas.size();
-  std::vector<std::uint64_t> point_seeds(points);
-  Rng seeder(seed);
-  for (auto& s : point_seeds) s = seeder();
-
-  const std::size_t cells = axes.algorithms.size() * points;
-  const auto run_cell = [&](std::size_t i, Rng&) {
-    const std::size_t point = i % points;
-    const std::size_t alpha_i = point % axes.alphas.size();
-    const std::size_t capacity_i =
-        (point / axes.alphas.size()) % axes.capacities.size();
-    const std::size_t skew_i =
-        point / (axes.alphas.size() * axes.capacities.size());
-    FibScenario cell{.algorithm = axes.algorithms[i / points],
-                     .params = base,
-                     .seed = point_seeds[point],
-                     .engine = engine};
-    cell.params.set("skew", util::format_double(axes.skews[skew_i]));
-    cell.params.set("capacity",
-                    std::to_string(axes.capacities[capacity_i]));
-    cell.params.set("alpha", std::to_string(axes.alphas[alpha_i]));
-    return run_fib_scenario(rules, cell);
-  };
-  return parallel_sweep<FibScenarioResult>(cells, seed, run_cell);
+  const std::vector<std::uint64_t> seeds = point_seeds(seed, points);
+  std::vector<FibScenarioResult> cells;
+  cells.reserve(axes.algorithms.size() * points);
+  for (const std::string& algorithm : axes.algorithms) {
+    std::size_t point = 0;
+    for (const double skew : axes.skews) {
+      for (const std::size_t capacity : axes.capacities) {
+        for (const std::uint64_t alpha : axes.alphas) {
+          FibScenario cell{.algorithm = algorithm,
+                           .params = base,
+                           .seed = seeds[point++],
+                           .engine = engine};
+          cell.params.set("skew", util::format_double(skew));
+          cell.params.set("capacity", std::to_string(capacity));
+          cell.params.set("alpha", std::to_string(alpha));
+          cells.push_back(run_fib_scenario(rules, cell));
+        }
+      }
+    }
+  }
+  return cells;
 }
 
 }  // namespace treecache::sim

@@ -1,19 +1,19 @@
 // Closed-loop FIB scenario engine — the registry-resolvable face of the
 // paper's Figure-1 switch + controller event loop over a fib::RouterSource
 // (the closed-loop RequestSource; fib/router_sim.hpp keeps the
-// self-contained reference loop the source is tested against). A
-// single-shard scenario runs through the sim::run_source driver; a
-// multi-shard one splits the source into per-shard router mirrors and runs
-// them through engine::ShardedEngine::run_split.
+// self-contained reference loop the source is tested against). Every
+// scenario splits the source into one router mirror per shard (one for a
+// single-shard plan) and runs them through
+// engine::ShardedEngine::run_split.
 //
 // A FibScenario names an algorithm (AlgorithmRegistry key) and carries one
 // Params bag using the same keys as the registered fib* workloads: the RIB
 // block (rules, deagg, max-len, rib-seed) defines the rule tree and the
 // traffic block (packets, skew, update-prob, alpha) defines the packet and
 // update stream. run_fib_sweep runs algorithm × skew × capacity × alpha
-// grids cell by cell through parallel_sweep with pre-derived per-point
-// seeds, so results are deterministic and every algorithm at one traffic
-// point sees the identical packet stream.
+// grids cell by cell, one traffic seed per point drawn up front
+// (point_seeds), so results are deterministic and every algorithm at one
+// traffic point sees the identical packet stream.
 #pragma once
 
 #include <string>
@@ -35,18 +35,18 @@ struct FibScenario {
   /// part of the scenario semantics; the line-card model: each shard runs
   /// its own instance with the full capacity over its top-level-prefix
   /// slice, fed by a per-shard router mirror off one shared event
-  /// producer). With shards > 1 the closed loop runs through
-  /// ShardedEngine::run_split; results are bit-identical for every
+  /// producer). The closed loop runs through ShardedEngine::run_split at
+  /// every shard count; results are bit-identical for every
   /// `threads`/`batch` value.
   engine::EngineConfig engine;
 };
 
 struct FibScenarioResult {
   FibScenario scenario;
-  /// With shards > 1: the sum of the per-shard mirror statistics. Every
-  /// packet and update event is owned by exactly one shard, so packets and
-  /// updates always add up to the unsharded event stream; hits/misses are
-  /// per the line-card model.
+  /// The sum of the per-shard mirror statistics. Every packet and update
+  /// event is owned by exactly one shard, so packets and updates always add
+  /// up to the unsharded event stream; hits/misses are per the line-card
+  /// model.
   fib::RouterSimResult router;
   std::size_t shards = 1;   // planned (may be fewer than requested)
   std::size_t threads = 1;  // workers actually used

@@ -40,36 +40,4 @@ Summary summarize(std::vector<double> samples) {
   return s;
 }
 
-LinearFit fit_linear(const std::vector<double>& x,
-                     const std::vector<double>& y) {
-  TC_CHECK(x.size() == y.size() && x.size() >= 2,
-           "need matching samples, at least two");
-  const auto n = static_cast<double>(x.size());
-  double sx = 0.0;
-  double sy = 0.0;
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-    syy += y[i] * y[i];
-  }
-  LinearFit fit;
-  const double denom = n * sxx - sx * sx;
-  TC_CHECK(denom != 0.0, "degenerate x values");
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  const double ss_tot = syy - sy * sy / n;
-  double ss_res = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double e = y[i] - (fit.slope * x[i] + fit.intercept);
-    ss_res += e * e;
-  }
-  fit.r_squared = ss_tot == 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
-  return fit;
-}
-
 }  // namespace treecache::sim

@@ -26,13 +26,4 @@ struct Summary {
 /// Computes the summary of a sample (empty input gives an all-zero summary).
 [[nodiscard]] Summary summarize(std::vector<double> samples);
 
-/// Ordinary least squares y ≈ slope·x + intercept; also reports R².
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r_squared = 0.0;
-};
-[[nodiscard]] LinearFit fit_linear(const std::vector<double>& x,
-                                   const std::vector<double>& y);
-
 }  // namespace treecache::sim

@@ -5,14 +5,19 @@
 
 namespace treecache::sim {
 
-std::uint64_t Params::get_u64(const std::string& key,
-                              std::uint64_t fallback) const {
+std::uint64_t Params::get_u64(const std::string& key, std::uint64_t fallback,
+                              std::uint64_t max) const {
   if (!has(key)) return fallback;
   const std::string text = get(key, "");
   const auto value = parse_u64(text);
   if (!value) {
     throw CheckFailure("parameter " + key + "=" + text +
                        " is not an unsigned integer");
+  }
+  if (*value > max) {
+    throw CheckFailure("parameter " + key + "=" + text +
+                       " is out of range (at most " + std::to_string(max) +
+                       ")");
   }
   return *value;
 }

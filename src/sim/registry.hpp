@@ -63,6 +63,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -101,8 +102,12 @@ class Params {
     return it == values_.end() ? fallback : it->second;
   }
 
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const;
+  /// The value of `key` as a whole unsigned integer, or `fallback` when
+  /// it is absent. A value above `max` is refused too, so a caller that
+  /// narrows it never wraps it.
+  [[nodiscard]] std::uint64_t get_u64(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
 

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <string>
 
-#include "engine/sharded_engine.hpp"
 #include "util/check.hpp"
 
 namespace treecache::sim {
@@ -63,11 +62,10 @@ util::Json to_json(const RunResult& result) {
 util::Json to_json(const Scenario& scenario) {
   util::Json out = util::Json::object();
   out.set("algorithm", scenario.algorithm);
-  // Empty means "not driven by a registered workload" (e.g. a CLI run
-  // replaying a trace file, which records a "trace" member instead).
   if (!scenario.workload.empty()) out.set("workload", scenario.workload);
   out.set("seed", scenario.seed);
   out.set("params", params_json(scenario.params));
+  if (!scenario.trace.empty()) out.set("trace", scenario.trace);
   return out;
 }
 
@@ -130,10 +128,7 @@ util::Json fib_sweep_json(const std::vector<FibScenarioResult>& cells) {
 util::Json throughput_json(const Scenario& scenario,
                            const engine::EngineConfig& config,
                            const engine::ShardPlan& plan,
-                           const engine::EngineResult& result,
-                           std::string_view trace_path) {
-  util::Json scenario_doc = to_json(scenario);
-  if (!trace_path.empty()) scenario_doc.set("trace", std::string(trace_path));
+                           const engine::EngineResult& result) {
   util::Json per_shard = util::Json::array();
   for (std::size_t s = 0; s < result.per_shard.size(); ++s) {
     util::Json entry = util::Json::object()
@@ -148,7 +143,7 @@ util::Json throughput_json(const Scenario& scenario,
   for (const int cpu : result.worker_cpus) affinity.push(cpu);
   return util::Json::object()
       .set("schema", "treecache.throughput/2")
-      .set("scenario", std::move(scenario_doc))
+      .set("scenario", to_json(scenario))
       .set("engine",
            util::Json::object()
                .set("shards_requested", std::uint64_t{config.shards})

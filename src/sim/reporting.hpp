@@ -28,15 +28,6 @@
 #include "sim/scenario.hpp"
 #include "util/json.hpp"
 
-// The sim layer only *reports on* the engine; keep the upward dependency to
-// these forward declarations (engine/sharded_engine.hpp is included by
-// reporting.cpp alone).
-namespace treecache::engine {
-struct EngineConfig;
-struct EngineResult;
-class ShardPlan;
-}  // namespace treecache::engine
-
 namespace treecache::sim {
 
 /// Prints a framed banner:
@@ -51,7 +42,8 @@ void print_note(std::string_view label, std::string_view value);
 /// Cost/accounting object of one simulator run.
 [[nodiscard]] util::Json to_json(const RunResult& result);
 
-/// {algorithm, workload, seed, params} of one scenario.
+/// {algorithm, workload, seed, params} of one workload scenario;
+/// {algorithm, seed, params, trace} of one trace scenario.
 [[nodiscard]] util::Json to_json(const Scenario& scenario);
 
 /// Full single-run document (schema treecache.run/2).
@@ -71,15 +63,11 @@ void print_note(std::string_view label, std::string_view value);
 
 /// Full sharded-engine document (schema treecache.throughput/2): the
 /// scenario, the engine geometry (requested and planned shard counts,
-/// workers, batch), the aggregate result and one entry per shard. A
-/// trace-driven run (empty scenario.workload) passes the file in
-/// `trace_path`, recorded inside the scenario object exactly as
-/// treecache.run/2 records it.
+/// workers, batch), the aggregate result and one entry per shard.
 [[nodiscard]] util::Json throughput_json(const Scenario& scenario,
                                          const engine::EngineConfig& config,
                                          const engine::ShardPlan& plan,
-                                         const engine::EngineResult& result,
-                                         std::string_view trace_path = {});
+                                         const engine::EngineResult& result);
 
 /// Machine-readable companion to a bench's console tables. When
 /// $TREECACHE_BENCH_JSON_DIR is set, wraps `rows` (an array of row

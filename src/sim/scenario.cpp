@@ -1,20 +1,28 @@
 #include "sim/scenario.hpp"
 
-#include "sim/sweep.hpp"
 #include "util/rng.hpp"
 
 namespace treecache::sim {
 
+std::unique_ptr<RequestSource> open_source(const Tree& tree,
+                                           const Scenario& scenario) {
+  TC_CHECK(scenario.workload.empty() || scenario.trace.empty(),
+           "--trace and --workload are mutually exclusive");
+  if (!scenario.workload.empty()) {
+    return make_source(scenario.workload, tree, scenario.params,
+                       scenario.seed);
+  }
+  TC_CHECK(!scenario.trace.empty(), "--trace or --workload is required");
+  return std::make_unique<FileTraceSource>(scenario.trace, tree.size());
+}
+
 ScenarioResult run_scenario(const Tree& tree, const Scenario& scenario,
                             bool validate_every_step) {
-  // Workloads stream: the scenario never materializes its trace, so the
-  // run's memory is O(tree) regardless of params["length"].
-  const auto source =
-      make_source(scenario.workload, tree, scenario.params, scenario.seed);
+  const auto source = open_source(tree, scenario);
   const auto alg = make_algorithm(scenario.algorithm, tree, scenario.params);
-  ScenarioResult out{.scenario = scenario, .run = {}};
-  out.run = run_source(*alg, *source, validate_every_step);
-  return out;
+  return ScenarioResult{
+      .scenario = scenario,
+      .run = run_source(*alg, *source, validate_every_step)};
 }
 
 std::vector<ScenarioResult> run_grid(
@@ -30,19 +38,20 @@ std::vector<ScenarioResult> run_grid(
   }
   // One seed per workload *column*, so every algorithm in a column sees the
   // identical trace and the table compares algorithms, not trace draws.
-  std::vector<std::uint64_t> column_seeds(workloads.size());
-  Rng seeder(seed);
-  for (auto& s : column_seeds) s = seeder();
-
-  const std::size_t cells = algorithms.size() * workloads.size();
-  return parallel_sweep<ScenarioResult>(
-      cells, seed, [&](std::size_t i, Rng&) {
-        Scenario cell{.algorithm = algorithms[i / workloads.size()],
-                      .workload = workloads[i % workloads.size()],
-                      .params = base,
-                      .seed = column_seeds[i % workloads.size()]};
-        return run_scenario(tree, cell);
-      });
+  const std::vector<std::uint64_t> column_seeds =
+      point_seeds(seed, workloads.size());
+  std::vector<ScenarioResult> cells;
+  cells.reserve(algorithms.size() * workloads.size());
+  for (const std::string& algorithm : algorithms) {
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      const Scenario cell{.algorithm = algorithm,
+                          .workload = workloads[w],
+                          .params = base,
+                          .seed = column_seeds[w]};
+      cells.push_back(run_scenario(tree, cell));
+    }
+  }
+  return cells;
 }
 
 }  // namespace treecache::sim

@@ -1,12 +1,14 @@
-// Scenario layer: one struct naming an (algorithm, workload, parameters)
-// triple, resolved entirely through sim/registry.hpp. The CLI, tests and
-// benches describe *what* to run as data; the engine owns construction,
-// trace generation, seeding and (for grids) running every cell.
+// Scenario layer: one struct naming an algorithm, a request stream and the
+// parameters, resolved entirely through sim/registry.hpp. The CLI, tests and
+// benches describe *what* to run as data; this layer owns construction,
+// opening the stream, seeding and (for grids) running every cell.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/request_source.hpp"
 #include "sim/registry.hpp"
 #include "sim/simulator.hpp"
 
@@ -14,9 +16,13 @@ namespace treecache::sim {
 
 struct Scenario {
   std::string algorithm;  // AlgorithmRegistry key
-  std::string workload;   // WorkloadRegistry key
+  std::string workload;   // WorkloadRegistry key; empty for a trace run
   Params params;          // alpha, capacity, length, skew, ...
   std::uint64_t seed = 1;
+  /// A save_trace-format file that is the request stream in place of a
+  /// workload; empty for a workload run (the default, so workload
+  /// scenarios may leave it out).
+  std::string trace = {};
 };
 
 struct ScenarioResult {
@@ -24,9 +30,16 @@ struct ScenarioResult {
   RunResult run;
 };
 
-/// Generates the workload, builds the algorithm, and runs the trace.
-/// Both names resolve through the registries; unknown names throw
-/// CheckFailure listing what is registered.
+/// The scenario's request stream: its trace file, streamed line by line
+/// (FileTraceSource), or its registered workload seeded with `seed`.
+/// Either way the stream never materializes, so a run's memory is O(tree)
+/// whatever its length. A scenario must name exactly one of the two.
+[[nodiscard]] std::unique_ptr<RequestSource> open_source(
+    const Tree& tree, const Scenario& scenario);
+
+/// Opens the stream, builds the algorithm, and runs the algorithm over it.
+/// Names resolve through the registries; unknown names throw CheckFailure
+/// listing what is registered.
 [[nodiscard]] ScenarioResult run_scenario(const Tree& tree,
                                           const Scenario& scenario,
                                           bool validate_every_step = false);

@@ -29,6 +29,7 @@ Tree path(std::size_t n) {
 }
 
 Tree star(std::size_t leaf_count) {
+  TC_CHECK(leaf_count < kNoNode, "star has too many leaves for a NodeId");
   std::vector<NodeId> parent(leaf_count + 1, 0);
   parent[0] = kNoNode;
   return Tree(std::move(parent));

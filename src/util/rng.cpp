@@ -51,4 +51,12 @@ Rng Rng::split() {
   return Rng(child_seed);
 }
 
+std::vector<std::uint64_t> point_seeds(std::uint64_t seed,
+                                       std::size_t points) {
+  std::vector<std::uint64_t> seeds(points);
+  Rng seeder(seed);
+  for (auto& s : seeds) s = seeder();
+  return seeds;
+}
+
 }  // namespace treecache

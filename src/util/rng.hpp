@@ -55,8 +55,8 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool chance(double p) { return uniform01() < p; }
 
-  /// Derives an independent child generator; used to give each parallel task
-  /// its own stream without correlation.
+  /// Derives an independent child generator; used to give a sub-task its
+  /// own stream without correlation.
   Rng split();
 
   /// Fisher–Yates shuffle of a vector.
@@ -81,5 +81,11 @@ class Rng {
 
   std::array<std::uint64_t, 4> s_{};
 };
+
+/// The first `points` draws of Rng(seed): one seed per point of a sweep, so
+/// each point's stream depends only on its index and the sweep's seed, not
+/// on which points run before it.
+[[nodiscard]] std::vector<std::uint64_t> point_seeds(std::uint64_t seed,
+                                                     std::size_t points);
 
 }  // namespace treecache

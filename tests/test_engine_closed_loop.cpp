@@ -32,6 +32,7 @@
 #include "sim/registry.hpp"
 #include "sim/simulator.hpp"
 #include "tree/tree_builder.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace treecache {
@@ -60,12 +61,15 @@ sim::Params diff_params(const TrafficShape& shape) {
 }
 
 /// Randomized but reproducible: the sweep draws its RIB and traffic seeds
-/// from this; export TREECACHE_DIFF_SEED to replay a reported failure.
+/// from this; export TREECACHE_DIFF_SEED to replay a reported failure. A
+/// value that is not a whole unsigned integer fails the sweep.
 std::uint64_t harness_seed() {
-  if (const char* env = std::getenv("TREECACHE_DIFF_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 20260730;
+  const char* env = std::getenv("TREECACHE_DIFF_SEED");
+  if (env == nullptr) return 20260730;
+  const auto seed = parse_u64(env);
+  TC_CHECK(seed.has_value(), std::string("TREECACHE_DIFF_SEED=") + env +
+                                 " is not an unsigned integer");
+  return *seed;
 }
 
 /// One shard of the reference: the event loop's statistics (its cost in

@@ -60,6 +60,24 @@ TEST(FibWorkloads, ProduceValidTracesOnTheirRuleTree) {
   }
 }
 
+TEST(FibWorkloads, MaxLenBeyondThePrefixWidthIsRefused) {
+  // max-len narrows to a uint8_t prefix length: 264 used to wrap to /8.
+  for (const char* text : {"33", "264"}) {
+    sim::Params params = small_fib_params();
+    params.set("max-len", text);
+    try {
+      (void)fib::rib_config_from_params(params);
+      ADD_FAILURE() << "max-len " << text << " was accepted";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("max-len"), std::string::npos)
+          << e.what();
+    }
+  }
+  sim::Params params = small_fib_params();
+  params.set("max-len", "32");
+  EXPECT_EQ(fib::rib_config_from_params(params).max_length, 32u);
+}
+
 TEST(FibWorkloads, RejectForeignTrees) {
   Rng rng(3);
   const Tree foreign = trees::random_recursive(301, rng);
@@ -68,11 +86,12 @@ TEST(FibWorkloads, RejectForeignTrees) {
       CheckFailure);
 }
 
-// The scenario engine now drives the closed loop through RouterSource +
-// sim::run_source; every statistic and the algorithm's cost must match the
-// self-contained reference event loop (fib/router_sim.hpp) across the
-// seeded algorithm × capacity × seed grid — the mirror the source rebuilds
-// from StepOutcome feedback has to track the real cache exactly.
+// The scenario engine drives the closed loop through RouterSource::split
+// and run_split, one mirror for one shard; every statistic and the
+// algorithm's cost must match the self-contained reference event loop
+// (fib/router_sim.hpp) across the seeded algorithm × capacity × seed grid —
+// the mirror the source rebuilds from StepOutcome feedback has to track
+// the real cache exactly.
 TEST(FibEngine, UnifiedDriverMatchesReferenceRouterSim) {
   const sim::Params base = small_fib_params();
   const fib::RuleTree rt = fib::rule_tree_from_params(base);
@@ -154,7 +173,7 @@ TEST(FibEngine, SweepIsDeterministicAndSharesTrafficPerPoint) {
   EXPECT_EQ(cells.back().scenario.algorithm, "none");
   EXPECT_EQ(cells.back().scenario.params.get("capacity", ""), "64");
 
-  // Bit-identical on repeat (parallel_sweep pre-derives per-point seeds).
+  // Bit-identical on repeat (the sweep draws its point seeds up front).
   EXPECT_EQ(sim::fib_sweep_json(cells).dump(),
             sim::fib_sweep_json(run()).dump());
 }

@@ -242,6 +242,26 @@ TEST(Flags, NumbersMustBeTheWholeText) {
   EXPECT_EQ(flags.get_u64("threads", 3), 3u);  // absent: the fallback
 }
 
+TEST(Flags, ValuesAboveTheirBoundAreRefused) {
+  // A value read for a narrower type is refused above its bound, naming the
+  // flag or key, where a cast used to wrap it (264 read as a /8).
+  std::vector<std::string> args{"--max-len", "264", "--family", "46"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  const tools::Flags flags(static_cast<int>(argv.size()), argv.data(), 0);
+  EXPECT_NE(failure_of([&] { return flags.get_u64("max-len", 24, 32); })
+                .find("--max-len 264 is out of range (at most 32)"),
+            std::string::npos);
+  EXPECT_EQ(flags.get_u64("family", 4, 46), 46u);  // the bound is inclusive
+  EXPECT_EQ(flags.get_u64("max-len6", 64, 128), 64u);  // absent: fallback
+
+  const sim::Params p(std::map<std::string, std::string>{{"max-len", "264"}});
+  EXPECT_NE(failure_of([&] { return p.get_u64("max-len", 24, 32); })
+                .find("parameter max-len=264 is out of range"),
+            std::string::npos);
+  EXPECT_EQ(p.get_u64("max-len", 24), 264u);  // unbounded by default
+}
+
 TEST(Registry, OfflineEvaluatorsAgreeWithDirectCalls) {
   const Tree tree = trees::complete_kary(2, 2);  // 7 nodes
   sim::Params params;

@@ -1,13 +1,16 @@
-// Simulation harness: run_trace accounting, metrics, sweeps, trace I/O.
+// Simulation harness: run_trace accounting, metrics, trace I/O, scenarios.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "core/tree_cache.hpp"
 #include "sim/metrics.hpp"
+#include "sim/reporting.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -90,38 +93,6 @@ TEST(Metrics, SummaryQuantilesMatchQuantileHelper) {
   EXPECT_DOUBLE_EQ(s.p95, 38.0);  // rank ⌈0.95·40⌉ = 38
 }
 
-TEST(Metrics, LinearFitRecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 50; ++i) {
-    x.push_back(i);
-    y.push_back(3.5 * i + 2.0);
-  }
-  const auto fit = sim::fit_linear(x, y);
-  EXPECT_NEAR(fit.slope, 3.5, 1e-9);
-  EXPECT_NEAR(fit.intercept, 2.0, 1e-6);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-}
-
-TEST(Sweep, DeterministicAcrossRuns) {
-  auto run = [] {
-    return sim::parallel_sweep<double>(32, 99, [](std::size_t i, Rng& rng) {
-      return static_cast<double>(i) + rng.uniform01();
-    });
-  };
-  EXPECT_EQ(run(), run());
-}
-
-TEST(Sweep, PropagatesExceptions) {
-  EXPECT_THROW(sim::parallel_sweep<int>(8, 1,
-                                        [](std::size_t i, Rng&) -> int {
-                                          if (i == 5) {
-                                            throw CheckFailure("boom");
-                                          }
-                                          return 0;
-                                        }),
-               CheckFailure);
-}
-
 TEST(TraceIo, SaveLoadRoundTrip) {
   const Tree t = trees::path(5);
   Rng rng(3);
@@ -135,6 +106,78 @@ TEST(TraceIo, SaveLoadRoundTrip) {
 TEST(TraceIo, LoadRejectsOutOfRange) {
   std::stringstream buffer("+7\n");
   EXPECT_THROW(load_trace(buffer, 5), CheckFailure);
+}
+
+/// Serves `text`, then fails: the next underflow throws, which the istream
+/// reading it turns into badbit — a disk error in the middle of a file.
+class FailingStreambuf final : public std::streambuf {
+ public:
+  explicit FailingStreambuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ protected:
+  int_type underflow() override { throw std::ios_base::failure("disk"); }
+
+ private:
+  std::string text_;
+};
+
+TEST(TraceIo, LoadRefusesAStreamReadError) {
+  // Both readers of the format share one line loop, so load_trace refuses
+  // a read error exactly as FileTraceSource does, not a truncated trace.
+  FailingStreambuf failing("+1\n-2\n+3");
+  std::istream in(&failing);
+  try {
+    (void)load_trace(in, 5);
+    ADD_FAILURE() << "a read error loaded as a truncated trace";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("read error"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Scenario, TraceFileRunsLikeItsWorkload) {
+  Rng rng(5);
+  const Tree tree = trees::random_recursive(40, rng);
+  sim::Params params;
+  params.set("length", "3000");
+  params.set("capacity", "8");
+  params.set("alpha", "3");
+  const sim::Scenario workload{
+      .algorithm = "tc", .workload = "zipf", .params = params, .seed = 9};
+  const std::string path = "/tmp/treecache_test_scenario_trace.txt";
+  {
+    std::ofstream out(path);
+    save_trace(out, materialize(*sim::open_source(tree, workload)));
+  }
+  sim::Scenario trace = workload;
+  trace.workload.clear();
+  trace.trace = path;
+
+  // The file replays the workload's stream, so the runs are equal.
+  const sim::ScenarioResult from_workload = sim::run_scenario(tree, workload);
+  const sim::ScenarioResult from_trace = sim::run_scenario(tree, trace);
+  EXPECT_EQ(from_trace.run, from_workload.run);
+  EXPECT_EQ(from_trace.run.rounds, 3000u);
+
+  // A trace scenario names its file last and no workload.
+  const std::string doc = sim::to_json(trace).dump();
+  EXPECT_EQ(doc.find("\"workload\""), std::string::npos) << doc;
+  const std::size_t trace_at = doc.find("\"trace\": \"" + path + "\"");
+  ASSERT_NE(trace_at, std::string::npos) << doc;
+  EXPECT_GT(trace_at, doc.find("\"params\"")) << doc;
+  EXPECT_EQ(sim::to_json(workload).dump().find("\"trace\""),
+            std::string::npos);
+
+  // Exactly one of the two names the stream.
+  sim::Scenario both = trace;
+  both.workload = "zipf";
+  EXPECT_THROW((void)sim::open_source(tree, both), CheckFailure);
+  sim::Scenario neither = trace;
+  neither.trace.clear();
+  EXPECT_THROW((void)sim::open_source(tree, neither), CheckFailure);
+  std::remove(path.c_str());
 }
 
 TEST(ConsoleTable, AlignsAndCounts) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "tree/tree.hpp"
@@ -47,6 +48,13 @@ TEST(Tree, StarShape) {
     EXPECT_EQ(t.parent(v), 0u);
     EXPECT_EQ(t.subtree_size(v), 1u);
   }
+}
+
+TEST(Tree, StarRefusesMoreLeavesThanNodeIds) {
+  // leaf_count + 1 nodes must fit a NodeId; SIZE_MAX used to wrap to an
+  // empty parent vector that star() then wrote past.
+  EXPECT_THROW((void)trees::star(std::numeric_limits<std::size_t>::max()),
+               CheckFailure);
 }
 
 TEST(Tree, CompleteBinary) {

@@ -1,14 +1,13 @@
 // Utility substrate: epoch arrays, RNG determinism and distribution sanity,
-// parallel_for semantics, stopwatch monotonicity.
+// sweep point seeds, stopwatch monotonicity.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
 
 #include "core/epoch_array.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -126,24 +125,18 @@ TEST(Rng, ShuffleIsAPermutation) {
   EXPECT_EQ(shuffled, items);
 }
 
-TEST(Parallel, RunsEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(256);
-  parallel_for(256, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, PropagatesFirstException) {
-  EXPECT_THROW(parallel_for(64,
-                            [](std::size_t i) {
-                              if (i % 7 == 3) throw CheckFailure("boom");
-                            }),
-               CheckFailure);
-}
-
-TEST(Parallel, ZeroTasksIsFine) {
-  bool ran = false;
-  parallel_for(0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
+TEST(Rng, PointSeedsAreTheSeedersDraws) {
+  // One seed per sweep point, drawn up front: point i's seed depends only
+  // on i and the sweep's seed, so a sweep replays bit for bit and a longer
+  // sweep extends a shorter one.
+  Rng seeder(99);
+  const std::vector<std::uint64_t> seeds = point_seeds(99, 32);
+  ASSERT_EQ(seeds.size(), 32u);
+  for (const std::uint64_t seed : seeds) EXPECT_EQ(seed, seeder());
+  EXPECT_EQ(point_seeds(99, 32), seeds);
+  const std::vector<std::uint64_t> prefix = point_seeds(99, 8);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), seeds.begin()));
+  EXPECT_TRUE(point_seeds(99, 0).empty());
 }
 
 TEST(Stopwatch, TimeMovesForward) {

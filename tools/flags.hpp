@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,15 +39,22 @@ class Flags {
   }
 
   /// The value of --key as a whole unsigned integer (see util/parse.hpp),
-  /// or `fallback` when the flag is absent.
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
+  /// or `fallback` when the flag is absent. A value above `max` is refused
+  /// too, so a caller that narrows it never wraps it.
+  [[nodiscard]] std::uint64_t get_u64(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const auto value = parse_u64(it->second);
     if (!value) {
       throw CheckFailure("--" + key + " " + it->second +
                          " is not an unsigned integer");
+    }
+    if (*value > max) {
+      throw CheckFailure("--" + key + " " + it->second +
+                         " is out of range (at most " + std::to_string(max) +
+                         ")");
     }
     return *value;
   }

@@ -85,7 +85,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -146,6 +145,20 @@ sim::Params params_from(const Flags& flags,
 /// while `--json -` streams the document there, so the two never mix.
 bool stdout_is_human(const Flags& flags) {
   return !flags.has("json") || flags.get("json", "-") != "-";
+}
+
+/// The scenario that `run` and `throughput` name: --algo (--alg kept as an
+/// alias) over the --trace file or else the --workload, `default_workload`
+/// when neither flag is given. sim::open_source refuses both at once.
+sim::Scenario scenario_from(const Flags& flags, sim::Params params,
+                            const std::string& default_workload) {
+  return sim::Scenario{
+      .algorithm = flags.get("algo", flags.get("alg", "tc")),
+      .workload =
+          flags.get("workload", flags.has("trace") ? "" : default_workload),
+      .params = std::move(params),
+      .seed = flags.get_u64("seed", 1),
+      .trace = flags.get("trace", "")};
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -233,6 +246,7 @@ Trace load_trace_file(const Flags& flags, std::size_t tree_size) {
 int cmd_gen_tree(const Flags& flags) {
   const std::string shape = flags.get("shape", "random");
   const std::size_t nodes = flags.get_u64("nodes", 1000);
+  TC_CHECK(nodes >= 1, "--nodes must be at least 1");
   Rng rng(flags.get_u64("seed", 1));
   Tree tree = [&]() -> Tree {
     if (shape == "path") return trees::path(nodes);
@@ -267,7 +281,8 @@ int cmd_gen_rib(const Flags& flags) {
   const fib::RibConfig config{
       .rules = flags.get_u64("rules", 10000),
       .deaggregation = flags.get_double("deagg", 0.45),
-      .max_length = static_cast<std::uint8_t>(flags.get_u64("max-len", 24))};
+      .max_length = static_cast<std::uint8_t>(
+          flags.get_u64("max-len", 24, fib::Prefix::kWidth))};
   const auto rib = fib::generate_rib(config, rng);
   const fib::RuleTree rt = fib::build_rule_tree(rib);
   write_text(flags.get("out", "-"), to_parent_string(rt.tree) + "\n");
@@ -287,15 +302,15 @@ int cmd_gen_feed(const Flags& flags) {
   rib::SyntheticFeedConfig config;
   config.routes = flags.get_u64("routes", config.routes);
   config.updates = flags.get_u64("updates", config.updates);
-  config.family = static_cast<int>(flags.get_u64("family", 4));
+  config.family = static_cast<int>(flags.get_u64("family", 4, 46));
   config.withdraw_probability =
       flags.get_double("withdraw-prob", config.withdraw_probability);
   config.fresh_announce_probability =
       flags.get_double("fresh-prob", config.fresh_announce_probability);
-  config.max_length4 =
-      static_cast<std::uint8_t>(flags.get_u64("max-len", config.max_length4));
-  config.max_length6 =
-      static_cast<std::uint8_t>(flags.get_u64("max-len6", config.max_length6));
+  config.max_length4 = static_cast<std::uint8_t>(
+      flags.get_u64("max-len", config.max_length4, fib::Prefix::kWidth));
+  config.max_length6 = static_cast<std::uint8_t>(
+      flags.get_u64("max-len6", config.max_length6, fib::Prefix6::kWidth));
   config.deaggregation = flags.get_double("deagg", config.deaggregation);
   const std::uint64_t seed = flags.get_u64("seed", 1);
   const std::string format = flags.get("format", "text");
@@ -484,45 +499,15 @@ int cmd_gen_trace(const Flags& flags) {
 
 int cmd_run(const Flags& flags) {
   const Tree tree = load_tree(flags);
-  const sim::Params params = params_from(flags);
-  // --algo resolves through the registry (--alg kept as an alias).
-  const std::string name = flags.get("algo", flags.get("alg", "tc"));
-  const auto alg = sim::make_algorithm(name, tree, params);
-
-  // The requests stream from a file (line by line, never slurped) or from
-  // the workload registry (--workload <name>, parameterized by the same
-  // flags) — either way the run's memory is O(tree), not O(length).
-  TC_CHECK(!(flags.has("trace") && flags.has("workload")),
-           "--trace and --workload are mutually exclusive");
-  const auto source = [&]() -> std::unique_ptr<RequestSource> {
-    if (flags.has("workload")) {
-      return sim::make_source(flags.get("workload", ""), tree, params,
-                              flags.get_u64("seed", 1));
-    }
-    const std::string path = flags.get("trace", "");
-    TC_CHECK(!path.empty(), "--trace is required");
-    return std::make_unique<FileTraceSource>(path, tree.size());
-  }();
-
-  const auto result =
-      sim::run_source(*alg, *source, flags.has("validate"));
+  const sim::ScenarioResult ran = sim::run_scenario(
+      tree, scenario_from(flags, params_from(flags), ""),
+      flags.has("validate"));
+  const sim::RunResult& result = ran.run;
   if (flags.has("json")) {
-    const sim::Scenario scenario{.algorithm = name,
-                                 .workload = flags.get("workload", ""),
-                                 .params = params,
-                                 .seed = flags.get_u64("seed", 1)};
-    util::Json scenario_doc = sim::to_json(scenario);
-    if (!flags.has("workload")) {
-      scenario_doc.set("trace", flags.get("trace", ""));
-    }
-    util::save_json(flags.get("json", "-"),
-                    util::Json::object()
-                        .set("schema", "treecache.run/2")
-                        .set("scenario", std::move(scenario_doc))
-                        .set("result", sim::to_json(result)));
+    util::save_json(flags.get("json", "-"), sim::scenario_json(ran));
   }
   if (stdout_is_human(flags)) {
-    std::cout << "algorithm:       " << alg->name() << "\n"
+    std::cout << "algorithm:       " << ran.scenario.algorithm << "\n"
               << "rounds:          " << result.rounds << "\n"
               << "service cost:    " << result.cost.service << "\n"
               << "reorg cost:      " << result.cost.reorg << "\n"
@@ -545,14 +530,11 @@ int cmd_run(const Flags& flags) {
 /// (`none` never caches, so its row times the stream and the engine
 /// alone). The single-algo path (`--algo`, schema treecache.throughput/2)
 /// is untouched; this mode writes treecache.throughput-compare/1
-/// {schema, scenario, rows: [...]}.
-template <typename MakeSource>
+/// {schema, scenario, rows: [...]}, whose scenario names the whole list.
 int cmd_throughput_compare(const Flags& flags, const Tree& tree,
-                           const sim::Params& params,
-                           const engine::EngineConfig& config,
-                           const std::string& workload,
-                           const MakeSource& make_request_source) {
-  const auto algos = split_csv(flags.get("algos", ""));
+                           const sim::Scenario& scenario,
+                           const engine::EngineConfig& config) {
+  const auto algos = split_csv(scenario.algorithm);
   TC_CHECK(!algos.empty(), "--algos needs at least one algorithm name");
 
   struct Row {
@@ -562,8 +544,10 @@ int cmd_throughput_compare(const Flags& flags, const Tree& tree,
   std::vector<Row> rows;
   rows.reserve(algos.size());
   for (const std::string& name : algos) {
-    engine::ShardedEngine eng(tree, name, params, config);
-    const auto source = make_request_source();
+    // Sources are consumed by a run: each contender opens its own, so all
+    // replay the identical stream.
+    engine::ShardedEngine eng(tree, name, scenario.params, config);
+    const auto source = sim::open_source(tree, scenario);
     rows.push_back({name, eng.run(*source)});
   }
   const double base_rps = rows.front().result.total.requests_per_second();
@@ -573,12 +557,6 @@ int cmd_throughput_compare(const Flags& flags, const Tree& tree,
   };
 
   if (flags.has("json")) {
-    const sim::Scenario scenario{.algorithm = flags.get("algos", ""),
-                                 .workload = workload,
-                                 .params = params,
-                                 .seed = flags.get_u64("seed", 1)};
-    util::Json scenario_doc = sim::to_json(scenario);
-    if (workload.empty()) scenario_doc.set("trace", flags.get("trace", ""));
     util::Json json_rows = util::Json::array();
     for (const Row& row : rows) {
       json_rows.push(
@@ -594,7 +572,7 @@ int cmd_throughput_compare(const Flags& flags, const Tree& tree,
     util::save_json(flags.get("json", "-"),
                     util::Json::object()
                         .set("schema", "treecache.throughput-compare/1")
-                        .set("scenario", std::move(scenario_doc))
+                        .set("scenario", sim::to_json(scenario))
                         .set("rows", std::move(json_rows)));
   }
   if (stdout_is_human(flags)) {
@@ -624,45 +602,24 @@ int cmd_throughput(const Flags& flags) {
   // scenario params (their costs are identical too — that is the contract).
   const sim::Params params = params_from(flags, kEngineFlagKeys);
   const engine::EngineConfig config = engine_config_from(flags);
-
-  TC_CHECK(!(flags.has("trace") && flags.has("workload")),
-           "--trace and --workload are mutually exclusive");
   TC_CHECK(!(flags.has("algo") && flags.has("algos")),
            "--algo and --algos are mutually exclusive");
-  const std::string workload =
-      flags.has("trace") ? "" : flags.get("workload", "zipf");
-  // Sources are consumed by a run; comparison mode rebuilds one per
-  // algorithm so every contender replays the identical stream.
-  const auto make_request_source = [&]() -> std::unique_ptr<RequestSource> {
-    if (!workload.empty()) {
-      return sim::make_source(workload, tree, params,
-                              flags.get_u64("seed", 1));
-    }
-    return std::make_unique<FileTraceSource>(flags.get("trace", ""),
-                                             tree.size());
-  };
+  sim::Scenario scenario = scenario_from(flags, params, "zipf");
+  if (flags.has("algos")) {
+    scenario.algorithm = flags.get("algos", "");
+    return cmd_throughput_compare(flags, tree, scenario, config);
+  }
 
-  if (flags.has("algos")) return cmd_throughput_compare(flags, tree, params,
-                                                        config, workload,
-                                                        make_request_source);
-
-  const std::string name = flags.get("algo", flags.get("alg", "tc"));
-  const auto source = make_request_source();
-  engine::ShardedEngine eng(tree, name, params, config);
+  const auto source = sim::open_source(tree, scenario);
+  engine::ShardedEngine eng(tree, scenario.algorithm, params, config);
   const engine::EngineResult result = eng.run(*source);
 
   if (flags.has("json")) {
-    const sim::Scenario scenario{.algorithm = name,
-                                 .workload = workload,
-                                 .params = params,
-                                 .seed = flags.get_u64("seed", 1)};
-    const std::string trace_path =
-        workload.empty() ? flags.get("trace", "") : "";
     // eng.config(), not the raw flags: the engine normalizes the batch for
     // single-shard runs, and the document must echo what actually ran.
     util::save_json(flags.get("json", "-"),
                     sim::throughput_json(scenario, eng.config(), eng.plan(),
-                                         result, trace_path));
+                                         result));
   }
   if (stdout_is_human(flags)) {
     ConsoleTable table({"shard", "nodes", "roots", "rounds", "service",
