@@ -14,7 +14,7 @@
 
 using namespace treecache;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::size_t k_onl =
       examples::positional_u64(argc, argv, 1, "k_onl", 6);
   const std::size_t chunks =
@@ -57,4 +57,8 @@ int main(int argc, char** argv) {
   std::puts("\nThe measured ratio tracks R (Theorem C.1: no deterministic\n"
             "algorithm can beat Ω(R); Theorem 5.15: TC is within O(h·R)).");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::run_main(example_main, argc, argv);
 }

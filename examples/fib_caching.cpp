@@ -18,7 +18,7 @@
 using namespace treecache;
 using namespace treecache::fib;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::size_t rules =
       examples::positional_u64(argc, argv, 1, "rules", 20000);
   const std::size_t packets =
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
   std::puts("\n(forwarding correctness was verified for every packet:\n"
             " LPM over the cached subforest never picked a wrong rule)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::run_main(example_main, argc, argv);
 }

@@ -17,7 +17,7 @@
 
 using namespace treecache;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::size_t nodes =
       examples::positional_u64(argc, argv, 1, "nodes", 6);
   const std::size_t rounds =
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
   tracker.verify_lemma_5_3(alpha);
   std::puts("Observation 5.2, period accounting and Lemma 5.3 verified.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::run_main(example_main, argc, argv);
 }

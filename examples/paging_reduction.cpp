@@ -23,7 +23,7 @@
 
 using namespace treecache;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::size_t pages =
       examples::positional_u64(argc, argv, 1, "pages", 12);
   const std::size_t k = examples::positional_u64(argc, argv, 2, "cache", 6);
@@ -86,4 +86,8 @@ int main(int argc, char** argv) {
       "reduction preserves competitive ratios both ways, which is how the\n"
       "paper inherits the Omega(k/(k-h+1)) lower bound from paging.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::run_main(example_main, argc, argv);
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/tree_cache.hpp"
+#include "example_args.hpp"
 #include "tree/tree_builder.hpp"
 #include "tree/tree_io.hpp"
 
@@ -32,7 +33,7 @@ void show(const TreeCache& tc) {
 }
 }  // namespace
 
-int main() {
+static int example_main(int, char**) {
   // The universe: a small tree of dependent items. Caching a node requires
   // caching its whole subtree (think: an IP rule and all more-specific
   // rules below it).
@@ -80,4 +81,8 @@ int main() {
                 static_cast<unsigned long long>(p.evictions));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::run_main(example_main, argc, argv);
 }

@@ -14,7 +14,7 @@
 using namespace treecache;
 using namespace treecache::fib;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::size_t rules =
       examples::positional_u64(argc, argv, 1, "rules", 5000);
   const std::size_t events =
@@ -53,4 +53,8 @@ int main(int argc, char** argv) {
             "(canonicalization) costs at most a factor of 2 — measured far\n"
             "below that in practice.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::run_main(example_main, argc, argv);
 }

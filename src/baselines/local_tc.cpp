@@ -9,7 +9,7 @@ namespace treecache {
 
 LocalTc::LocalTc(const Tree& tree, LocalTcConfig config)
     : tree_(&tree), config_(config), cache_(tree), cnt_(tree.size(), 0) {
-  TC_CHECK(config_.alpha >= 1, "alpha must be positive");
+  check_alpha(config_.alpha, tree.size());
   TC_CHECK(config_.capacity >= 1, "capacity must be at least 1");
 }
 

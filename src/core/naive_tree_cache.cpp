@@ -12,7 +12,7 @@ NaiveTreeCache::NaiveTreeCache(const Tree& tree, NaiveTreeCacheConfig config)
       config_(config),
       cache_(tree),
       cnt_(tree.size(), 0) {
-  TC_CHECK(config_.alpha >= 1, "alpha must be a positive integer");
+  check_alpha(config_.alpha, tree.size());
   TC_CHECK(config_.capacity >= 1, "capacity must be at least 1");
 }
 

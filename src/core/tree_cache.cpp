@@ -13,7 +13,7 @@ TreeCache::TreeCache(const Tree& tree, TreeCacheConfig config)
       sizes_(tree.preorder_sizes().data()),
       cache_(tree),
       state_(tree.size()) {
-  TC_CHECK(config_.alpha >= 1, "alpha must be a positive integer");
+  check_alpha(config_.alpha, tree.size());
   TC_CHECK(config_.capacity >= 1, "capacity must be at least 1");
   phases_.push_back(PhaseStats{.first_round = 1});
   // Per-instance scratch arena: sized once here so steady-state rounds do
@@ -86,7 +86,7 @@ StepOutcome TreeCache::handle_positive(std::uint32_t rv) {
   for (std::uint32_t r = rv; r != kNoNode; r = tree_->preorder_parent(r)) {
     TC_DCHECK(!cache_.contains_rank(r),
               "ancestor of a non-cached node must be non-cached");
-    state_.pos(r).pcnt += 1;
+    state_.pos(r).value += 1;  // cnt(P_t(r))
     path_.push_back(r);
     ++work_;
   }
@@ -177,12 +177,12 @@ std::uint32_t TreeCache::propagate_negative_increment(std::uint32_t rv) {
     const std::int64_t d_s =
         included_before ? d_size
                         : static_cast<std::int64_t>(state_.neg(u).size);
-    NodeState::NegEntry& np = state_.neg(p);
+    NodeState::Record& np = state_.neg(p);
     old_i = np.value;
     np.value += d_i;
     new_i = np.value;
     np.size =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(np.size) + d_s);
+        static_cast<std::uint32_t>(static_cast<std::int64_t>(np.size) + d_s);
     d_size = d_s;
     u = p;
   }
@@ -223,36 +223,37 @@ void TreeCache::apply_fetch(std::uint32_t ru, std::uint64_t cnt_x) {
   const auto x_size = static_cast<std::uint32_t>(rank_changeset_.size());
   // rank_changeset_ is ascending (preorder); reversed iteration inserts
   // children before parents, which keeps the cache descendant-closed at
-  // every step, and lets (I, S) be initialized bottom-up in the same pass.
-  // Child enumeration needs no adjacency: the first child of r is r + 1,
-  // the next sibling of c is c + |T(c)|.
+  // every step, and lets (I, S) be initialized bottom-up in the same pass:
+  // each record's positive index and counter give way to (I, S) and a zero
+  // counter. Child enumeration needs no adjacency: the first child of r is
+  // r + 1, the next sibling of c is c + |T(c)|.
   for (auto it = rank_changeset_.rbegin(); it != rank_changeset_.rend();
        ++it) {
     const std::uint32_t r = *it;
     cache_.set_rank(r);
-    state_.reset_counter(r);
     std::int64_t i_value = -static_cast<std::int64_t>(config_.alpha);
-    std::uint64_t s_value = 1;
+    std::uint32_t s_value = 1;
     const std::uint32_t end = r + sizes_[r];
     for (std::uint32_t c = r + 1; c < end; c += sizes_[c]) {
       ++work_;
-      const NodeState::NegEntry& nc = state_.neg(c);
+      const NodeState::Record& nc = state_.neg(c);
       if (nc.value >= 0) {
         i_value += nc.value;
         s_value += nc.size;
       }
     }
-    state_.neg(r) = NodeState::NegEntry{.value = i_value, .size = s_value};
+    state_.fetch(r, i_value, s_value);
     ++work_;
   }
   // Ancestors strictly above u stay non-cached; their candidate sets shrink
-  // by X and lose the cnt_x counter mass that X carried.
+  // by X and lose the cnt_x counter mass that X carried. In their records,
+  // value is cnt(P_t(a)) and size is cached_below.
   for (std::uint32_t a = tree_->preorder_parent(ru); a != kNoNode;
        a = tree_->preorder_parent(a)) {
-    NodeState::PosEntry& pe = state_.pos(a);
-    pe.pcnt -= static_cast<std::int64_t>(cnt_x);
-    TC_DCHECK(pe.pcnt >= 0, "cnt(P_t(a)) must stay non-negative");
-    pe.cached_below += x_size;
+    NodeState::Record& pe = state_.pos(a);
+    pe.value -= static_cast<std::int64_t>(cnt_x);
+    TC_DCHECK(pe.value >= 0, "cnt(P_t(a)) must stay non-negative");
+    pe.size += x_size;
     ++work_;
   }
   root_hints_.push_back(ru);
@@ -262,27 +263,22 @@ void TreeCache::apply_fetch(std::uint32_t ru, std::uint64_t cnt_x) {
 
 void TreeCache::apply_evict(std::uint32_t ru) {
   const auto x_size = static_cast<std::uint32_t>(rank_changeset_.size());
-  // Top-down eviction (ascending rank) keeps descendant-closure.
-  for (const std::uint32_t r : rank_changeset_) {
-    cache_.clear_rank(r);
-    state_.reset_counter(r);
-    ++work_;
-  }
-  // Evicted nodes become the non-cached tops of their subtrees: P_t(x) is
-  // exactly the evicted part of T(x), whose counters were just reset, so
+  // Top-down eviction (ascending rank) keeps descendant-closure. Evicted
+  // nodes become the non-cached tops of their subtrees: P_t(x) is exactly
+  // the evicted part of T(x), whose counters the evict resets, so
   // cnt(P_t(x)) = 0 and |P_t(x)| = |X ∩ T(x)|. rank_changeset_ is sorted
   // ascending, so X ∩ T(x) is the contiguous run of entries in
-  // [x, x + |T(x)|) starting at x itself — a binary search away.
+  // [x, x + |T(x)|) starting at x itself — a binary search away. Each node
+  // counts twice into work_: its bit and its record.
   for (std::size_t i = 0; i < rank_changeset_.size(); ++i) {
     const std::uint32_t r = rank_changeset_[i];
+    cache_.clear_rank(r);
     const std::uint32_t size = sizes_[r];
     const auto first =
         rank_changeset_.begin() + static_cast<std::ptrdiff_t>(i);
     const auto last = std::lower_bound(first, rank_changeset_.end(), r + size);
-    NodeState::PosEntry& pe = state_.pos(r);
-    pe.pcnt = 0;
-    pe.cached_below = size - static_cast<std::uint32_t>(last - first);
-    ++work_;
+    state_.evict(r, size - static_cast<std::uint32_t>(last - first));
+    work_ += 2;
   }
   // Cached children left under evicted nodes become maximal roots.
   for (const std::uint32_t r : rank_changeset_) {
@@ -296,7 +292,7 @@ void TreeCache::apply_evict(std::uint32_t ru) {
   // zero counters, so only the cached-node count changes.
   for (std::uint32_t a = tree_->preorder_parent(ru); a != kNoNode;
        a = tree_->preorder_parent(a)) {
-    state_.pos(a).cached_below -= x_size;
+    state_.pos(a).size -= x_size;  // cached_below
     ++work_;
   }
   cost_.reorg += config_.alpha * x_size;

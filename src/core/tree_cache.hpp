@@ -26,7 +26,9 @@
 //
 // Memory layout: everything TC keeps per node is indexed by preorder rank.
 // The cache is one Subforest, a rank-indexed bitmap (tree/subforest.hpp),
-// and the counters and Section 6 indexes live in a NodeState SoA block
+// and the counters and Section 6 indexes live in NodeState, one 24-byte
+// record per rank whose index half holds (cnt(P_t(u)), |cached ∩ T(u)|)
+// while u is not cached and (I(u), S(u)) while it is
 // (core/node_state.hpp). Requests are translated NodeId → rank once on
 // entry, the whole round runs in rank coordinates (ancestor walks via
 // Tree::preorder_parent, subtree collections as contiguous slice scans with
@@ -46,7 +48,9 @@ namespace treecache {
 
 struct TreeCacheConfig {
   /// Cost α ≥ 1 of fetching or evicting one node. (The paper assumes α even
-  /// for analysis constants only; the algorithm accepts any α ≥ 1.)
+  /// for analysis constants only; the algorithm accepts any α ≥ 1 with
+  /// |T|·α ≤ INT64_MAX, which keeps every saturation product and every
+  /// NodeState field exact; see check_alpha in core/cost.hpp.)
   std::uint64_t alpha = 2;
   /// Cache capacity k_ONL ≥ 1.
   std::size_t capacity = 16;
@@ -100,21 +104,27 @@ class TreeCache final : public OnlineAlgorithm {
 
   // --- white-box accessors used by the test suite ---------------------
   // Keyed by NodeId for the tests' convenience; they translate to rank.
-  /// cnt_t(P_t(u)); meaningful only for non-cached u.
+  // The positive and negative index share NodeState's bytes, so each
+  // accessor DCHECKs the cache state it is defined for.
+  /// cnt_t(P_t(u)), for non-cached u.
   [[nodiscard]] std::int64_t debug_pcnt(NodeId u) const {
+    TC_DCHECK(!cache_.contains(u), "cnt(P_t(u)) of a cached node");
     return state_.pcnt(tree_->preorder_index(u));
   }
-  /// |P_t(u)|; meaningful only for non-cached u.
+  /// |P_t(u)|, for non-cached u.
   [[nodiscard]] std::uint32_t debug_psize(NodeId u) const {
+    TC_DCHECK(!cache_.contains(u), "|P_t(u)| of a cached node");
     return tree_->subtree_size(u) -
            state_.cached_below(tree_->preorder_index(u));
   }
-  /// I(u) = cnt(H(u)) − |H(u)|·α; meaningful only for cached u.
+  /// I(u) = cnt(H(u)) − |H(u)|·α, for cached u.
   [[nodiscard]] std::int64_t debug_hI(NodeId u) const {
+    TC_DCHECK(cache_.contains(u), "I(u) of a non-cached node");
     return state_.neg(tree_->preorder_index(u)).value;
   }
-  /// S(u) = |H(u)|; meaningful only for cached u.
+  /// S(u) = |H(u)|, for cached u.
   [[nodiscard]] std::uint64_t debug_hS(NodeId u) const {
+    TC_DCHECK(cache_.contains(u), "S(u) of a non-cached node");
     return state_.neg(tree_->preorder_index(u)).size;
   }
 
@@ -156,7 +166,7 @@ class TreeCache final : public OnlineAlgorithm {
 
   /// The cache: TC tests, sets and clears its rank bits directly.
   Subforest cache_;
-  /// Counters and the Section 6 indexes, preorder-indexed.
+  /// Counters and the Section 6 indexes, one record per preorder rank.
   NodeState state_;
 
   /// Lazily maintained superset of the maximal cached roots (ranks), used

@@ -70,7 +70,7 @@ ShardPlan::ShardPlan(const Tree& tree, std::size_t max_shards)
     trees_.emplace_back(std::move(parent));
     // Local ids follow ascending global preorder and sibling subtrees stay
     // in child order, so the relabeled tree's DFS visits 0, 1, 2, … — the
-    // guarantee the preorder-indexed NodeState layout and the arithmetic
+    // guarantee the rank-indexed NodeState records and the arithmetic
     // id maps build on.
     TC_DCHECK(trees_.back().is_preorder_labeled(),
               "shard tree must be preorder-labeled");

@@ -66,8 +66,8 @@ class ShardPlan {
   // --- Ids from preorder ranks ------------------------------------------
   // Local ids are assigned in ascending global preorder, so every shard
   // tree is preorder-labeled (Tree::is_preorder_labeled() holds): a shard's
-  // local NodeId IS its preorder rank, and the preorder-indexed NodeState
-  // SoA of its TreeCache needs no per-request permutation at all. The same
+  // local NodeId IS its preorder rank, and the rank-indexed NodeState
+  // records of its TreeCache need no per-request permutation at all. The same
   // order makes the id maps arithmetic: a local id is the node's global
   // preorder rank minus the shard's rank_offset. So the plan keeps no id
   // table; shard_of_ is its one per-node array, and the trivial plan, whose

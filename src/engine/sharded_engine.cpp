@@ -144,7 +144,7 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
   algs_.resize(num_shards);
   // With pin_threads, shard s is built on pinned worker s % workers, the
   // worker that runs it in run_split: the instance's cache bitmap,
-  // NodeState block and scratch arena are first-touched on that worker's
+  // NodeState records and scratch arena are first-touched on that worker's
   // core, so their pages are placed on its NUMA node. The registry is
   // read-only after static init, so concurrent make_algorithm calls are
   // safe; each thread writes disjoint algs_/worker_cpus_ slots and the join

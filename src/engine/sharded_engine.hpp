@@ -84,7 +84,7 @@ struct EngineConfig {
   /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
   /// a no-op elsewhere and when affinity is denied). Shard s's instance is
   /// then also *constructed* on pinned worker s % workers, so its cache
-  /// bitmap, NodeState block and scratch arena are first-touched — hence
+  /// bitmap, NodeState records and scratch arena are first-touched — hence
   /// placed — on that worker's core (and NUMA node). run_split keeps shard
   /// s on that worker for the whole run; run()'s open loop moves shards
   /// between workers, so there the placement holds only until a shard

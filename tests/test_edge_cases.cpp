@@ -2,6 +2,7 @@
 // parameters, empty and single-sign traces.
 #include <gtest/gtest.h>
 
+#include "baselines/local_tc.hpp"
 #include "baselines/lru_closure.hpp"
 #include "baselines/opt_offline.hpp"
 #include "baselines/static_opt.hpp"
@@ -90,6 +91,40 @@ TEST(EdgeCases, HugeAlphaNeverCaches) {
   }
   EXPECT_TRUE(tc.cache().empty());
   EXPECT_EQ(tc.cost().service, 10000u);
+}
+
+TEST(EdgeCases, AlphaPastInt64OverTreeSizeIsRefused) {
+  // |X|·α must not wrap in u64 for any changeset X ⊆ T: at α = 2^63 on a
+  // 2-node path, 2·α reads 0 and one paid request would fetch both nodes.
+  const Tree t = trees::path(2);
+  const std::uint64_t too_big = std::uint64_t{1} << 63;
+  const std::uint64_t max_alpha = INT64_MAX / t.size();
+  EXPECT_THROW(TreeCache(t, {.alpha = too_big, .capacity = 2}), CheckFailure);
+  EXPECT_THROW(NaiveTreeCache(t, {.alpha = too_big, .capacity = 2}),
+               CheckFailure);
+  EXPECT_THROW(LocalTc(t, {.alpha = too_big, .capacity = 2}), CheckFailure);
+  EXPECT_THROW(TreeCache(t, {.alpha = max_alpha + 1, .capacity = 2}),
+               CheckFailure);
+  try {
+    TreeCache tc(t, {.alpha = too_big, .capacity = 2});
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos)
+        << e.what();
+  }
+
+  // The largest accepted α keeps every product exact: nothing saturates.
+  TreeCache fast(t, {.alpha = max_alpha, .capacity = 2});
+  NaiveTreeCache naive(t, {.alpha = max_alpha, .capacity = 2});
+  LocalTc local(t, {.alpha = max_alpha, .capacity = 2});
+  for (int i = 0; i < 20; ++i) {
+    const Request r = positive(static_cast<NodeId>(i % 2));
+    ASSERT_EQ(fast.step(r).change, ChangeKind::kNone);
+    ASSERT_EQ(naive.step(r).change, ChangeKind::kNone);
+    ASSERT_EQ(local.step(r).change, ChangeKind::kNone);
+  }
+  EXPECT_EQ(fast.cost(), (Cost{.service = 20, .reorg = 0}));
+  EXPECT_EQ(naive.cost(), fast.cost());
+  EXPECT_EQ(local.cost(), fast.cost());
 }
 
 TEST(EdgeCases, NaiveAndFastAgreeOnDegenerateShapes) {

@@ -118,7 +118,7 @@ TEST(ShardPlan, PartitionsThePreorderIntoSubtreeSlices) {
 TEST(ShardPlan, ShardTreesArePreorderLabeled) {
   // Relabeled shard trees assign local ids in ascending global preorder,
   // so each is preorder-labeled: a shard-local NodeId IS its preorder rank
-  // and the preorder-indexed NodeState SoA needs no per-request
+  // and the rank-indexed NodeState records need no per-request
   // permutation. (The trivial 1-shard plan returns the universe itself,
   // whose labeling is whatever the caller built — no guarantee there.)
   Rng rng(11);

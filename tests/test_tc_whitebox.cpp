@@ -85,6 +85,24 @@ TEST_P(TcWhitebox, AggregatesMatchBruteForceEveryRound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TcWhitebox, ::testing::Range(1, 13));
 
+#ifndef NDEBUG
+TEST(TcWhitebox, DebugAccessorsCheckTheCacheState) {
+  // The positive and negative index share each node's record, so reading
+  // one in the other's state is refused rather than answered wrongly.
+  const Tree tree = trees::path(2);
+  TreeCache tc(tree, {.alpha = 1, .capacity = 2});
+  ASSERT_EQ(tc.step(positive(1)).change, ChangeKind::kFetch);
+  ASSERT_TRUE(tc.cache().contains(1));
+  ASSERT_FALSE(tc.cache().contains(0));
+  EXPECT_NO_THROW((void)tc.debug_hI(1));
+  EXPECT_NO_THROW((void)tc.debug_pcnt(0));
+  EXPECT_THROW((void)tc.debug_hI(0), CheckFailure);
+  EXPECT_THROW((void)tc.debug_hS(0), CheckFailure);
+  EXPECT_THROW((void)tc.debug_pcnt(1), CheckFailure);
+  EXPECT_THROW((void)tc.debug_psize(1), CheckFailure);
+}
+#endif
+
 TEST(TcWhitebox, WorkCounterGrowsAndBoundsHold) {
   // The Theorem 6.1 work counter is monotone and bounded per request by
   // O(h + max(h, deg) * |X|). Verify a crude per-round bound on a run.
