@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <exception>
 
+#include "util/check.hpp"
 #include "util/parse.hpp"
 
 namespace treecache::examples {
@@ -27,12 +28,13 @@ inline std::uint64_t positional_u64(int argc, char** argv, int index,
 }
 
 /// Runs an example's body; a library error (say, a TC_CHECK on a zero-node
-/// tree) prints `error: <what>` and returns status 1 instead of aborting.
+/// tree) prints `error: <message>` (error_message) and returns status 1
+/// instead of aborting.
 inline int run_main(int (*body)(int, char**), int argc, char** argv) {
   try {
     return body(argc, argv);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", error_message(e).c_str());
     return 1;
   }
 }

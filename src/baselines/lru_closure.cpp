@@ -12,7 +12,7 @@ LruClosure::LruClosure(const Tree& tree, LruClosureConfig config)
       config_(config),
       cache_(tree),
       recency_(tree.size(), 0) {
-  TC_CHECK(config_.alpha >= 1, "alpha must be positive");
+  check_alpha(config_.alpha, tree.size());
   TC_CHECK(config_.capacity >= 1, "capacity must be at least 1");
 }
 

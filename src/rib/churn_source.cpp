@@ -1,5 +1,9 @@
 #include "rib/churn_source.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
+
 #include "fib/rule_tree.hpp"
 
 namespace treecache::rib {
@@ -14,12 +18,27 @@ BasicChurnReplay<PrefixT> make_churn_replay(
   named.insert(named.end(), ingest.churn.begin(), ingest.churn.end());
   fib::BasicRuleTree<PrefixT> fib_tree =
       fib::build_rule_tree(std::move(named));
-  std::vector<NodeId> churn_nodes;
-  churn_nodes.reserve(ingest.churn.size());
-  for (const PrefixT& p : ingest.churn) {
-    const auto node = fib_tree.exact(p);
-    TC_CHECK(node.has_value(), "churned prefix missing from the replay tree");
-    churn_nodes.push_back(*node);
+  // build_rule_tree numbers the nodes in (length, bits) order, so the churn
+  // sorted the same way resolves in one walk over the node ids.
+  const std::vector<PrefixT>& churn = ingest.churn;
+  const auto length_then_bits = [](const PrefixT& a, const PrefixT& b) {
+    return std::tie(a.length, a.bits) < std::tie(b.length, b.bits);
+  };
+  std::vector<std::size_t> order(churn.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+    return length_then_bits(churn[a], churn[b]);
+  });
+  const std::vector<PrefixT>& prefix_of = fib_tree.prefix;
+  std::vector<NodeId> churn_nodes(churn.size());
+  NodeId v = 0;
+  for (const std::size_t i : order) {
+    while (v < prefix_of.size() && length_then_bits(prefix_of[v], churn[i])) {
+      ++v;
+    }
+    TC_CHECK(v < prefix_of.size() && prefix_of[v] == churn[i],
+             "churned prefix missing from the replay tree");
+    churn_nodes[i] = v;
   }
   return BasicChurnReplay<PrefixT>{std::move(fib_tree),
                                    std::move(churn_nodes)};

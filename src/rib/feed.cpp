@@ -158,8 +158,6 @@ FeedReader::FeedReader(std::vector<std::string> paths)
   TC_CHECK(!paths_.empty(), "FeedReader needs at least one path");
 }
 
-FeedReader::~FeedReader() = default;
-
 bool FeedReader::open_next_file() {
   while (file_ < paths_.size()) {
     in_.close();
@@ -169,6 +167,8 @@ bool FeedReader::open_next_file() {
     in_open_ = true;
     line_number_ = 0;
     carry_.clear();
+    block_fill_ = 0;
+    block_offset_ = 0;
     file_bytes_seen_ = 0;
     last_growth_ = std::chrono::steady_clock::now();
     ++file_;
@@ -188,7 +188,7 @@ void FeedReader::detect_format() {
   const std::span<const std::uint8_t> bytes(
       reinterpret_cast<const std::uint8_t*>(head.data()), got);
   format_ = looks_like_mrt(bytes) ? Format::kMrt : Format::kText;
-  mrt_ = format_ == Format::kMrt ? std::make_unique<MrtDecoder>() : nullptr;
+  if (format_ == Format::kMrt && block_.empty()) block_.resize(kFeedBlockBytes);
 }
 
 bool FeedReader::following_here() const {
@@ -218,17 +218,34 @@ void FeedReader::note_progress(std::uint64_t n) {
   last_growth_ = std::chrono::steady_clock::now();
 }
 
+std::span<const FeedRecord> FeedReader::next_batch() {
+  if (batch_pos_ == batch_.size() && !refill()) return {};
+  const auto rest = std::span<const FeedRecord>(batch_).subspan(batch_pos_);
+  batch_pos_ = batch_.size();
+  records_ += rest.size();
+  return rest;
+}
+
 std::optional<FeedRecord> FeedReader::next() {
+  if (batch_pos_ == batch_.size() && !refill()) return std::nullopt;
+  ++records_;
+  return batch_[batch_pos_++];
+}
+
+bool FeedReader::refill() {
+  batch_.clear();
+  batch_pos_ = 0;
+  if (!error_.empty()) throw CheckFailure(error_);
   while (true) {
-    if (!in_open_ && !open_next_file()) return std::nullopt;
-    std::optional<FeedRecord> record =
-        format_ == Format::kMrt ? next_mrt() : next_text();
-    if (record.has_value()) {
-      ++records_;
-      return record;
+    if (!in_open_ && !open_next_file()) return false;
+    if (format_ == Format::kMrt) {
+      if (read_mrt()) return true;
+    } else if (auto record = next_text()) {
+      batch_.push_back(*record);
+      return true;
     }
-    // Current file exhausted; next_* already handled follow waiting and
-    // truncation, so just advance.
+    // Current file exhausted; the format readers already handled follow
+    // waiting and truncation, so just advance.
   }
 }
 
@@ -289,29 +306,44 @@ std::optional<FeedRecord> FeedReader::next_text() {
   }
 }
 
-std::optional<FeedRecord> FeedReader::next_mrt() {
+bool FeedReader::read_mrt() {
   while (true) {
-    const std::uint64_t before = mrt_->bytes_seen();
-    std::optional<FeedRecord> record;
+    in_.read(reinterpret_cast<char*>(block_.data() + block_fill_),
+             static_cast<std::streamsize>(block_.size() - block_fill_));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    if (got == 0) {
+      if (following_here() && wait_for_growth()) {
+        in_.clear();
+        continue;
+      }
+      if (block_fill_ > 0) {
+        throw CheckFailure(paths_[file_ - 1] +
+                           ": truncated MRT record at offset " +
+                           std::to_string(block_offset_));
+      }
+      in_open_ = false;
+      return false;
+    }
+    note_progress(got);
+    block_fill_ += got;
+    std::size_t used = 0;
     try {
-      record = mrt_->next(in_);
+      used = decode_mrt_block({block_.data(), block_fill_}, block_offset_,
+                              batch_);
     } catch (const CheckFailure& e) {
-      note_progress(mrt_->bytes_seen() - before);
-      throw CheckFailure(paths_[file_ - 1] + ": " + e.what());
+      error_ = paths_[file_ - 1] + ": " + e.what();
+      if (batch_.empty()) throw CheckFailure(error_);
+      return true;  // the records before the bad one come first
     }
-    note_progress(mrt_->bytes_seen() - before);
-    if (record.has_value()) return record;
-    if (following_here() && wait_for_growth()) {
-      in_.clear();
-      continue;
-    }
-    if (mrt_->mid_record()) {
-      throw CheckFailure(paths_[file_ - 1] +
-                         ": truncated MRT record at offset " +
-                         std::to_string(mrt_->record_offset()));
-    }
-    in_open_ = false;
-    return std::nullopt;
+    std::copy(block_.begin() + static_cast<std::ptrdiff_t>(used),
+              block_.begin() + static_cast<std::ptrdiff_t>(block_fill_),
+              block_.begin());
+    block_fill_ -= used;
+    block_offset_ += used;
+    // A full buffer holding no whole record: one record outgrows it. Its
+    // header is in, so the decoder has held its length to the cap.
+    if (block_fill_ == block_.size()) block_.resize(2 * block_.size());
+    if (!batch_.empty()) return true;
   }
 }
 

@@ -15,8 +15,8 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,29 +57,47 @@ struct FollowOptions {
   std::chrono::milliseconds idle{1000};
 };
 
-class MrtDecoder;
+/// Bytes FeedReader asks for per read of an MRT file. One block holds
+/// tens of thousands of records, and a record larger than a block grows
+/// the buffer to fit it.
+inline constexpr std::size_t kFeedBlockBytes = std::size_t{1} << 20;
 
-/// Streams feed files record by record (never slurps — feeds can be
+/// Streams feed files in batches (never slurps — feeds can be
 /// internet-table sized). Each file's format is sniffed at open: binary
 /// MRT (RFC 6396, see rib/mrt.hpp) or the text grammar above, so dumps
 /// and update feeds can mix formats freely. Multiple paths are read back
-/// to back. Errors name the file plus the line (text) or byte offset
-/// (MRT). Text hardening: a UTF-8 BOM at file start is stripped, CRLF
-/// line endings parse, and a truncated final line without a newline
+/// to back.
+///
+/// An MRT file is read kFeedBlockBytes at a time. Each read decodes every
+/// complete record in the buffer into one batch and carries a partial
+/// record at its end over to the next read, which is also how tail-follow
+/// resumes mid-record. Bytes are counted, and the follow clock stamped,
+/// once per read. A text file yields one line's record per batch.
+///
+/// Errors name the file plus the line (text) or byte offset (MRT), and
+/// come after every record before the bad one: a malformed MRT record ends
+/// its batch, and the call after that batch throws (and so does every
+/// later call). Text hardening: a UTF-8 BOM at file start is stripped,
+/// CRLF line endings parse, and a truncated final line without a newline
 /// still parses (or errors with its position).
 class FeedReader {
  public:
   explicit FeedReader(std::vector<std::string> paths);
-  ~FeedReader();
 
   /// Switches to tail-follow mode: when the LAST file runs out of
   /// bytes, poll it for growth instead of returning — a growing feed
-  /// becomes an unbounded churn stream. next() returns nullopt only
-  /// after `options.idle` passes with no growth (a partial MRT record
-  /// left at that point is a truncation error).
+  /// becomes an unbounded churn stream. The stream ends only after
+  /// `options.idle` passes with no growth (a partial MRT record left at
+  /// that point is a truncation error).
   void follow(const FollowOptions& options) { follow_ = options; }
 
-  /// The next record, or nullopt at end of the last file.
+  /// The next records in feed order, or an empty span at the end of the
+  /// last file. The span is valid until the next call to next_batch() or
+  /// next().
+  std::span<const FeedRecord> next_batch();
+
+  /// The next record, or nullopt at the end of the last file: next_batch()
+  /// one record at a time.
   std::optional<FeedRecord> next();
 
   /// Records returned so far.
@@ -93,6 +111,9 @@ class FeedReader {
 
   bool open_next_file();
   void detect_format();
+  /// Fills batch_ from the current and later files; false at the end of
+  /// the last one.
+  bool refill();
   /// True when tail-follow applies here: follow mode is on, the current
   /// file is the last one, and the idle deadline has not passed yet.
   [[nodiscard]] bool following_here() const;
@@ -100,14 +121,21 @@ class FeedReader {
   bool wait_for_growth();
   void note_progress(std::uint64_t n);
   std::optional<FeedRecord> next_text();
-  std::optional<FeedRecord> next_mrt();
+  /// Reads and decodes MRT blocks until batch_ holds a record; false at
+  /// the end of the file.
+  bool read_mrt();
 
   std::vector<std::string> paths_;
   std::size_t file_ = 0;  // index of the NEXT path to open
   std::ifstream in_;
   bool in_open_ = false;
   Format format_ = Format::kText;
-  std::unique_ptr<MrtDecoder> mrt_;
+  std::vector<FeedRecord> batch_;
+  std::size_t batch_pos_ = 0;  // records of batch_ already returned
+  std::string error_;  // a bad record's error, thrown once batch_ drains
+  std::vector<std::uint8_t> block_;  // MRT bytes read, not yet decoded
+  std::size_t block_fill_ = 0;
+  std::uint64_t block_offset_ = 0;  // file offset of block_[0]
   std::size_t line_number_ = 0;
   std::string carry_;  // partial tail line stashed while following
   std::uint64_t records_ = 0;

@@ -1,7 +1,6 @@
 #include "rib/mrt.hpp"
 
-#include <array>
-#include <istream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -180,7 +179,7 @@ void decode_peer_index_table(Cursor c) {
 
 template <typename PrefixT>
 void decode_rib_record(Cursor c, std::uint32_t timestamp,
-                       std::deque<FeedRecord>& out) {
+                       std::vector<FeedRecord>& out) {
   c.u32("RIB sequence number");
   const PrefixT prefix = read_nlri_prefix<PrefixT>(c);
   const std::uint16_t entries = c.u16("RIB entry count");
@@ -203,7 +202,7 @@ void decode_rib_record(Cursor c, std::uint32_t timestamp,
   }
   if (!c.done()) c.fail("trailing bytes after the RIB entries");
   if (entries == 0) return;  // prefix with no surviving routes
-  FeedRecord record;
+  FeedRecord& record = out.emplace_back();
   record.op = FeedOp::kDump;
   record.timestamp = timestamp;
   record.next_hop = *hop;
@@ -214,18 +213,17 @@ void decode_rib_record(Cursor c, std::uint32_t timestamp,
     record.v6 = false;
     record.prefix4 = prefix;
   }
-  out.push_back(record);
 }
 
 template <typename PrefixT>
 void push_updates(Cursor nlri, FeedOp op, std::uint64_t timestamp,
-                  NextHop next_hop, std::deque<FeedRecord>& out) {
+                  NextHop next_hop, std::vector<FeedRecord>& out) {
   while (!nlri.done()) {
-    FeedRecord record;
+    const PrefixT prefix = read_nlri_prefix<PrefixT>(nlri);
+    FeedRecord& record = out.emplace_back();
     record.op = op;
     record.timestamp = timestamp;
     if (op != FeedOp::kWithdraw) record.next_hop = next_hop;
-    const PrefixT prefix = read_nlri_prefix<PrefixT>(nlri);
     if constexpr (std::is_same_v<PrefixT, fib::Prefix6>) {
       record.v6 = true;
       record.prefix6 = prefix;
@@ -233,14 +231,13 @@ void push_updates(Cursor nlri, FeedOp op, std::uint64_t timestamp,
       record.v6 = false;
       record.prefix4 = prefix;
     }
-    out.push_back(record);
   }
 }
 
 /// Dispatches an MP NLRI block by its AFI (1 = IPv4 over MP, 2 = IPv6).
 void push_mp_updates(Cursor nlri, std::uint16_t afi, FeedOp op,
                      std::uint64_t timestamp, NextHop next_hop,
-                     std::deque<FeedRecord>& out) {
+                     std::vector<FeedRecord>& out) {
   if (afi == 2) {
     push_updates<fib::Prefix6>(nlri, op, timestamp, next_hop, out);
   } else if (afi == 1) {
@@ -251,7 +248,7 @@ void push_mp_updates(Cursor nlri, std::uint16_t afi, FeedOp op,
 }
 
 void decode_bgp4mp(Cursor c, std::uint16_t subtype, std::uint32_t timestamp,
-                   bool extended, std::deque<FeedRecord>& out) {
+                   bool extended, std::vector<FeedRecord>& out) {
   if (extended) c.u32("BGP4MP_ET microsecond timestamp");
   if (subtype != kMrtBgp4mpMessage && subtype != kMrtBgp4mpMessageAs4) {
     return;  // STATE_CHANGE and friends carry no routes
@@ -306,49 +303,9 @@ void decode_bgp4mp(Cursor c, std::uint16_t subtype, std::uint32_t timestamp,
   }
 }
 
-}  // namespace
-
-bool looks_like_mrt(std::span<const std::uint8_t> head) {
-  if (head.size() < kMrtHeaderBytes) return false;
-  const auto type =
-      static_cast<std::uint16_t>((head[4] << 8) | head[5]);
-  if (type != kMrtTypeTableDump && type != kMrtTypeTableDumpV2 &&
-      type != kMrtTypeBgp4mp && type != kMrtTypeBgp4mpEt) {
-    return false;
-  }
-  std::uint32_t length = 0;
-  for (int i = 8; i < 12; ++i) {
-    length = (length << 8) | head[static_cast<std::size_t>(i)];
-  }
-  return length <= kMaxMrtRecordBytes;
-}
-
-std::uint32_t MrtDecoder::validate_header() const {
-  Cursor h{std::span(buffer_).first(kMrtHeaderBytes), record_offset_};
-  h.u32("timestamp");
-  const std::uint16_t type = h.u16("type");
-  if (type != kMrtTypeTableDump && type != kMrtTypeTableDumpV2 &&
-      type != kMrtTypeBgp4mp && type != kMrtTypeBgp4mpEt) {
-    fail_at(record_offset_ + 4,
-            "unsupported MRT record type " + std::to_string(type));
-  }
-  h.u16("subtype");
-  const std::uint32_t length = h.u32("record length");
-  if (length > kMaxMrtRecordBytes) {
-    fail_at(record_offset_ + 8,
-            "record length " + std::to_string(length) + " exceeds the " +
-                std::to_string(kMaxMrtRecordBytes) + "-byte cap");
-  }
-  return length;
-}
-
-void MrtDecoder::decode_record() {
-  Cursor h{std::span(buffer_).first(kMrtHeaderBytes), record_offset_};
-  const std::uint32_t timestamp = h.u32("timestamp");
-  const std::uint16_t type = h.u16("type");
-  const std::uint16_t subtype = h.u16("subtype");
-  Cursor body{std::span(buffer_).subspan(kMrtHeaderBytes),
-              record_offset_ + kMrtHeaderBytes};
+/// Decodes one record's body by its type and subtype into `out`.
+void decode_body(Cursor body, std::uint16_t type, std::uint16_t subtype,
+                 std::uint32_t timestamp, std::vector<FeedRecord>& out) {
   switch (type) {
     case kMrtTypeTableDumpV2:
       switch (subtype) {
@@ -356,67 +313,86 @@ void MrtDecoder::decode_record() {
           decode_peer_index_table(body);
           break;
         case kMrtRibIpv4Unicast:
-          decode_rib_record<fib::Prefix>(body, timestamp, pending_);
+          decode_rib_record<fib::Prefix>(body, timestamp, out);
           break;
         case kMrtRibIpv6Unicast:
-          decode_rib_record<fib::Prefix6>(body, timestamp, pending_);
+          decode_rib_record<fib::Prefix6>(body, timestamp, out);
           break;
         default:
           break;  // RIB_GENERIC / multicast / ADDPATH subtypes: skipped
       }
       break;
     case kMrtTypeBgp4mp:
-      decode_bgp4mp(body, subtype, timestamp, false, pending_);
+      decode_bgp4mp(body, subtype, timestamp, false, out);
       break;
     case kMrtTypeBgp4mpEt:
-      decode_bgp4mp(body, subtype, timestamp, true, pending_);
+      decode_bgp4mp(body, subtype, timestamp, true, out);
       break;
     default:
       break;  // legacy TABLE_DUMP: length-validated skip
   }
 }
 
-std::optional<FeedRecord> MrtDecoder::next(std::istream& in) {
-  while (true) {
-    if (!pending_.empty()) {
-      const FeedRecord record = pending_.front();
-      pending_.pop_front();
-      return record;
-    }
-    while (buffer_.size() < want_) {
-      const std::size_t old = buffer_.size();
-      buffer_.resize(want_);
-      in.read(reinterpret_cast<char*>(buffer_.data() + old),
-              static_cast<std::streamsize>(want_ - old));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      buffer_.resize(old + got);
-      if (got == 0) return std::nullopt;  // drained; caller may retry
-    }
-    if (want_ == kMrtHeaderBytes) {
-      const std::uint32_t body = validate_header();
-      want_ = kMrtHeaderBytes + body;
-      if (body > 0) continue;
-    }
-    decode_record();
-    record_offset_ += buffer_.size();
-    ++mrt_records_;
-    buffer_.clear();
-    want_ = kMrtHeaderBytes;
+bool known_type(std::uint16_t type) {
+  return type == kMrtTypeTableDump || type == kMrtTypeTableDumpV2 ||
+         type == kMrtTypeBgp4mp || type == kMrtTypeBgp4mpEt;
+}
+
+}  // namespace
+
+bool looks_like_mrt(std::span<const std::uint8_t> head) {
+  if (head.size() < kMrtHeaderBytes) return false;
+  const auto type =
+      static_cast<std::uint16_t>((head[4] << 8) | head[5]);
+  if (!known_type(type)) return false;
+  std::uint32_t length = 0;
+  for (int i = 8; i < 12; ++i) {
+    length = (length << 8) | head[static_cast<std::size_t>(i)];
   }
+  return length <= kMaxMrtRecordBytes;
+}
+
+std::size_t decode_mrt_block(std::span<const std::uint8_t> bytes,
+                             std::uint64_t file_offset,
+                             std::vector<FeedRecord>& out) {
+  std::size_t pos = 0;
+  std::size_t delivered = out.size();  // after the records before pos
+  try {
+    while (bytes.size() - pos >= kMrtHeaderBytes) {
+      const std::uint64_t offset = file_offset + pos;
+      Cursor h{bytes.subspan(pos, kMrtHeaderBytes), offset};
+      const std::uint32_t timestamp = h.u32("timestamp");
+      const std::uint16_t type = h.u16("type");
+      if (!known_type(type)) {
+        fail_at(offset + 4,
+                "unsupported MRT record type " + std::to_string(type));
+      }
+      const std::uint16_t subtype = h.u16("subtype");
+      const std::uint32_t length = h.u32("record length");
+      if (length > kMaxMrtRecordBytes) {
+        fail_at(offset + 8,
+                "record length " + std::to_string(length) + " exceeds the " +
+                    std::to_string(kMaxMrtRecordBytes) + "-byte cap");
+      }
+      if (bytes.size() - pos - kMrtHeaderBytes < length) break;
+      pos += kMrtHeaderBytes;
+      decode_body(Cursor{bytes.subspan(pos, length), file_offset + pos}, type,
+                  subtype, timestamp, out);
+      pos += length;
+      delivered = out.size();
+    }
+  } catch (const CheckFailure&) {
+    out.resize(delivered);  // drop what the bad record decoded before failing
+    throw;
+  }
+  return pos;
 }
 
 std::vector<FeedRecord> decode_mrt(std::span<const std::uint8_t> bytes) {
   std::vector<FeedRecord> out;
-  if (bytes.empty()) return out;
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()),
-      std::ios::binary);
-  MrtDecoder decoder;
-  while (const auto record = decoder.next(in)) {
-    out.push_back(*record);
-  }
-  if (decoder.mid_record()) {
-    fail_at(decoder.record_offset(), "truncated record (file ends mid-record)");
+  const std::size_t used = decode_mrt_block(bytes, 0, out);
+  if (used < bytes.size()) {
+    fail_at(used, "truncated record (file ends mid-record)");
   }
   return out;
 }

@@ -5,19 +5,22 @@
 // same FeedRecord the text grammar produces, so text and binary feeds
 // are interchangeable through FeedReader.
 //
-// Decoding is hostile-input safe: all field reads go through a
-// bounds-checked cursor, errors throw CheckFailure carrying the absolute
-// byte offset, and a record length cap bounds buffering. Next-hop
-// identity is the low 32 bits of the next-hop address (NEXT_HOP for
-// IPv4, the MP_REACH next hop for IPv6); RIB entries without one fall
-// back to peer index + 1.
+// One decoder serves every caller: decode_mrt_block parses the complete
+// records of an in-memory block in place and leaves a partial record at
+// its end for the caller to carry into the next block (FeedReader reads
+// files in 1 MiB blocks; decode_mrt hands it a whole file). Decoding is
+// hostile-input safe: all field reads go through a bounds-checked cursor,
+// errors throw CheckFailure carrying the absolute byte offset, and a
+// record's header (type and the length cap) is checked as soon as its 12
+// bytes are in the block, before a caller grows any buffer to hold the
+// body. Next-hop identity is the low 32 bits of the next-hop address
+// (NEXT_HOP for IPv4, the MP_REACH next hop for IPv6); RIB entries
+// without one fall back to peer index + 1.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,44 +53,16 @@ inline constexpr std::uint32_t kMaxMrtRecordBytes = 16u << 20;
 /// far above any MRT type code.
 [[nodiscard]] bool looks_like_mrt(std::span<const std::uint8_t> head);
 
-/// Incremental decoder: pulls bytes from a stream, buffers exactly one
-/// record at a time, and yields FeedRecords. next() returning nullopt
-/// means the stream is drained; mid_record() then tells a truncated tail
-/// apart from a clean record boundary, so a tail-follower can wait for
-/// more bytes while a batch reader reports truncation.
-class MrtDecoder {
- public:
-  /// The next decoded record, or nullopt once `in` has no more bytes.
-  /// Clearing the stream's eof state and calling again resumes exactly
-  /// where the byte stream left off (mid-record included).
-  std::optional<FeedRecord> next(std::istream& in);
-
-  /// True when input ended inside a record (header or body).
-  [[nodiscard]] bool mid_record() const { return !buffer_.empty(); }
-
-  /// Absolute byte offset of the first record not yet fully decoded.
-  [[nodiscard]] std::uint64_t record_offset() const { return record_offset_; }
-
-  /// Bytes consumed from the stream, including a buffered partial record.
-  [[nodiscard]] std::uint64_t bytes_seen() const {
-    return record_offset_ + buffer_.size();
-  }
-
-  /// MRT records fully decoded (including skipped subtypes).
-  [[nodiscard]] std::uint64_t mrt_records() const { return mrt_records_; }
-
- private:
-  /// Validates the buffered common header; returns the body length.
-  std::uint32_t validate_header() const;
-  /// Decodes the complete record in buffer_ into pending_.
-  void decode_record();
-
-  std::deque<FeedRecord> pending_;
-  std::vector<std::uint8_t> buffer_;
-  std::size_t want_ = kMrtHeaderBytes;
-  std::uint64_t record_offset_ = 0;
-  std::uint64_t mrt_records_ = 0;
-};
+/// Decodes every complete record at the front of `bytes` and appends its
+/// FeedRecords to `out`, in file order; `file_offset` is the absolute
+/// offset of bytes[0], which every error names. Returns the bytes
+/// consumed, a record boundary: what follows is less than one record,
+/// and its header, once whole, has already been checked. On a malformed
+/// record it throws, leaving in `out` exactly what the records before it
+/// decoded to.
+std::size_t decode_mrt_block(std::span<const std::uint8_t> bytes,
+                             std::uint64_t file_offset,
+                             std::vector<FeedRecord>& out);
 
 /// Batch decode of a whole in-memory MRT file. A partial record at the
 /// tail throws CheckFailure naming the truncation offset.

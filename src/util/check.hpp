@@ -7,9 +7,11 @@
 //                        check for hot paths.
 #pragma once
 
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace treecache {
 
@@ -17,7 +19,25 @@ namespace treecache {
 class CheckFailure : public std::logic_error {
  public:
   explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+  CheckFailure(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  /// A failed TC_CHECK's own message, without the "check failed: (expr) at
+  /// file:line" prefix that what() carries. Empty when the check gave none
+  /// and when the failure was thrown with its whole text as what().
+  [[nodiscard]] const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
+
+/// The text a user reads for `e`: a failed check's own message, or what()
+/// when there is none.
+inline std::string error_message(const std::exception& e) {
+  const auto* check = dynamic_cast<const CheckFailure*>(&e);
+  return check != nullptr && !check->message().empty() ? check->message()
+                                                        : e.what();
+}
 
 namespace detail {
 [[noreturn]] inline void check_failed(const char* expr, const char* file,
@@ -25,7 +45,7 @@ namespace detail {
   std::ostringstream os;
   os << "check failed: (" << expr << ") at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckFailure(os.str());
+  throw CheckFailure(os.str(), msg);
 }
 }  // namespace detail
 

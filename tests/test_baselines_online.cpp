@@ -2,10 +2,14 @@
 // capacity discipline and characteristic behaviours.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "baselines/local_tc.hpp"
 #include "baselines/lru_closure.hpp"
 #include "baselines/never_cache.hpp"
 #include "core/tree_cache.hpp"
+#include "sim/registry.hpp"
 #include "sim/simulator.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
@@ -70,6 +74,24 @@ TEST(LruClosure, NegativeWithoutInvalidationJustPays) {
   EXPECT_TRUE(out.paid);
   EXPECT_EQ(out.change, ChangeKind::kNone);
   EXPECT_TRUE(lru.cache().contains(2));
+}
+
+TEST(LruClosure, AlphaPastInt64OverTreeSizeIsRefused) {
+  // A fetch charges |X|·α in u64: at α = 2^63 on a 2-node path, fetching
+  // both nodes would charge 0.
+  const Tree t = trees::path(2);
+  const std::uint64_t max_alpha = INT64_MAX / t.size();
+  for (const char* name : {"lru", "lruinv"}) {
+    SCOPED_TRACE(name);
+    sim::Params p;
+    p.set("capacity", "2");
+    p.set("alpha", std::to_string(std::uint64_t{1} << 63));
+    EXPECT_THROW((void)sim::make_algorithm(name, t, p), CheckFailure);
+    p.set("alpha", std::to_string(max_alpha));
+    const auto lru = sim::make_algorithm(name, t, p);
+    EXPECT_EQ(lru->step(positive(0)).change, ChangeKind::kFetch);
+    EXPECT_EQ(lru->cost().reorg, 2 * max_alpha);
+  }
 }
 
 TEST(LocalTc, NeedsOwnCounterToFetch) {

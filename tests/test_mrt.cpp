@@ -2,12 +2,15 @@
 // for both families, equivalence with the text-format ingest path,
 // fuzz-style truncation over every byte prefix (parse cleanly or error
 // with an offset), hostile-input rejection, FeedReader format sniffing
-// and byte accounting, counter ground truth at scale, and tail-follow
-// over growing text and MRT feeds.
+// and byte accounting, counter ground truth at scale, FeedReader's block
+// boundaries (records split across reads, a record larger than a block,
+// cuts and bad records past the first block), and tail-follow over
+// growing text and MRT feeds.
 #include "rib/mrt.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -110,6 +113,35 @@ std::vector<std::uint8_t> mrt_record(std::uint16_t type, std::uint16_t subtype,
   put_u32(out, static_cast<std::uint32_t>(body.size()));
   out.insert(out.end(), body.begin(), body.end());
   return out;
+}
+
+/// A feed encoded by MrtWriter, with the end offset of each record's MRT
+/// record: every end is a record boundary, and each record starts at the
+/// previous one's end.
+struct EncodedFeed {
+  std::vector<FeedRecord> records;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint64_t> ends;
+};
+
+/// 79,000 records past 16-bit scale, ~3 MB: more than two FeedReader blocks.
+EncodedFeed scale_feed() {
+  SyntheticFeedConfig config;
+  config.routes = 70000;
+  config.updates = 9000;
+  config.family = 4;
+  Rng rng(23);
+  EncodedFeed feed;
+  feed.records = generate_feed(config, rng);
+  std::ostringstream out(std::ios::binary);
+  MrtWriter writer(out);
+  for (const FeedRecord& record : feed.records) {
+    writer.write(record);
+    feed.ends.push_back(writer.bytes());
+  }
+  const std::string bytes = out.str();
+  feed.bytes.assign(bytes.begin(), bytes.end());
+  return feed;
 }
 
 // --- Round trips ---------------------------------------------------------
@@ -266,6 +298,34 @@ TEST(MrtCodec, RejectsBadBgpMarker) {
   }
 }
 
+TEST(MrtCodec, BadRecordLeavesOnlyTheRecordsBeforeIt) {
+  // An UPDATE decodes its withdrawn routes before its path attributes, so
+  // one whose attribute length overruns the message has already decoded a
+  // withdraw when it fails; the block decoder drops it.
+  const std::vector<FeedRecord> good = sample_feed(4, 2, 0);
+  std::vector<std::uint8_t> bytes = encode_mrt_feed(good);
+  FeedRecord withdraw;
+  withdraw.op = FeedOp::kWithdraw;
+  withdraw.prefix4 = fib::Prefix::parse("10.0.0.0/8");
+  std::vector<std::uint8_t> update = encode_mrt_feed({withdraw});
+  // Header (12) + AS, AS, ifindex, AFI, 2 IPv4 (20) + marker, length,
+  // type (19) + withdrawn length and prefix (4): the attribute length.
+  ASSERT_EQ(update.size(), 12u + 20 + 19 + 4 + 2);
+  update[12 + 20 + 19 + 4 + 1] = 1;
+  bytes.insert(bytes.end(), update.begin(), update.end());
+
+  std::vector<FeedRecord> out;
+  try {
+    (void)decode_mrt_block(bytes, 0, out);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("path attributes overruns"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(out, good);
+}
+
 TEST(MrtCodec, SkipsUnknownSubtypesAndLegacyTableDump) {
   // An ADDPATH RIB subtype and a legacy TABLE_DUMP record are skipped
   // (length-validated), then the valid records decode as usual.
@@ -347,18 +407,7 @@ TEST(MrtCodec, CountersMatchGroundTruthAtScale) {
   // Past-16-bit scale: exact counter equality against the generator's
   // ground truth, plus byte accounting against the file size.
   const std::string path = "/tmp/treecache_test_mrt_scale.mrt";
-  SyntheticFeedConfig config;
-  config.routes = 70000;
-  config.updates = 9000;
-  config.family = 4;
-  Rng rng(23);
-  const std::vector<FeedRecord> records = generate_feed(config, rng);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    MrtWriter writer(out);
-    for (const FeedRecord& record : records) writer.write(record);
-    ASSERT_TRUE(out.good());
-  }
+  write_bytes(path, scale_feed().bytes);
   const IngestResult result = ingest_feed({path});
   EXPECT_EQ(result.records, std::uint64_t{70000 + 9000});
   EXPECT_EQ(result.v4.stats.dump_routes, 70000u);
@@ -370,6 +419,188 @@ TEST(MrtCodec, CountersMatchGroundTruthAtScale) {
   // The memory audit accessors cover the allocation, not just the count.
   EXPECT_GE(result.v4.rib.memory_bytes(),
             result.v4.rib.entry_count() * sizeof(std::uint32_t));
+  std::remove(path.c_str());
+}
+
+// --- Block boundaries ----------------------------------------------------
+
+TEST(FeedReaderMrt, BlocksReassembleEveryRecord) {
+  const std::string path = "/tmp/treecache_test_mrt_blocks.mrt";
+  const EncodedFeed feed = scale_feed();
+  ASSERT_GT(feed.bytes.size(), 2 * kFeedBlockBytes);
+  write_bytes(path, feed.bytes);
+
+  FeedReader one_by_one({path});
+  std::vector<FeedRecord> seen;
+  while (const auto record = one_by_one.next()) seen.push_back(*record);
+  EXPECT_EQ(seen, feed.records);
+  EXPECT_EQ(one_by_one.records(), feed.records.size());
+  EXPECT_EQ(one_by_one.bytes(), feed.bytes.size());
+
+  // Batches yield the same sequence, and next() and next_batch() share
+  // one position: a batch after a few next() calls starts where they
+  // stopped.
+  FeedReader batched({path});
+  seen.clear();
+  for (int i = 0; i < 3; ++i) seen.push_back(*batched.next());
+  std::size_t batches = 0;
+  for (auto batch = batched.next_batch(); !batch.empty();
+       batch = batched.next_batch()) {
+    seen.insert(seen.end(), batch.begin(), batch.end());
+    ++batches;
+  }
+  EXPECT_EQ(seen, feed.records);
+  EXPECT_GE(batches, 3u);  // one per block read
+  EXPECT_EQ(batched.records(), feed.records.size());
+  EXPECT_FALSE(batched.next().has_value());
+  std::remove(path.c_str());
+}
+
+TEST(FeedReaderMrt, RecordLargerThanABlockDecodes) {
+  // A RIB record's entry count is a u16, so only the entries' attribute
+  // bytes can take it past a block: 17 entries of 65,535 attribute bytes,
+  // the first with a NEXT_HOP, the rest an attribute the decoder skips.
+  std::vector<std::uint8_t> body;
+  put_u32(body, 0);   // sequence
+  put_u8(body, 16);   // 10.1.0.0/16
+  put_u8(body, 10);
+  put_u8(body, 1);
+  put_u16(body, 17);  // entries
+  for (int entry = 0; entry < 17; ++entry) {
+    put_u16(body, 0);  // peer index
+    put_u32(body, 0);  // originated
+    std::vector<std::uint8_t> attrs;
+    if (entry == 0) {
+      put_u8(attrs, 0x40);
+      put_u8(attrs, 3);  // NEXT_HOP
+      put_u8(attrs, 4);
+      put_u32(attrs, 0x0A000001);
+    }
+    const std::size_t filler = 0xFFFF - attrs.size() - 4;
+    put_u8(attrs, 0x90);  // optional, extended length
+    put_u8(attrs, 99);    // unknown type: skipped
+    put_u16(attrs, static_cast<std::uint16_t>(filler));
+    attrs.resize(attrs.size() + filler, 0xAB);
+    put_u16(body, static_cast<std::uint16_t>(attrs.size()));
+    body.insert(body.end(), attrs.begin(), attrs.end());
+  }
+  const auto big = mrt_record(kMrtTypeTableDumpV2, kMrtRibIpv4Unicast, body);
+  ASSERT_GT(big.size(), kFeedBlockBytes);
+
+  const std::vector<FeedRecord> head = sample_feed(4, 4, 2);
+  const std::vector<FeedRecord> tail = sample_feed(4, 2, 2, 11);
+  std::vector<std::uint8_t> bytes = encode_mrt_feed(head);
+  bytes.insert(bytes.end(), big.begin(), big.end());
+  const auto tail_bytes = encode_mrt_feed(tail);
+  bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
+  std::vector<FeedRecord> expected = head;
+  expected.push_back(FeedRecord{.op = FeedOp::kDump,
+                                .prefix4 = fib::Prefix::parse("10.1.0.0/16"),
+                                .next_hop = 0x0A000001});
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(decode_mrt(bytes), expected);
+
+  const std::string path = "/tmp/treecache_test_mrt_big.mrt";
+  write_bytes(path, bytes);
+  FeedReader reader({path});
+  std::vector<FeedRecord> seen;
+  while (const auto record = reader.next()) seen.push_back(*record);
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(reader.bytes(), bytes.size());
+
+  // A 2 GB length is still refused from its header, before any buffer
+  // grows to hold it, and after every record before it.
+  const std::uint64_t hostile_at = bytes.size();
+  put_u32(bytes, 0);
+  put_u16(bytes, kMrtTypeTableDumpV2);
+  put_u16(bytes, kMrtRibIpv4Unicast);
+  put_u32(bytes, 0x7FFFFFFF);
+  write_bytes(path, bytes);
+  FeedReader hostile({path});
+  seen.clear();
+  try {
+    while (const auto record = hostile.next()) seen.push_back(*record);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("exceeds the 16777216-byte cap at offset " +
+                        std::to_string(hostile_at + 8)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(seen, expected);
+  std::remove(path.c_str());
+}
+
+TEST(FeedReaderMrt, CutsAroundTheFirstBlockBoundary) {
+  // Every cut within 32 bytes of the first block's end either ends cleanly
+  // on a record boundary or names the start of the record it cuts.
+  const std::string path = "/tmp/treecache_test_mrt_cut.mrt";
+  const EncodedFeed feed = scale_feed();
+  std::size_t clean = 0;
+  std::size_t truncated = 0;
+  for (std::size_t cut = kFeedBlockBytes - 32; cut <= kFeedBlockBytes + 32;
+       ++cut) {
+    SCOPED_TRACE(cut);
+    write_file(path, feed.bytes.data(), cut);
+    // Records that end by the cut, and where the first cut one starts.
+    const std::size_t whole = static_cast<std::size_t>(
+        std::upper_bound(feed.ends.begin(), feed.ends.end(), cut) -
+        feed.ends.begin());
+    const std::uint64_t cut_record_start = feed.ends[whole - 1];
+    FeedReader reader({path});
+    std::vector<FeedRecord> seen;
+    try {
+      while (const auto record = reader.next()) seen.push_back(*record);
+      EXPECT_EQ(cut_record_start, cut) << "a clean end off a boundary";
+      ++clean;
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(what.ends_with("truncated MRT record at offset " +
+                                 std::to_string(cut_record_start)))
+          << what;
+      ++truncated;
+    }
+    ASSERT_EQ(seen.size(), whole);
+    EXPECT_TRUE(std::equal(seen.begin(), seen.end(), feed.records.begin()));
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(truncated, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(FeedReaderMrt, BadRecordInTheSecondBlockComesAfterEveryRecordBefore) {
+  const std::string path = "/tmp/treecache_test_mrt_bad_block.mrt";
+  const EncodedFeed feed = scale_feed();
+  // The first record boundary 1,000 bytes past the first block.
+  const auto at = std::upper_bound(feed.ends.begin(), feed.ends.end(),
+                                   kFeedBlockBytes + 1000);
+  const std::uint64_t bad_at = *at;
+  const auto before = static_cast<std::size_t>(at - feed.ends.begin()) + 1;
+  std::vector<std::uint8_t> bytes(
+      feed.bytes.begin(), feed.bytes.begin() + static_cast<std::ptrdiff_t>(bad_at));
+  const auto bad = mrt_record(99, 0, {1, 2, 3});
+  bytes.insert(bytes.end(), bad.begin(), bad.end());
+  bytes.insert(bytes.end(), feed.bytes.begin() + static_cast<std::ptrdiff_t>(bad_at),
+               feed.bytes.end());
+  write_bytes(path, bytes);
+
+  FeedReader reader({path});
+  std::vector<FeedRecord> seen;
+  try {
+    while (const auto record = reader.next()) seen.push_back(*record);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_TRUE(what.ends_with("unsupported MRT record type 99 at offset " +
+                               std::to_string(bad_at + 4)))
+        << what;
+  }
+  ASSERT_EQ(seen.size(), before);
+  EXPECT_TRUE(std::equal(seen.begin(), seen.end(), feed.records.begin()));
+  EXPECT_GT(bad_at, kFeedBlockBytes);
+  EXPECT_THROW((void)reader.next(), CheckFailure);  // the error stays
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,6 @@
 // The fib-real replay path end to end over the checked-in fixture feeds:
-// ingest, stream shape, source determinism (reset/fork/size_hint),
+// ingest, the churn's resolution to rule-tree nodes (against exact()),
+// stream shape, source determinism (reset/fork/size_hint),
 // bit-identical engine runs across shard and thread geometries, and the
 // Appendix B canonicalization bound on a real-churn IPv6 trace — the
 // wide-key wind through rule_tree, the packet sampler and canonicalizer.
@@ -14,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/tree_cache.hpp"
@@ -79,6 +81,67 @@ TEST(FixtureFeeds, IngestEndToEnd) {
   for (const NodeId node : replay.churn_nodes) {
     ASSERT_LT(node, replay.fib.tree.size());
   }
+}
+
+/// make_churn_replay resolves the churn by one merge over the node ids;
+/// exact() is the oracle for every event.
+template <typename PrefixT>
+void expect_churn_resolves_as_exact(const BasicIngest<PrefixT>& ingest) {
+  const BasicChurnReplay<PrefixT> replay = make_churn_replay(ingest);
+  ASSERT_EQ(replay.churn_nodes.size(), ingest.churn.size());
+  for (std::size_t i = 0; i < ingest.churn.size(); ++i) {
+    const auto node = replay.fib.exact(ingest.churn[i]);
+    ASSERT_TRUE(node.has_value()) << ingest.churn[i].to_string();
+    ASSERT_EQ(replay.churn_nodes[i], *node) << ingest.churn[i].to_string();
+  }
+}
+
+/// Appends a withdraw of `never` (a prefix no route ever held) and three
+/// announce/withdraw rounds of `again` to `result`'s churn. Both come by
+/// value: `again` may be an element of the churn this appends to.
+template <typename PrefixT>
+void add_odd_churn(IngestResult& result, PrefixT never, PrefixT again) {
+  const auto record = [](FeedOp op, const PrefixT& p) {
+    FeedRecord r{.op = op, .timestamp = 1, .next_hop = 7};
+    if constexpr (std::is_same_v<PrefixT, fib::Prefix6>) {
+      r.v6 = true;
+      r.prefix6 = p;
+    } else {
+      r.prefix4 = p;
+    }
+    return r;
+  };
+  result.apply(record(FeedOp::kWithdraw, never));
+  for (int round = 0; round < 3; ++round) {
+    result.apply(record(FeedOp::kAnnounce, again));
+    result.apply(record(FeedOp::kWithdraw, again));
+  }
+}
+
+TEST(ChurnReplay, MergeResolvesEveryEventAsExactDoes) {
+  // IPv4 at 70k routes: the generator's prefixes stop at /24, so a /28
+  // never held a route.
+  SyntheticFeedConfig config;
+  config.routes = 70000;
+  config.updates = 9000;
+  config.family = 4;
+  Rng rng(23);
+  IngestResult v4;
+  for (const FeedRecord& record : generate_feed(config, rng)) {
+    v4.apply(record);
+  }
+  const std::uint64_t misses = v4.v4.stats.withdraw_misses;
+  add_odd_churn(v4, fib::Prefix::parse("198.51.100.16/28"),
+                v4.v4.churn.front());
+  EXPECT_EQ(v4.v4.stats.withdraw_misses, misses + 1);
+  expect_churn_resolves_as_exact(v4.v4);
+
+  // IPv6 fixture: its prefixes stop at /64.
+  IngestResult v6 = ingest_feed({fixture("rib_v6.feed")});
+  ASSERT_FALSE(v6.v6.churn.empty());
+  add_odd_churn(v6, fib::Prefix6::parse("2001:db8::10:0/112"),
+                v6.v6.churn.back());
+  expect_churn_resolves_as_exact(v6.v6);
 }
 
 TEST(FixtureFeeds, FamilyWithNoRecordsIsRefused) {

@@ -1,18 +1,39 @@
-// Utility substrate: epoch arrays, RNG determinism and distribution sanity,
-// sweep point seeds, stopwatch monotonicity.
+// Utility substrate: check failures, epoch arrays, RNG determinism and
+// distribution sanity, sweep point seeds, stopwatch monotonicity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/epoch_array.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace treecache {
 namespace {
+
+TEST(CheckFailure, MessageKeepsTheCallersTextApart) {
+  try {
+    TC_CHECK(1 + 1 == 3, "arithmetic is " + std::string("off"));
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("check failed: (1 + 1 == 3) at ", 0), 0u) << what;
+    EXPECT_NE(what.find("— arithmetic is off"), std::string::npos) << what;
+    EXPECT_EQ(e.message(), "arithmetic is off");
+    EXPECT_EQ(error_message(e), "arithmetic is off");
+  }
+  // No message of its own: the whole what() is what a user reads.
+  const CheckFailure whole("feed line 3: bad prefix");
+  EXPECT_TRUE(whole.message().empty());
+  EXPECT_EQ(error_message(whole), "feed line 3: bad prefix");
+  EXPECT_EQ(error_message(std::runtime_error("disk full")), "disk full");
+}
 
 TEST(EpochArray, DefaultsAndWrites) {
   EpochArray<std::int64_t> arr(4, -7);

@@ -816,7 +816,7 @@ int main(int argc, char** argv) {
   try {
     return treecache::tools::dispatch(argc, argv);
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
+    std::cerr << "error: " << treecache::error_message(e) << "\n";
     return 1;
   }
 }
