@@ -87,7 +87,8 @@ void reconstruct(const DpState& dp, NodeId v, std::size_t budget,
   // Greedy re-derivation: process children in order, for each pick the
   // smallest budget share that, combined with the best achievable from the
   // remaining children, still attains the target.
-  const auto kids = tree.children(v);
+  const auto range = tree.children(v);
+  const std::vector<NodeId> kids(range.begin(), range.end());
   // suffix_best[i][b]: best weight from children i.. with budget b.
   const std::size_t m = kids.size();
   std::vector<Profile> suffix(m + 1, Profile(j + 1, 0));

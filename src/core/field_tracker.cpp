@@ -157,8 +157,8 @@ std::string FieldTracker::render_event_space(std::uint64_t max_rounds) const {
 
   // Row order: root on top, extending the tree partial order (by depth,
   // ties by preorder position).
-  std::vector<NodeId> order(tree_->preorder().begin(),
-                            tree_->preorder().end());
+  const auto preorder = tree_->preorder();
+  std::vector<NodeId> order(preorder.begin(), preorder.end());
   std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
     return tree_->depth(a) < tree_->depth(b);
   });

@@ -63,10 +63,9 @@ void TreeCache::step_batch(std::span<const Request> requests,
 
 std::span<const NodeId> TreeCache::translate_changeset(
     std::vector<NodeId>& out) const {
-  const auto from = tree_->from_preorder();
   out.resize(rank_changeset_.size());
   for (std::size_t i = 0; i < rank_changeset_.size(); ++i) {
-    out[i] = from[rank_changeset_[i]];
+    out[i] = tree_->from_preorder(rank_changeset_[i]);
   }
   return out;
 }

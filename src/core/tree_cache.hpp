@@ -43,6 +43,7 @@
 #include "core/node_state.hpp"
 #include "core/online_algorithm.hpp"
 #include "tree/tree.hpp"
+#include "util/cache_line.hpp"
 
 namespace treecache {
 
@@ -68,7 +69,9 @@ struct PhaseStats {
   std::uint64_t evictions = 0;  // nodes evicted by negative changesets
 };
 
-class TreeCache final : public OnlineAlgorithm {
+/// Aligned to a cache line, as is its root path (util/cache_line.hpp): a
+/// worker writes both on every step.
+class alignas(kCacheLine) TreeCache final : public OnlineAlgorithm {
  public:
   TreeCache(const Tree& tree, TreeCacheConfig config);
 
@@ -178,10 +181,11 @@ class TreeCache final : public OnlineAlgorithm {
   std::uint64_t work_ = 0;
   std::vector<PhaseStats> phases_;
 
-  // Scratch buffers (reused across rounds). rank_changeset_ holds the
-  // round's changeset in rank space; changeset_/aborted_buf_ hold the
+  // Scratch buffers (reused across rounds). path_ is written on every
+  // positive request, so it owns its cache lines. rank_changeset_ holds
+  // the round's changeset in rank space; changeset_/aborted_buf_ hold the
   // NodeId translations exposed via StepOutcome.
-  std::vector<std::uint32_t> path_;
+  LineVector<std::uint32_t> path_;
   std::vector<std::uint32_t> rank_changeset_;
   std::vector<NodeId> changeset_;
   std::vector<NodeId> aborted_buf_;

@@ -6,7 +6,8 @@ namespace treecache::engine {
 
 ShardPlan::ShardPlan(const Tree& tree, std::size_t max_shards)
     : universe_(&tree) {
-  const std::span<const NodeId> children = tree.children(tree.root());
+  const auto kids = tree.children(tree.root());
+  const std::vector<NodeId> children(kids.begin(), kids.end());
   const std::size_t target =
       std::min(std::max<std::size_t>(max_shards, 1),
                std::max<std::size_t>(children.size(), 1));
@@ -50,30 +51,15 @@ ShardPlan::ShardPlan(const Tree& tree, std::size_t max_shards)
     shards_.push_back(std::move(shard));
   }
 
-  // Relabel each shard's slice into its own Tree. Local ids follow global
-  // preorder; shards after the first get a replica of the global root as
-  // local node 0 (their subtree roots reparent onto it).
-  shard_of_.assign(tree.size(), 0);
-  const std::span<const NodeId> preorder = tree.preorder();
+  // Each shard's tree is its rank slice of the universe. Local ids follow
+  // global preorder, so every shard tree is preorder-labeled — the
+  // guarantee the rank-indexed NodeState records and the arithmetic id maps
+  // build on.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
-    const std::uint32_t offset = rank_offset(s);
-    std::vector<NodeId> parent(shard.nodes() + (s > 0 ? 1 : 0), kNoNode);
-    for (std::uint32_t r = shard.preorder_begin; r < shard.preorder_end;
-         ++r) {
-      shard_of_[preorder[r]] = static_cast<std::uint32_t>(s);
-      // Subtree roots hang off the (replica of the) global root, rank 0;
-      // shard 0's first slot is the real root and keeps kNoNode.
-      const std::uint32_t p = tree.preorder_parent(r);
-      if (p != kNoNode) parent[r - offset] = p == 0 ? NodeId{0} : p - offset;
-    }
-    trees_.emplace_back(std::move(parent));
-    // Local ids follow ascending global preorder and sibling subtrees stay
-    // in child order, so the relabeled tree's DFS visits 0, 1, 2, … — the
-    // guarantee the rank-indexed NodeState records and the arithmetic
-    // id maps build on.
-    TC_DCHECK(trees_.back().is_preorder_labeled(),
-              "shard tree must be preorder-labeled");
+    trees_.push_back(
+        Tree::top_level_slice(tree, shard.preorder_begin, shard.preorder_end));
+    if (s > 0) starts_.push_back(shard.preorder_begin);
   }
 }
 

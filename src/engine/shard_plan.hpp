@@ -4,12 +4,14 @@
 //
 // The partition unit is a top-level subtree T(c) for a child c of the
 // global root: adjacent children own adjacent preorder intervals, so every
-// shard is one contiguous preorder range of the universe and the
-// shard-of-node lookup is a single array read. Children are grouped
-// greedily into size-balanced contiguous runs; asking for more shards than
-// the root has children yields one shard per child.
+// shard is one contiguous preorder range of the universe, and the
+// shard-of-node lookup counts the shard start ranks at or below the node's
+// rank. Children are grouped greedily into size-balanced contiguous runs;
+// asking for more shards than the root has children yields one shard per
+// child.
 //
-// Each shard gets its own Tree to run an algorithm instance on:
+// Each shard gets its own Tree to run an algorithm instance on, a rank
+// slice of the universe (Tree::top_level_slice, 12 bytes per node):
 //   * shard 0 owns the global root, so its tree is the root plus its run
 //     of top-level subtrees — ids relabeled to local preorder;
 //   * every other shard's tree is a REPLICA of the global root (local node
@@ -69,21 +71,22 @@ class ShardPlan {
   // local NodeId IS its preorder rank, and the rank-indexed NodeState
   // records of its TreeCache need no per-request permutation at all. The same
   // order makes the id maps arithmetic: a local id is the node's global
-  // preorder rank minus the shard's rank_offset. So the plan keeps no id
-  // table; shard_of_ is its one per-node array, and the trivial plan, whose
-  // maps are identities, keeps none.
+  // preorder rank minus the shard's rank_offset, and the shard of a rank is
+  // the number of later shards starting at or below it. So the plan keeps
+  // no per-node table at all.
 
   /// Which shard serves requests to global node `v`.
   [[nodiscard]] std::size_t shard_of(NodeId v) const {
     TC_CHECK(v < universe_->size(), "request to node outside the universe");
-    return trees_.empty() ? 0 : shard_of_[v];
+    return shard_at(universe_->preorder_index(v));
   }
 
   /// Global node → its id in shard_tree(shard_of(v)).
   [[nodiscard]] NodeId to_local(NodeId v) const {
     TC_DCHECK(v < universe_->size(), "node outside the universe");
     if (trees_.empty()) return v;
-    return universe_->preorder_index(v) - rank_offset(shard_of_[v]);
+    const std::uint32_t r = universe_->preorder_index(v);
+    return r - rank_offset(shard_at(r));
   }
 
   /// Shard-local node → global node. The replica root (local 0 of shards
@@ -95,7 +98,7 @@ class ShardPlan {
               "shard-local node out of range");
     if (trees_.empty()) return local;
     if (s > 0 && local == 0) return universe_->root();
-    return universe_->preorder()[local + rank_offset(s)];
+    return universe_->from_preorder(local + rank_offset(s));
   }
 
   /// The request routed into its shard's id space.
@@ -104,6 +107,14 @@ class ShardPlan {
   }
 
  private:
+  /// The shard whose slice holds global rank r: a count of the later
+  /// shards' first ranks at or below r, with no branch to mispredict.
+  [[nodiscard]] std::size_t shard_at(std::uint32_t r) const {
+    std::size_t s = 0;
+    for (const std::uint32_t start : starts_) s += start <= r ? 1 : 0;
+    return s;
+  }
+
   /// Global preorder rank minus shard-local id, for every node of shard
   /// `s` except a replica root: the shard's first rank, minus one after
   /// shard 0, where the replica root holds local id 0.
@@ -113,8 +124,9 @@ class ShardPlan {
 
   const Tree* universe_;
   std::vector<Shard> shards_;
-  std::vector<Tree> trees_;              // one per shard; empty when trivial
-  std::vector<std::uint32_t> shard_of_;  // per global node; empty when trivial
+  std::vector<Tree> trees_;  // one per shard; empty when trivial
+  // preorder_begin of shards 1, 2, …; empty when trivial.
+  std::vector<std::uint32_t> starts_;
 };
 
 }  // namespace treecache::engine

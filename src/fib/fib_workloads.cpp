@@ -51,7 +51,7 @@ std::unique_ptr<RequestSource> fib_source(const Tree& tree,
                                           std::uint64_t seed,
                                           double update_probability) {
   const RuleTree& rules = shared_rule_tree(p);
-  TC_CHECK(tree.parent_array() == rules.tree.parent_array(),
+  TC_CHECK(tree == rules.tree,
            "fib* workloads run on their own RIB rule tree; build it with "
            "fib::rule_tree_from_params(params) (CLI: `--tree fib`, or "
            "gen-rib with the same --rules/--deagg/--max-len/--rib-seed)");

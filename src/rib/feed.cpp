@@ -369,8 +369,8 @@ std::vector<FeedRecord> generate_feed(const SyntheticFeedConfig& config,
     live4 = fib::generate_rib(rib_config, rng);
     for (const fib::Prefix& p : live4) {
       out.push_back(FeedRecord{
-          .op = FeedOp::kDump, .v6 = false, .prefix4 = p,
-          .next_hop = next_hop()});
+          .prefix4 = p, .next_hop = next_hop(), .op = FeedOp::kDump,
+          .v6 = false});
     }
   }
   if (config.family != 4) {
@@ -378,8 +378,8 @@ std::vector<FeedRecord> generate_feed(const SyntheticFeedConfig& config,
     live6 = fib::generate_rib6(rib_config, rng);
     for (const fib::Prefix6& p : live6) {
       out.push_back(FeedRecord{
-          .op = FeedOp::kDump, .v6 = true, .prefix6 = p,
-          .next_hop = next_hop()});
+          .prefix6 = p, .next_hop = next_hop(), .op = FeedOp::kDump,
+          .v6 = true});
     }
   }
 

@@ -31,15 +31,17 @@ enum class FeedOp : std::uint8_t { kDump, kAnnounce, kWithdraw };
 /// One parsed feed line. Exactly one of prefix4/prefix6 is meaningful,
 /// selected by `v6`.
 struct FeedRecord {
-  FeedOp op = FeedOp::kDump;
   std::uint64_t timestamp = 0;  // update lines only
+  fib::Prefix6 prefix6{};       // valid when v6
+  fib::Prefix prefix4{};        // valid when !v6
+  NextHop next_hop = 0;         // dump/announce lines only
+  FeedOp op = FeedOp::kDump;
   bool v6 = false;
-  fib::Prefix prefix4{};   // valid when !v6
-  fib::Prefix6 prefix6{};  // valid when v6
-  NextHop next_hop = 0;    // dump/announce lines only
 
   friend bool operator==(const FeedRecord&, const FeedRecord&) = default;
 };
+// Widest members first, so a 1 MiB block's batch carries no padding.
+static_assert(sizeof(FeedRecord) == 48);
 
 /// Parses one non-comment, non-blank feed line. Throws CheckFailure
 /// naming `line_number` (1-based) on malformed input.

@@ -120,7 +120,7 @@ const sim::WorkloadRegistrar kRegisterFibReal{
     [](const Tree& tree, const sim::Params& p, std::uint64_t seed)
         -> std::unique_ptr<RequestSource> {
       const RealFibReplay& replay = shared_real_fib(p);
-      TC_CHECK(tree.parent_array() == replay.tree().parent_array(),
+      TC_CHECK(tree == replay.tree(),
                "fib-real runs on the rule tree rebuilt from its feed; build "
                "it with rib::shared_real_fib(params).tree() (CLI: `--tree "
                "fib-real` with the same --rib-feed/--family)");

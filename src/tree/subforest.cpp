@@ -112,10 +112,11 @@ std::vector<NodeId> Subforest::maximal_roots() const {
 
 void Subforest::maximal_roots(std::vector<NodeId>& out) const {
   out.clear();
-  const auto from = tree_->from_preorder();
   for_each_cached_rank([&](std::uint32_t r) {
     const std::uint32_t p = tree_->preorder_parent(r);
-    if (p == kNoNode || !contains_rank(p)) out.push_back(from[r]);
+    if (p == kNoNode || !contains_rank(p)) {
+      out.push_back(tree_->from_preorder(r));
+    }
   });
   std::sort(out.begin(), out.end());
 }
@@ -144,8 +145,7 @@ void Subforest::missing_subtree(NodeId u, std::vector<NodeId>& out) const {
   // so a reused `out` means no allocation at all.
   const std::uint32_t ru = tree_->preorder_index(u);
   missing_ranks(ru, ru + tree_->subtree_size(u), out);
-  const auto from = tree_->from_preorder();
-  for (NodeId& v : out) v = from[v];
+  for (NodeId& v : out) v = tree_->from_preorder(v);
 }
 
 std::vector<NodeId> Subforest::as_vector() const {
@@ -157,8 +157,8 @@ std::vector<NodeId> Subforest::as_vector() const {
 void Subforest::as_vector(std::vector<NodeId>& out) const {
   out.clear();
   out.reserve(size_);
-  const auto from = tree_->from_preorder();
-  for_each_cached_rank([&](std::uint32_t r) { out.push_back(from[r]); });
+  for_each_cached_rank(
+      [&](std::uint32_t r) { out.push_back(tree_->from_preorder(r)); });
   std::sort(out.begin(), out.end());
 }
 

@@ -1,13 +1,18 @@
 #include "tree/tree_io.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace treecache {
 
 std::string to_parent_string(const Tree& tree) {
   std::ostringstream os;
-  const auto& parents = tree.parent_array();
+  const std::vector<NodeId> parents = tree.parent_array();
   for (std::size_t i = 0; i < parents.size(); ++i) {
     if (i > 0) os << ' ';
     if (parents[i] == kNoNode) {
@@ -20,14 +25,31 @@ std::string to_parent_string(const Tree& tree) {
 }
 
 Tree from_parent_string(const std::string& text) {
-  std::istringstream is(text);
+  // Tokens split on the whitespace `istream >>` skips; each is "-1" (the
+  // root) or a node id, parsed strictly so that no id wraps into range.
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const std::string_view view(text);
   std::vector<NodeId> parents;
-  long long value = 0;
-  while (is >> value) {
-    TC_CHECK(value >= -1, "parent ids must be >= -1");
-    parents.push_back(value == -1 ? kNoNode : static_cast<NodeId>(value));
+  for (std::size_t start = view.find_first_not_of(kSpace);
+       start != std::string_view::npos;
+       start = view.find_first_not_of(kSpace, start)) {
+    const std::size_t stop = std::min(view.find_first_of(kSpace, start),
+                                      view.size());
+    const std::string_view token = view.substr(start, stop - start);
+    start = stop;
+    if (token == "-1") {
+      parents.push_back(kNoNode);
+      continue;
+    }
+    const auto where = [&] {
+      return "parent of node " + std::to_string(parents.size()) + " ('" +
+             std::string(token) + "')";
+    };
+    const std::optional<std::uint64_t> id = parse_u64(token);
+    TC_CHECK(id.has_value(), where() + " is neither a node id nor -1");
+    TC_CHECK(*id < kNoNode, where() + " is past the largest node id");
+    parents.push_back(static_cast<NodeId>(*id));
   }
-  TC_CHECK(is.eof(), "trailing garbage in parent string");
   TC_CHECK(!parents.empty(), "empty parent string");
   return Tree(std::move(parents));
 }
@@ -46,13 +68,13 @@ void render_ascii(const Tree& tree, NodeId v, const std::string& indent,
     if (!note.empty()) os << ' ' << note;
   }
   os << '\n';
-  const auto kids = tree.children(v);
   const std::string child_indent =
       (v == tree.root()) ? std::string{}
                          : indent + (last ? "   " : "│  ");
-  for (std::size_t i = 0; i < kids.size(); ++i) {
-    render_ascii(tree, kids[i], child_indent, i + 1 == kids.size(), annotate,
-                 os);
+  const auto kids = tree.children(v);
+  for (auto it = kids.begin(); it != kids.end();) {
+    const NodeId c = *it;
+    render_ascii(tree, c, child_indent, ++it == kids.end(), annotate, os);
   }
 }
 }  // namespace

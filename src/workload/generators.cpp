@@ -119,9 +119,8 @@ std::size_t HotspotSource::fill(std::span<Request> buffer) {
     // contiguous preorder interval) or an ancestor occasionally.
     NodeId v = hot_;
     if (tree_->subtree_size(hot_) > 1 && rng_.chance(0.7)) {
-      const auto pre = tree_->preorder();
-      v = pre[tree_->preorder_index(hot_) +
-              rng_.below(tree_->subtree_size(hot_))];
+      v = tree_->from_preorder(tree_->preorder_index(hot_) +
+                               rng_.below(tree_->subtree_size(hot_)));
     } else if (rng_.chance(0.3)) {
       const auto path = tree_->path_to_root(hot_);
       v = path[rng_.below(path.size())];

@@ -167,11 +167,58 @@ Relabeling relabel(const Tree& tree, const engine::ShardPlan& plan) {
   return out;
 }
 
+/// Shard s's tree built the way the plan once built it: Tree over the
+/// relabeled parent array (the replica root of a shard past the first is
+/// a root of its own).
+Tree relabeled_tree(const Tree& tree, const Relabeling& ref, std::size_t s) {
+  const std::vector<NodeId>& global = ref.global_id[s];
+  std::vector<NodeId> parent(global.size(), kNoNode);
+  for (NodeId l = s > 0 ? 1 : 0; l < global.size(); ++l) {
+    const NodeId p = tree.parent(global[l]);
+    parent[l] = p == kNoNode ? kNoNode : ref.local_id[p];
+  }
+  return Tree(std::move(parent));
+}
+
+/// `actual` equals `expected` on every accessor.
+void expect_same_tree(const Tree& actual, const Tree& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  EXPECT_EQ(actual.root(), expected.root());
+  EXPECT_EQ(actual.height(), expected.height());
+  EXPECT_EQ(actual.max_degree(), expected.max_degree());
+  EXPECT_EQ(actual.is_preorder_labeled(), expected.is_preorder_labeled());
+  for (NodeId v = 0; v < actual.size(); ++v) {
+    EXPECT_EQ(actual.parent(v), expected.parent(v)) << "v=" << v;
+    const auto a = actual.children(v);
+    const auto e = expected.children(v);
+    EXPECT_EQ(std::vector<NodeId>(a.begin(), a.end()),
+              std::vector<NodeId>(e.begin(), e.end()))
+        << "v=" << v;
+    EXPECT_EQ(actual.depth(v), expected.depth(v)) << "v=" << v;
+    EXPECT_EQ(actual.subtree_size(v), expected.subtree_size(v)) << "v=" << v;
+    EXPECT_EQ(actual.preorder_index(v), expected.preorder_index(v))
+        << "v=" << v;
+  }
+  for (std::uint32_t r = 0; r < actual.size(); ++r) {
+    EXPECT_EQ(actual.preorder_parent(r), expected.preorder_parent(r))
+        << "r=" << r;
+  }
+  const auto a_sizes = actual.preorder_sizes();
+  const auto e_sizes = expected.preorder_sizes();
+  EXPECT_TRUE(std::equal(a_sizes.begin(), a_sizes.end(), e_sizes.begin(),
+                         e_sizes.end()));
+  // The same representation, too: a rank slice stores what the parent
+  // array constructor derives.
+  EXPECT_TRUE(actual == expected);
+}
+
 TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
   // The plan stores no id tables: shard_of, to_local and to_global are
   // arithmetic over preorder ranks. They must agree with the relabeling
   // for every node, at every shard count, on random trees and on a FIB
-  // rule tree, whose ids are not preorder ranks.
+  // rule tree, whose ids are not preorder ranks. Every shard tree, a rank
+  // slice of the universe, must equal the Tree built from its relabeled
+  // parent array.
   Rng rng(13);
   const Tree recursive = trees::random_recursive(300, rng);
   const Tree bounded = trees::random_bounded_degree(200, 4, rng);
@@ -203,6 +250,8 @@ TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
           EXPECT_EQ(plan.to_global(s, l), global[l])
               << "s=" << s << " l=" << l;
         }
+        SCOPED_TRACE(testing::Message() << "shard tree " << s);
+        expect_same_tree(plan.shard_tree(s), relabeled_tree(*tree, ref, s));
       }
     }
   }

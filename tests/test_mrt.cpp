@@ -494,9 +494,9 @@ TEST(FeedReaderMrt, RecordLargerThanABlockDecodes) {
   const auto tail_bytes = encode_mrt_feed(tail);
   bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
   std::vector<FeedRecord> expected = head;
-  expected.push_back(FeedRecord{.op = FeedOp::kDump,
-                                .prefix4 = fib::Prefix::parse("10.1.0.0/16"),
-                                .next_hop = 0x0A000001});
+  expected.push_back(FeedRecord{.prefix4 = fib::Prefix::parse("10.1.0.0/16"),
+                                .next_hop = 0x0A000001,
+                                .op = FeedOp::kDump});
   expected.insert(expected.end(), tail.begin(), tail.end());
   EXPECT_EQ(decode_mrt(bytes), expected);
 

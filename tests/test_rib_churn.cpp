@@ -102,7 +102,7 @@ void expect_churn_resolves_as_exact(const BasicIngest<PrefixT>& ingest) {
 template <typename PrefixT>
 void add_odd_churn(IngestResult& result, PrefixT never, PrefixT again) {
   const auto record = [](FeedOp op, const PrefixT& p) {
-    FeedRecord r{.op = op, .timestamp = 1, .next_hop = 7};
+    FeedRecord r{.timestamp = 1, .next_hop = 7, .op = op};
     if constexpr (std::is_same_v<PrefixT, fib::Prefix6>) {
       r.v6 = true;
       r.prefix6 = p;

@@ -183,7 +183,7 @@ TEST(Subforest, SetBitScanMatchesAllNodeScan) {
   Rng rng(31);
   const Tree t = trees::random_recursive(200, rng);
   ASSERT_FALSE(t.is_preorder_labeled());
-  const auto from = t.from_preorder();
+  const auto from = t.preorder();
   const auto cache_subtree = [&](Subforest& cache, NodeId u) {
     if (cache.contains(u)) return;
     const std::vector<NodeId> missing = cache.missing_subtree(u);
@@ -344,7 +344,7 @@ Tree random_universe(std::size_t which, Rng& rng) {
 std::vector<NodeId> naive_missing(const Subforest& sub, NodeId u) {
   const Tree& tree = sub.tree();
   std::vector<NodeId> out;
-  const auto from = tree.from_preorder();
+  const auto from = tree.preorder();
   const std::uint32_t ru = tree.preorder_index(u);
   const std::uint32_t end = ru + tree.subtree_size(u);
   for (std::uint32_t r = ru; r < end;) {
@@ -373,7 +373,7 @@ TEST(Subforest, MissingSubtreeMatchesNaiveOnRandomUniverses) {
       std::fill(cached.begin() + r, cached.begin() + r + sizes[r], true);
     }
     Subforest sub(tree);
-    const auto from = tree.from_preorder();
+    const auto from = tree.preorder();
     for (std::uint32_t r = n; r-- > 0;) {
       if (cached[r]) sub.insert(from[r]);
     }

@@ -175,6 +175,29 @@ TEST(TreeIo, FromParentStringRejectsGarbage) {
   EXPECT_THROW(from_parent_string("-2"), CheckFailure);
 }
 
+TEST(TreeIo, FromParentStringRefusesIdsPastNodeId) {
+  // 2^32 once narrowed to node 0 and loaded as "-1 0 1".
+  try {
+    (void)from_parent_string("-1 4294967296 1");
+    FAIL() << "an id past NodeId loaded";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(e.message().find("parent of node 1 ('4294967296')"),
+              std::string::npos)
+        << e.message();
+  }
+  // kNoNode itself is the sentinel, not an id; signs other than the
+  // root's "-1", and tokens with junk, are refused as well.
+  EXPECT_THROW(from_parent_string("-1 4294967295"), CheckFailure);
+  EXPECT_THROW(from_parent_string("-1 18446744073709551616"), CheckFailure);
+  EXPECT_THROW(from_parent_string("-1 +0"), CheckFailure);
+  EXPECT_THROW(from_parent_string("-1 -0"), CheckFailure);
+  EXPECT_THROW(from_parent_string("-1 0x1"), CheckFailure);
+  EXPECT_THROW(from_parent_string("-1 1.0"), CheckFailure);
+  // Any whitespace separates tokens.
+  EXPECT_EQ(from_parent_string(" -1\t0\n0\r\n 1 \n").parent_array(),
+            (std::vector<NodeId>{kNoNode, 0, 0, 1}));
+}
+
 TEST(TreeIo, AsciiContainsEveryNode) {
   const Tree t = trees::caterpillar(3, 2);
   const std::string art = to_ascii(t);
@@ -197,7 +220,7 @@ TEST(TreeIo, DotHasOneEdgePerNonRoot) {
 TEST(TreePreorder, RemapTablesAreInversePermutations) {
   Rng rng(11);
   const Tree t = trees::random_recursive(60, rng);
-  const auto from = t.from_preorder();
+  const auto from = t.preorder();
   ASSERT_EQ(from.size(), t.size());
   for (NodeId v = 0; v < t.size(); ++v) {
     EXPECT_EQ(from[t.preorder_index(v)], v);
@@ -209,7 +232,7 @@ TEST(TreePreorder, RankTopologyMatchesNodeTopology) {
   Rng rng(23);
   const Tree t = trees::random_bounded_degree(50, 3, rng);
   for (std::uint32_t r = 0; r < t.size(); ++r) {
-    const NodeId v = t.from_preorder()[r];
+    const NodeId v = t.from_preorder(r);
     EXPECT_EQ(t.preorder_subtree_size(r), t.subtree_size(v));
     const NodeId p = t.parent(v);
     EXPECT_EQ(t.preorder_parent(r),
@@ -226,9 +249,9 @@ TEST(TreePreorder, FirstChildNextSiblingScanEnumeratesChildren) {
     std::vector<NodeId> scanned;
     const std::uint32_t end = r + t.preorder_subtree_size(r);
     for (std::uint32_t c = r + 1; c < end; c += t.preorder_subtree_size(c)) {
-      scanned.push_back(t.from_preorder()[c]);
+      scanned.push_back(t.from_preorder(c));
     }
-    const auto kids = t.children(t.from_preorder()[r]);
+    const auto kids = t.children(t.from_preorder(r));
     std::vector<NodeId> expected(kids.begin(), kids.end());
     // The scan yields children in preorder; children() is construction
     // order. Compare as sets.
@@ -252,8 +275,8 @@ TEST(TreePreorder, RelabeledTreeIsIdentityPermutation) {
   ASSERT_EQ(r.size(), t.size());
   // Same shape: parenthood, subtree sizes and depths carry over.
   for (std::uint32_t k = 0; k < t.size(); ++k) {
-    const NodeId v = t.from_preorder()[k];
-    EXPECT_EQ(r.from_preorder()[k], k);
+    const NodeId v = t.from_preorder(k);
+    EXPECT_EQ(r.from_preorder(k), k);
     EXPECT_EQ(r.subtree_size(k), t.subtree_size(v));
     EXPECT_EQ(r.depth(k), t.depth(v));
   }
@@ -261,6 +284,117 @@ TEST(TreePreorder, RelabeledTreeIsIdentityPermutation) {
   // build (complete k-ary, 3 levels) does not.
   EXPECT_TRUE(trees::path(4).is_preorder_labeled());
   EXPECT_FALSE(trees::complete_kary(3, 2).is_preorder_labeled());
+}
+
+/// What a parent array alone says about its tree: children in id order,
+/// the preorder that visits them that way, and depths by walking up.
+struct ParentArrayFacts {
+  std::vector<std::vector<NodeId>> children;
+  std::vector<NodeId> preorder;
+  std::vector<std::uint32_t> depth;
+  std::size_t max_degree = 0;
+};
+
+ParentArrayFacts facts_of(const std::vector<NodeId>& parent) {
+  ParentArrayFacts f;
+  f.children.resize(parent.size());
+  NodeId root = kNoNode;
+  for (NodeId v = 0; v < parent.size(); ++v) {
+    if (parent[v] == kNoNode) {
+      root = v;
+    } else {
+      f.children[parent[v]].push_back(v);
+    }
+  }
+  for (const auto& kids : f.children) {
+    f.max_degree = std::max(f.max_degree, kids.size());
+  }
+  for (std::vector<NodeId> stack{root}; !stack.empty();) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    f.preorder.push_back(v);
+    const auto& kids = f.children[v];
+    stack.insert(stack.end(), kids.rbegin(), kids.rend());
+  }
+  for (NodeId v = 0; v < parent.size(); ++v) {
+    std::uint32_t d = 0;
+    for (NodeId u = v; parent[u] != kNoNode; u = parent[u]) ++d;
+    f.depth.push_back(d);
+  }
+  return f;
+}
+
+TEST(TreePreorder, DerivedAccessorsMatchTheParentArray) {
+  // children(), preorder(), postorder(), parent_array() and depth() are
+  // derived from the rank arrays; each must say what the parent array
+  // says, whether or not the tree stores the rank <-> id pair.
+  Rng rng(19);
+  const Tree recursive = trees::random_recursive(120, rng);
+  const Tree bounded = trees::random_bounded_degree(90, 3, rng);
+  const Tree kary = trees::complete_kary(4, 3);
+  std::vector<NodeId> by_rank(recursive.size());
+  for (std::uint32_t r = 0; r < recursive.size(); ++r) {
+    by_rank[r] = recursive.preorder_parent(r);
+  }
+  const Tree labeled(by_rank);
+  ASSERT_TRUE(labeled.is_preorder_labeled());
+  ASSERT_FALSE(recursive.is_preorder_labeled());
+  ASSERT_FALSE(kary.is_preorder_labeled());
+  for (const Tree* t : {&recursive, &bounded, &kary, &labeled}) {
+    SCOPED_TRACE(testing::Message() << t->size() << " nodes, labeled "
+                                    << t->is_preorder_labeled());
+    const std::vector<NodeId> parent = t->parent_array();
+    const Tree rebuilt(parent);
+    EXPECT_EQ(rebuilt.parent_array(), parent);
+    const ParentArrayFacts f = facts_of(parent);
+    for (NodeId v = 0; v < t->size(); ++v) {
+      EXPECT_EQ(t->parent(v), parent[v]);
+      const auto kids = t->children(v);
+      EXPECT_EQ(std::vector<NodeId>(kids.begin(), kids.end()), f.children[v])
+          << "v=" << v;
+      EXPECT_EQ(t->num_children(v), f.children[v].size()) << "v=" << v;
+      EXPECT_EQ(t->is_leaf(v), f.children[v].empty()) << "v=" << v;
+      EXPECT_EQ(t->depth(v), f.depth[v]) << "v=" << v;
+    }
+    EXPECT_EQ(t->max_degree(), f.max_degree);
+    EXPECT_EQ(t->height(),
+              1 + *std::max_element(f.depth.begin(), f.depth.end()));
+    const auto pre = t->preorder();
+    EXPECT_EQ(std::vector<NodeId>(pre.begin(), pre.end()), f.preorder);
+    const auto post = t->postorder();
+    EXPECT_EQ(std::vector<NodeId>(post.begin(), post.end()),
+              std::vector<NodeId>(f.preorder.rbegin(), f.preorder.rend()));
+    for (std::uint32_t r = 0; r < t->size(); ++r) {
+      EXPECT_EQ(pre[r], f.preorder[r]);
+      EXPECT_EQ(t->from_preorder(r), f.preorder[r]);
+      EXPECT_EQ(t->preorder_index(f.preorder[r]), r);
+    }
+  }
+  // Labeled trees store no rank <-> id pair, so the labeled copy of a
+  // tree is its own preorder: ids 0..n-1 in order.
+  const auto pre = labeled.preorder();
+  for (std::uint32_t r = 0; r < labeled.size(); ++r) EXPECT_EQ(pre[r], r);
+}
+
+TEST(TreePreorder, TopLevelSliceKeepsWholeSubtreesOnly) {
+  // Root 0 with top-level subtrees at ranks 1 (size 3), 4 (size 1) and
+  // 5 (size 2).
+  const Tree t({kNoNode, 0, 1, 1, 0, 0, 5});
+  const Tree head = Tree::top_level_slice(t, 0, 4);
+  EXPECT_EQ(head.parent_array(), (std::vector<NodeId>{kNoNode, 0, 1, 1}));
+  EXPECT_EQ(head.height(), 3u);
+  EXPECT_EQ(head.max_degree(), 2u);
+  // Past the root, local 0 is a replica root over the slice's subtrees.
+  const Tree tail = Tree::top_level_slice(t, 4, 7);
+  EXPECT_EQ(tail.parent_array(), (std::vector<NodeId>{kNoNode, 0, 0, 2}));
+  EXPECT_EQ(tail.subtree_size(0), 4u);
+  EXPECT_EQ(tail.depth(3), 2u);
+  EXPECT_TRUE(tail.is_preorder_labeled());
+  // A slice must start and end on top-level subtree boundaries.
+  EXPECT_THROW((void)Tree::top_level_slice(t, 2, 4), CheckFailure);
+  EXPECT_THROW((void)Tree::top_level_slice(t, 1, 3), CheckFailure);
+  EXPECT_THROW((void)Tree::top_level_slice(t, 4, 8), CheckFailure);
+  EXPECT_THROW((void)Tree::top_level_slice(t, 4, 4), CheckFailure);
 }
 
 TEST(TwoSubtreeGadget, Shape) {
