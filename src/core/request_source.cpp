@@ -45,9 +45,8 @@ std::size_t ShardFilterSource::fill(std::span<Request> buffer) {
         inner_->fill({scratch_.data(), buffer.size() - n});
     if (got == 0) break;
     for (std::size_t i = 0; i < got; ++i) {
-      if (plan_->shard_of(scratch_[i].node) == shard_) {
-        buffer[n++] = plan_->to_local(scratch_[i]);
-      }
+      const engine::RoutedRequest routed = plan_->route(scratch_[i]);
+      if (routed.shard == shard_) buffer[n++] = routed.local;
     }
   }
   return n;

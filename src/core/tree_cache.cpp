@@ -19,7 +19,6 @@ TreeCache::TreeCache(const Tree& tree, TreeCacheConfig config)
   // Per-instance scratch arena: sized once here so steady-state rounds do
   // no allocation. A shard constructed on its pinned worker thread first-
   // touches these pages there, placing the arena with the shard.
-  path_.reserve(tree.height());
   const std::size_t changeset_cap =
       std::min<std::size_t>(tree.size(), 2 * config_.capacity + 2);
   rank_changeset_.reserve(changeset_cap);
@@ -35,7 +34,6 @@ void TreeCache::reset() {
   work_ = 0;
   phases_.clear();
   phases_.push_back(PhaseStats{.first_round = 1});
-  path_.clear();
   rank_changeset_.clear();
   changeset_.clear();
   aborted_buf_.clear();
@@ -79,46 +77,51 @@ StepOutcome TreeCache::handle_positive(std::uint32_t rv) {
   state_.bump_counter(rv);
 
   // Every ancestor of a non-cached node is non-cached (the cache is
-  // descendant-closed), so v lies in P_t(u) for each ancestor u: bump all
-  // the aggregates on the path and remember it for the top-down scan.
-  path_.clear();
+  // descendant-closed), so v lies in P_t(u) for each ancestor u, and every
+  // valid positive changeset containing v equals such a P_t(u). One walk up
+  // bumps cnt(P_t(u)) and tests the candidate at each level; the topmost
+  // saturated one is a superset of every other, hence maximal (Section
+  // 6.1), and is the one a root→v scan would find first.
+  std::uint32_t top = kNoNode;  // rank of the topmost saturated candidate
+  std::uint64_t top_psize = 0;
+  // Theorem 6.1's counter takes the walk's levels plus the levels a root→v
+  // scan visits down to the candidate (all of them when none saturates).
+  std::uint32_t levels = 0;
+  std::uint32_t scan = 0;
   for (std::uint32_t r = rv; r != kNoNode; r = tree_->preorder_parent(r)) {
     TC_DCHECK(!cache_.contains_rank(r),
               "ancestor of a non-cached node must be non-cached");
-    state_.pos(r).value += 1;  // cnt(P_t(r))
-    path_.push_back(r);
-    ++work_;
-  }
-
-  // Scan root→v and fetch the first saturated candidate P_t(u): every valid
-  // positive changeset containing v equals P_t(u) for an ancestor u, and
-  // checking supersets first makes the chosen set maximal (Section 6.1).
-  for (auto it = path_.rbegin(); it != path_.rend(); ++it) {
-    const std::uint32_t r = *it;
-    const auto psize =
-        static_cast<std::uint64_t>(sizes_[r]) - state_.cached_below(r);
-    ++work_;
-    if (static_cast<std::uint64_t>(state_.pcnt(r)) >= psize * config_.alpha) {
-      TC_DCHECK(static_cast<std::uint64_t>(state_.pcnt(r)) ==
-                    psize * config_.alpha,
-                "saturated changeset must be exactly saturated (Lemma 5.1)");
-      if (cache_.size() + psize > config_.capacity) {
-        collect_missing(r);
-        translate_changeset(aborted_buf_);
-        phase_restart(static_cast<std::uint32_t>(psize));
-        out.change = ChangeKind::kPhaseRestart;
-        out.aborted_fetch_size = static_cast<std::uint32_t>(psize);
-        out.aborted_fetch = aborted_buf_;
-        out.changed = translate_changeset(changeset_);
-      } else {
-        const std::uint64_t cnt_x = collect_missing(r);
-        TC_DCHECK(rank_changeset_.size() == psize, "P_t(u) size mismatch");
-        apply_fetch(r, cnt_x);
-        out.change = ChangeKind::kFetch;
-        out.changed = translate_changeset(changeset_);
-      }
-      return out;
+    NodeState::Record& pe = state_.pos(r);
+    pe.value += 1;  // cnt(P_t(r))
+    const std::uint64_t psize = sizes_[r] - pe.size;
+    ++levels;
+    ++scan;
+    if (static_cast<std::uint64_t>(pe.value) >= psize * config_.alpha) {
+      top = r;
+      top_psize = psize;
+      scan = 1;
     }
+  }
+  work_ += levels + scan;
+  if (top == kNoNode) return out;
+
+  TC_DCHECK(static_cast<std::uint64_t>(state_.pcnt(top)) ==
+                top_psize * config_.alpha,
+            "saturated changeset must be exactly saturated (Lemma 5.1)");
+  if (cache_.size() + top_psize > config_.capacity) {
+    collect_missing(top);
+    translate_changeset(aborted_buf_);
+    phase_restart(static_cast<std::uint32_t>(top_psize));
+    out.change = ChangeKind::kPhaseRestart;
+    out.aborted_fetch_size = static_cast<std::uint32_t>(top_psize);
+    out.aborted_fetch = aborted_buf_;
+    out.changed = translate_changeset(changeset_);
+  } else {
+    const std::uint64_t cnt_x = collect_missing(top);
+    TC_DCHECK(rank_changeset_.size() == top_psize, "P_t(u) size mismatch");
+    apply_fetch(top, cnt_x);
+    out.change = ChangeKind::kFetch;
+    out.changed = translate_changeset(changeset_);
   }
   return out;
 }

@@ -16,8 +16,9 @@
 //  * Positive side (§6.1): because the cache is descendant-closed, the only
 //    fetch candidates after a positive request at v are P_t(u) — the
 //    non-cached part of T(u) — for ancestors u of v. We maintain
-//    cnt(P_t(u)) and |P_t(u)| for every non-cached u and scan the root→v
-//    path for the first saturated candidate (which is then also maximal).
+//    cnt(P_t(u)) and |P_t(u)| for every non-cached u. One walk up from v
+//    bumps each cnt(P_t(u)) and tests its candidate; the topmost saturated
+//    one, which a root→v scan would find first, is also maximal.
 //  * Negative side (§6.2): eviction candidates are tree caps rooted at the
 //    root u of the maximal cached tree containing v. TC maintains
 //    H_t(u) = argmax val_t over tree caps rooted at u, where
@@ -69,8 +70,9 @@ struct PhaseStats {
   std::uint64_t evictions = 0;  // nodes evicted by negative changesets
 };
 
-/// Aligned to a cache line, as is its root path (util/cache_line.hpp): a
-/// worker writes both on every step.
+/// Aligned to a cache line (util/cache_line.hpp): a worker writes the
+/// instance on every step, so it shares no line with what other threads
+/// read.
 class alignas(kCacheLine) TreeCache final : public OnlineAlgorithm {
  public:
   TreeCache(const Tree& tree, TreeCacheConfig config);
@@ -181,11 +183,9 @@ class alignas(kCacheLine) TreeCache final : public OnlineAlgorithm {
   std::uint64_t work_ = 0;
   std::vector<PhaseStats> phases_;
 
-  // Scratch buffers (reused across rounds). path_ is written on every
-  // positive request, so it owns its cache lines. rank_changeset_ holds
-  // the round's changeset in rank space; changeset_/aborted_buf_ hold the
+  // Scratch buffers (reused across rounds). rank_changeset_ holds the
+  // round's changeset in rank space; changeset_/aborted_buf_ hold the
   // NodeId translations exposed via StepOutcome.
-  LineVector<std::uint32_t> path_;
   std::vector<std::uint32_t> rank_changeset_;
   std::vector<NodeId> changeset_;
   std::vector<NodeId> aborted_buf_;

@@ -4,11 +4,11 @@
 //
 // The partition unit is a top-level subtree T(c) for a child c of the
 // global root: adjacent children own adjacent preorder intervals, so every
-// shard is one contiguous preorder range of the universe, and the
-// shard-of-node lookup counts the shard start ranks at or below the node's
-// rank. Children are grouped greedily into size-balanced contiguous runs;
-// asking for more shards than the root has children yields one shard per
-// child.
+// shard is one contiguous preorder range of the universe, and routing a
+// request reads its node's rank once and counts the shard start ranks at
+// or below it. Children are grouped greedily into size-balanced contiguous
+// runs; asking for more shards than the root has children yields one shard
+// per child.
 //
 // Each shard gets its own Tree to run an algorithm instance on, a rank
 // slice of the universe (Tree::top_level_slice, 12 bytes per node):
@@ -48,6 +48,13 @@ struct Shard {
   }
 };
 
+/// A request routed into its shard: the shard that serves it and the
+/// request in that shard tree's ids.
+struct RoutedRequest {
+  std::size_t shard = 0;
+  Request local;
+};
+
 class ShardPlan {
  public:
   /// Partitions `tree` into min(max_shards, max(1, #children(root)))
@@ -75,18 +82,25 @@ class ShardPlan {
   // the number of later shards starting at or below it. So the plan keeps
   // no per-node table at all.
 
+  /// {shard_of(request.node), to_local(request)} from one rank lookup: the
+  /// demux's routing call.
+  [[nodiscard]] RoutedRequest route(Request request) const {
+    TC_CHECK(request.node < universe_->size(),
+             "request to node outside the universe");
+    const Located at = locate(request.node);
+    return {at.shard, Request{at.local, request.sign}};
+  }
+
   /// Which shard serves requests to global node `v`.
   [[nodiscard]] std::size_t shard_of(NodeId v) const {
     TC_CHECK(v < universe_->size(), "request to node outside the universe");
-    return shard_at(universe_->preorder_index(v));
+    return locate(v).shard;
   }
 
   /// Global node → its id in shard_tree(shard_of(v)).
   [[nodiscard]] NodeId to_local(NodeId v) const {
     TC_DCHECK(v < universe_->size(), "node outside the universe");
-    if (trees_.empty()) return v;
-    const std::uint32_t r = universe_->preorder_index(v);
-    return r - rank_offset(shard_at(r));
+    return locate(v).local;
   }
 
   /// Shard-local node → global node. The replica root (local 0 of shards
@@ -107,12 +121,20 @@ class ShardPlan {
   }
 
  private:
-  /// The shard whose slice holds global rank r: a count of the later
-  /// shards' first ranks at or below r, with no branch to mispredict.
-  [[nodiscard]] std::size_t shard_at(std::uint32_t r) const {
+  struct Located {
+    std::size_t shard;
+    NodeId local;
+  };
+
+  /// The one routing rule. Global node v's shard is a count of the later
+  /// shards' first ranks at or below v's rank, with no branch to
+  /// mispredict; its local id is that rank minus the shard's offset.
+  [[nodiscard]] Located locate(NodeId v) const {
+    if (trees_.empty()) return {0, v};
+    const std::uint32_t r = universe_->preorder_index(v);
     std::size_t s = 0;
     for (const std::uint32_t start : starts_) s += start <= r ? 1 : 0;
-    return s;
+    return {s, r - rank_offset(s)};
   }
 
   /// Global preorder rank minus shard-local id, for every node of shard

@@ -290,8 +290,8 @@ EngineResult ShardedEngine::run(RequestSource& source) {
       const std::size_t n = source.fill(buffer);
       if (n == 0) break;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t s = plan_.shard_of(buffer[i].node);
-        pending[s].push_back(plan_.to_local(buffer[i]));
+        const auto [s, local] = plan_.route(buffer[i]);
+        pending[s].push_back(local);
         if (pending[s].size() >= config_.batch) flush(s);
       }
     }

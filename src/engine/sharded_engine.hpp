@@ -18,7 +18,7 @@
 //
 // Open loops: every multi-shard open loop runs one demux loop, whatever
 // the worker count. The caller thread fills each batch once, routes each
-// request with ShardPlan::shard_of/to_local into per-shard chunks, and
+// request with one ShardPlan::route call into per-shard chunks, and
 // flushes every full chunk: with one worker it steps the chunk inline,
 // otherwise it appends the chunk to its shard's FIFO. The workers are
 // work-conserving: any idle worker takes any shard that has queued chunks

@@ -156,10 +156,13 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
       if (!producer_->take(shard_, events_)) return 0;
     }
     const RouterEvent event = events_[next_event_++];
+    TC_DCHECK(plan_->shard_of(event.node) == shard_,
+              "the producer queued another shard's event");
+    const NodeId local = plan_->to_local(event.node);
     if (event.kind == RouterEventKind::kUpdate) {
       ++stats_.updates;
-      if (cached_rule(event.node)) ++stats_.cached_updates;
-      pending_local_ = plan_->to_local(event.node);
+      if (cached_[local] != 0) ++stats_.cached_updates;
+      pending_local_ = local;
       pending_ = alpha_;
       while (pending_ > 0 && n < buffer.size()) {
         --pending_;
@@ -173,7 +176,7 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
     // The cache is descendant-closed, so that lookup returns the
     // full-table match if it is cached and nothing otherwise: a cached
     // ancestor would have its whole subtree cached, the match included.
-    if (cached_rule(event.node)) {
+    if (cached_[local] != 0) {
       ++stats_.hits;
       continue;
     }
@@ -181,7 +184,7 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
               "a cached rule would mis-forward a packet its uncached "
               "descendant matches: the cache is not descendant-closed");
     ++stats_.misses;
-    buffer[n++] = positive(plan_->to_local(event.node));
+    buffer[n++] = positive(local);
     // Stop here: the fetch this request may trigger changes the mirror
     // the next owned packet lookup depends on.
     return n;

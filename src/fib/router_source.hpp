@@ -154,12 +154,11 @@ class RouterMirrorSource final : public RequestSource {
   [[nodiscard]] const RouterSimResult& stats() const { return stats_; }
 
  private:
-  /// Cache-mirror lookup by GLOBAL rule id. fill() asks only about its
-  /// events' rules, which this shard owns and which are never the default
-  /// rule; only the debug ancestor walk (cached_ancestor) reaches the
-  /// foreign-rule and default-rule branches. There a foreign rule reads
-  /// as uncached, except the default rule, which reads this shard's
-  /// replica (local node 0) — the line card's own copy.
+  /// Cache-mirror lookup by GLOBAL rule id, for the debug ancestor walk
+  /// (cached_ancestor). fill() reads its owned events' rules by local id
+  /// instead. A foreign rule reads as uncached, except the default rule,
+  /// which reads this shard's replica (local node 0) — the line card's own
+  /// copy.
   [[nodiscard]] bool cached_rule(NodeId v) const;
   /// True iff a proper ancestor of GLOBAL rule `v` reads as cached: the
   /// debug check that the mirrored cache is descendant-closed.

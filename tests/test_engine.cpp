@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "deep_universe.hpp"
 #include "engine/shard_plan.hpp"
 #include "fib/fib_workloads.hpp"
 #include "fib/router_source.hpp"
@@ -215,24 +216,34 @@ void expect_same_tree(const Tree& actual, const Tree& expected) {
 TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
   // The plan stores no id tables: shard_of, to_local and to_global are
   // arithmetic over preorder ranks. They must agree with the relabeling
-  // for every node, at every shard count, on random trees and on a FIB
-  // rule tree, whose ids are not preorder ranks. Every shard tree, a rank
-  // slice of the universe, must equal the Tree built from its relabeled
-  // parent array.
+  // for every node, at every shard count, on random trees, on a FIB rule
+  // tree and on the 13-level deep universe, whose ids are not preorder
+  // ranks. route() must equal {shard_of, to_local} for both signs and
+  // refuse a node past the universe in every build. Every shard tree, a
+  // rank slice of the universe, must equal the Tree built from its
+  // relabeled parent array.
   Rng rng(13);
   const Tree recursive = trees::random_recursive(300, rng);
   const Tree bounded = trees::random_bounded_degree(200, 4, rng);
   const fib::RuleTree rt = fib::rule_tree_from_params(smoke_params());
   ASSERT_FALSE(rt.tree.is_preorder_labeled());
-  for (const Tree* tree : {&recursive, &bounded, &rt.tree}) {
+  const Tree deep = testing_util::deep_universe();
+  ASSERT_FALSE(deep.is_preorder_labeled());
+  for (const Tree* tree : {&recursive, &bounded, &rt.tree, &deep}) {
     SCOPED_TRACE(testing::Message() << tree->size() << " nodes");
     for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
       SCOPED_TRACE(testing::Message() << shards << " shards");
       const engine::ShardPlan plan(*tree, shards);
       const Relabeling ref = relabel(*tree, plan);
+      EXPECT_THROW((void)plan.route(positive(tree->size())), CheckFailure);
       for (NodeId v = 0; v < tree->size(); ++v) {
         EXPECT_EQ(plan.shard_of(v), ref.shard_of[v]) << "v=" << v;
         EXPECT_EQ(plan.to_local(v), ref.local_id[v]) << "v=" << v;
+        for (const Request r : {positive(v), negative(v)}) {
+          const engine::RoutedRequest routed = plan.route(r);
+          EXPECT_EQ(routed.shard, plan.shard_of(v)) << "v=" << v;
+          EXPECT_EQ(routed.local, plan.to_local(r)) << "v=" << v;
+        }
         // Each shard tree carries the universe's edges under the
         // relabeling. A top-level subtree root hangs off local 0, which
         // is local_id[root] whenever the plan has several shards.

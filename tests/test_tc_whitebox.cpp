@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tree_cache.hpp"
+#include "deep_universe.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
 #include "workload/generators.hpp"
@@ -121,6 +122,52 @@ TEST(TcWhitebox, WorkCounterGrowsAndBoundsHold) {
     // Constant 6 covers the implementation's bookkeeping passes.
     EXPECT_LE(spent, 6 * (h + std::max(h, deg) * (moved + 1)))
         << "round work exceeds the Theorem 6.1 shape";
+  }
+}
+
+/// work(), cost() and the phase count after a seeded uniform stream with
+/// 10% negatives.
+struct PinnedRun {
+  std::uint64_t work = 0;
+  Cost cost;
+  std::size_t phases = 0;
+};
+
+PinnedRun run_uniform(const Tree& tree, TreeCacheConfig config,
+                      std::size_t length, std::uint64_t seed) {
+  Rng rng(seed);
+  const Trace trace = workload::uniform_trace(tree, length, 0.1, rng);
+  TreeCache tc(tree, config);
+  for (const Request& r : trace) tc.step(r);
+  return {tc.work(), tc.cost(), tc.phases().size()};
+}
+
+TEST(TcWhitebox, WorkCounterIsPinnedOnSeededStreams) {
+  // Theorem 6.1's counter counts, per positive request, the levels of the
+  // walk up plus the levels a root→v scan visits down to the fetched
+  // candidate (all of them when none saturates). The values were recorded
+  // from an implementation that ran the walk and the scan as two loops;
+  // the one-pass walk must count exactly as it did.
+  {
+    SCOPED_TRACE("deep universe, alpha 16, capacity 512");
+    const PinnedRun run =
+        run_uniform(testing_util::deep_universe(),
+                    {.alpha = 16, .capacity = 512}, 1'000'000, 29);
+    EXPECT_EQ(run.work, 21'597'909u);
+    EXPECT_EQ(run.cost.service, 898'987u);
+    EXPECT_EQ(run.cost.reorg, 36'752u);
+    EXPECT_EQ(run.phases, 3u);
+  }
+  {
+    SCOPED_TRACE("random recursive tree, alpha 4, capacity 24");
+    Rng shape(31);
+    const PinnedRun run =
+        run_uniform(trees::random_recursive(2000, shape),
+                    {.alpha = 4, .capacity = 24}, 100'000, 37);
+    EXPECT_EQ(run.work, 1'552'307u);
+    EXPECT_EQ(run.cost.service, 89'640u);
+    EXPECT_EQ(run.cost.reorg, 7'884u);
+    EXPECT_EQ(run.phases, 42u);
   }
 }
 
