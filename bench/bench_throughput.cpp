@@ -1,7 +1,7 @@
 // Throughput trajectory: requests/sec of the driver stack, from the
 // unsharded run_source driver to the sharded engine at 8 shards — plus the
-// closed loop: the FIB router source sharded into per-shard mirrors, each
-// shard's loop on its worker.
+// closed loop: the FIB router stream split into per-shard mirrors (one at
+// 1x1) and run through run_split, each shard's loop on its worker.
 // Open-loop rows share one Zipf stream over a tree with eight equal
 // top-level subtrees; closed-loop rows run the router event loop on a
 // synthetic RIB. The fib-real rows replay the checked-in RIB feed fixture
@@ -41,9 +41,9 @@ namespace {
 
 struct Mode {
   std::string name;
-  std::size_t shards = 1;   // 1 = plain run_source driver
+  std::size_t shards = 1;   // open loop: 1 = plain run_source loop
   std::size_t threads = 1;  // 0 = one worker per shard (hardware-capped)
-  bool closed_loop = false;  // FIB router source instead of the Zipf stream
+  bool closed_loop = false;  // FIB router mirrors instead of the Zipf stream
   bool real_feed = false;    // fib-real: ingested RIB feed replay
   std::string baseline{};    // mode name the speedup column divides by
   bool deep = false;         // run on the deep (13-level) universe
@@ -79,8 +79,9 @@ Sample run_closed_loop_mode(const Mode& mode, const fib::RuleTree& rules,
   engine::ShardedEngine eng(
       rules.tree, kAlgo, params,
       {.shards = mode.shards, .threads = mode.threads});
-  fib::RouterSource source(rules, sim::fib_router_config(params, seed));
-  const engine::EngineResult result = eng.run(source);
+  const fib::RouterSource source(rules, sim::fib_router_config(params, seed));
+  const engine::EngineResult result =
+      eng.run_split(source.split(eng.plan()));
   return {result.total, result.threads};
 }
 
@@ -174,7 +175,7 @@ int main() {
 
   // Each workload family measures against ITS single-thread row: open-loop
   // rows against the batched Zipf driver, fib-closed rows against the
-  // unsharded router loop — a closed-loop "speedup" vs an open-loop
+  // one-mirror router loop — a closed-loop "speedup" vs an open-loop
   // baseline would compare different substrates and mean nothing.
   const std::vector<Mode> modes{
       {.name = "single-thread", .shards = 1, .baseline = "single-thread"},

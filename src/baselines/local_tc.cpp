@@ -48,7 +48,7 @@ StepOutcome LocalTc::handle_positive(NodeId v) {
     cost_.reorg += config_.alpha * changeset_.size();
     std::fill(cnt_.begin(), cnt_.end(), std::uint64_t{0});
     out.change = ChangeKind::kPhaseRestart;
-    out.aborted_fetch_size = static_cast<std::uint32_t>(missing.size());
+    out.aborted_fetch = missing;
     out.changed = changeset_;
     return out;
   }

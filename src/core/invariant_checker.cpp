@@ -145,8 +145,6 @@ void SpecChecker::observe(Request request, const StepOutcome& outcome) {
     }
     case ChangeKind::kPhaseRestart: {
       const auto aborted = outcome.aborted_fetch;
-      TC_CHECK(aborted.size() == outcome.aborted_fetch_size,
-               "aborted fetch size mismatch");
       TC_CHECK(mirror_.is_valid_positive_changeset(aborted),
                "aborted fetch is not a valid positive changeset");
       TC_CHECK(cnt_sum(aborted) == aborted.size() * alpha_,

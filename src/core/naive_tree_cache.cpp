@@ -108,7 +108,6 @@ StepOutcome NaiveTreeCache::handle_positive(NodeId v) {
         cost_.reorg += config_.alpha * changeset_.size();
         start_new_phase();
         out.change = ChangeKind::kPhaseRestart;
-        out.aborted_fetch_size = static_cast<std::uint32_t>(size_p);
         out.aborted_fetch = aborted_buf_;
         out.changed = changeset_;
       } else {

@@ -28,11 +28,10 @@ struct StepOutcome {
   // capacity-eviction baselines like LRU; TC never mixes directions in one
   // round). Applied before `changed` when replaying outcomes.
   std::span<const NodeId> also_evicted{};
-  // For kPhaseRestart: the saturated fetch set that did not fit and its
-  // size. The paper's analysis treats it as an "artificial fetch" when
-  // measuring k_P (Section 5); instrumentation uses it for field accounting.
+  // For kPhaseRestart: the saturated fetch set that did not fit. The
+  // paper's analysis treats it as an "artificial fetch" when measuring k_P
+  // (Section 5); instrumentation uses it for field accounting.
   std::span<const NodeId> aborted_fetch{};
-  std::uint32_t aborted_fetch_size = 0;
 
   [[nodiscard]] std::uint64_t service_cost() const { return paid ? 1 : 0; }
 };

@@ -12,8 +12,7 @@ namespace treecache {
 std::vector<std::unique_ptr<RequestSource>> RequestSource::split(
     const engine::ShardPlan& plan) const {
   // Closed loops need genuine per-shard mirrors (the stream itself depends
-  // on per-shard feedback); a generic filter over a replay cannot provide
-  // them, so such sources must override split() or stay single-shard.
+  // on per-shard feedback); a filter over a replay cannot provide them.
   if (is_closed_loop()) return {};
   std::vector<std::unique_ptr<RequestSource>> out;
   out.reserve(plan.num_shards());
@@ -52,13 +51,6 @@ std::size_t ShardFilterSource::fill(std::span<Request> buffer) {
   return n;
 }
 
-std::unique_ptr<RequestSource> ShardFilterSource::fork() const {
-  auto replay = inner_->fork();
-  if (replay == nullptr) return nullptr;
-  return std::make_unique<ShardFilterSource>(std::move(replay), *plan_,
-                                             shard_);
-}
-
 std::size_t TraceSource::fill(std::span<Request> buffer) {
   const std::size_t n =
       std::min(buffer.size(), view_.size() - position_);
@@ -66,15 +58,6 @@ std::size_t TraceSource::fill(std::span<Request> buffer) {
               buffer.begin());
   position_ += n;
   return n;
-}
-
-std::unique_ptr<RequestSource> TraceSource::fork() const {
-  // Owning sources view their own storage; forking one must copy the trace
-  // or the fork would dangle into this instance.
-  if (!owned_.empty() && view_.data() == owned_.data()) {
-    return std::make_unique<TraceSource>(owned_);
-  }
-  return std::make_unique<TraceSource>(view_);
 }
 
 FileTraceSource::FileTraceSource(std::string path, std::size_t tree_size)
@@ -95,10 +78,6 @@ void FileTraceSource::reset() {
 
 Trace materialize(RequestSource& source, std::size_t max_requests) {
   Trace trace;
-  if (const auto hint = source.size_hint(); hint.has_value()) {
-    trace.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(*hint, max_requests)));
-  }
   Request buffer[1024];
   while (trace.size() < max_requests) {
     const std::size_t want =

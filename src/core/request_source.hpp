@@ -6,13 +6,19 @@
 //
 //   open loop    the stream is fixed in advance (trace files, random
 //                generators, combinators over them). Feedback is ignored.
+//                sim::run_source runs one unsharded, and
+//                engine::ShardedEngine::run demuxes one over its shards,
+//                reading it through fill() alone.
 //   closed loop  the next request depends on how the algorithm reacted —
-//                e.g. the FIB router source only emits a request when a
-//                packet misses the switch cache. Such sources rebuild the
-//                cache state they need from the StepOutcome feedback the
-//                driver hands to observe_batch() after stepping.
+//                e.g. a FIB router mirror only emits a request when a
+//                packet misses the switch cache. Such a source rebuilds
+//                the cache state it needs from the StepOutcome feedback
+//                handed to observe_batch() after stepping. Closed loops
+//                run through ShardedEngine::run_split, one per shard (one
+//                shard included); ShardedEngine::run refuses them.
 //
-// The driver contract (sim::run_source) is strict alternation per batch:
+// The closed-loop contract (each run_split shard, and sim::run_source) is
+// strict alternation per batch:
 //   n = source.fill(buffer)       // n requests that do NOT depend on
 //                                 // outcomes the source has not seen yet
 //   step the n requests           // alg.step / step_batch
@@ -27,9 +33,11 @@
 // is why observe_batch is the ONLY feedback virtual and observe() is a
 // non-virtual convenience forwarding a single outcome through it.
 //
-// next() is a convenience wrapper over fill() for one-request-at-a-time
-// consumers; implementations only ever override fill(), which amortizes
-// the virtual dispatch over whole batches on the hot path.
+// A source implements fill() and reset(); everything else has a default.
+// size_hint(), fork(), split() and split_kind() stay virtual because the
+// benchmark's tracing decorator (perfbench/tracing.hpp) forwards them:
+// no source in src/ overrides size_hint(), and only the uniform and Zipf
+// generators fork.
 #pragma once
 
 #include <cstdint>
@@ -50,19 +58,16 @@ class ShardPlan;  // engine/shard_plan.hpp
 
 namespace treecache {
 
-/// How RequestSource::split produced its per-shard parts — queryable so a
-/// caller can tell a genuine shared-generation split from the generic
-/// fork-per-shard replay, which regenerates the FULL stream once per shard.
+/// What RequestSource::split would produce — advisory, so a decorator can
+/// split the way its inner source would.
 enum class SplitKind : std::uint8_t {
-  /// split() returns empty: the source only runs single-shard.
+  /// split() returns empty: a closed loop without a split() override.
   kUnsplittable,
-  /// Each part independently replays the whole stream behind a filter
-  /// (the default fork()-based split, open loops only): a per-shard
-  /// reference replay whose generation cost scales with the shard count.
+  /// Each part independently replays the whole stream through fork()
+  /// behind a filter (the default split()): a per-shard reference replay
+  /// whose generation cost scales with the shard count. The replay is
+  /// empty for a source that cannot fork.
   kReplicated,
-  /// The parts share one generation pass over the stream (e.g. the FIB
-  /// router's producer-fed mirrors); see the kShared contract on split().
-  kShared,
 };
 
 class RequestSource {
@@ -80,9 +85,9 @@ class RequestSource {
   /// (closed-loop sources additionally forget all observed feedback).
   virtual void reset() = 0;
 
-  /// Exact number of requests remaining, when the source can know it
-  /// without running ahead (trace files and feedback-dependent streams
-  /// return nullopt). Used to pre-size buffers, never for termination.
+  /// Exact number of requests remaining, when known. No source here
+  /// overrides it (every one returns nullopt); it stays virtual for the
+  /// benchmark's tracing decorator, which forwards it.
   [[nodiscard]] virtual std::optional<std::uint64_t> size_hint() const {
     return std::nullopt;
   }
@@ -102,18 +107,17 @@ class RequestSource {
     observe_batch(std::span<const StepOutcome>(&outcome, 1));
   }
 
-  /// True when the stream depends on observe_batch() feedback. Drivers
-  /// that cannot deliver outcomes in global stream order (the sharded
-  /// engine with more than one shard) must run such a source through
-  /// split(): each per-shard mirror then receives its own outcomes in
-  /// per-shard order. A closed-loop source that cannot split is refused.
+  /// True when the stream depends on observe_batch() feedback. Such a
+  /// source runs only on ShardedEngine::run_split, one per shard, where
+  /// each receives its own shard's outcomes in per-shard order;
+  /// ShardedEngine::run refuses it at every shard count.
   [[nodiscard]] virtual bool is_closed_loop() const { return false; }
 
   /// A fresh instance that replays this source's stream from the very
   /// beginning (independent of how far `this` has been consumed), or
-  /// nullptr when the source cannot duplicate itself. The default split()
-  /// below is built on this hook. Sharding an open loop does not need it:
-  /// the engine's demux reads the stream through fill() alone.
+  /// nullptr when the source cannot duplicate itself (the default). The
+  /// default split() below is built on this hook; the engine never calls
+  /// it.
   [[nodiscard]] virtual std::unique_ptr<RequestSource> fork() const {
     return nullptr;
   }
@@ -122,47 +126,28 @@ class RequestSource {
   /// outlive the returned sources). Shard s's source emits exactly the
   /// subsequence of this stream owned by shard s — in order, and remapped
   /// into shard-LOCAL node ids (ShardPlan::to_local) — always replaying
-  /// from the start of the stream. Concatenating the per-shard streams
-  /// therefore yields a permutation of the unsharded stream (a stable
-  /// partition), and reset() on a part replays it identically.
+  /// from the start of the stream, so reset() on a part replays it
+  /// identically. An empty result means "cannot split".
   ///
-  /// Open-loop sources split generically via fork(): each shard gets an
-  /// independent replay of the whole stream behind a filter, so no state
-  /// is shared between the parts and they may be consumed from different
-  /// threads (SplitKind::kReplicated — generation cost scales with the
-  /// shard count). The engine never splits an open loop (its demux routes
-  /// one pass over the stream); this replay is a per-shard reference for
-  /// benchmarks and tests that step one shard's subsequence on its own.
-  /// Closed-loop sources must override this with genuine per-shard
-  /// mirrors (e.g. fib::RouterSource, whose mirrors share one event
-  /// producer — SplitKind::kShared) whose observe_batch() accepts
-  /// shard-local outcomes; the default refuses them. An empty result
-  /// means "cannot split".
-  ///
-  /// Shared-generation contract (kShared): the parts pull events from one
-  /// producer that serializes generation. Each part is driven by one
-  /// thread at a time; siblings may run on different threads (the
-  /// engine's run_split drives each on the worker that owns its shard).
-  /// All parts are reset together while none runs: reset() on any part
-  /// rewinds the shared stream, so resetting one part mid-run invalidates
-  /// its siblings.
+  /// The default replays the whole stream once per shard through fork(),
+  /// behind a filter (SplitKind::kReplicated): no state is shared between
+  /// the parts, so they may be consumed from different threads. It is
+  /// empty for a closed loop and for a source that cannot fork. The engine
+  /// never splits an open loop (its demux routes one pass over the
+  /// stream); this replay is a per-shard reference for benchmarks that
+  /// step one shard's subsequence on its own. A sharded closed loop is
+  /// built as per-shard mirrors from the start instead, whose
+  /// observe_batch() accepts shard-local outcomes (fib::RouterSource).
   [[nodiscard]] virtual std::vector<std::unique_ptr<RequestSource>> split(
       const engine::ShardPlan& plan) const;
 
-  /// What kind of parts split() would produce (advisory, not a
-  /// correctness contract — e.g. a decorator uses it to split the way its
-  /// inner source would). The default matches the generic split() above:
-  /// open-loop sources replicate via fork(), closed-loop sources cannot
-  /// split. Sources overriding split() should override this to match.
+  /// What kind of parts split() would produce. Advisory, not a
+  /// correctness contract: kReplicated promises only that split() replays
+  /// through fork(), which yields nothing for a source that cannot fork.
+  /// Sources overriding split() should override this to match.
   [[nodiscard]] virtual SplitKind split_kind() const {
     return is_closed_loop() ? SplitKind::kUnsplittable
                             : SplitKind::kReplicated;
-  }
-
-  /// Single-request convenience over fill().
-  [[nodiscard]] std::optional<Request> next() {
-    Request r;
-    return fill({&r, 1}) == 1 ? std::optional<Request>(r) : std::nullopt;
   }
 };
 
@@ -177,7 +162,6 @@ class ShardFilterSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override { inner_->reset(); }
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   std::unique_ptr<RequestSource> inner_;
@@ -199,12 +183,6 @@ class TraceSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override { position_ = 0; }
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
-    return view_.size() - position_;
-  }
-  /// An owning source copies its trace; a borrowing one borrows the same
-  /// storage (which must then outlive the fork too).
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   Trace owned_;
@@ -223,9 +201,6 @@ class FileTraceSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override {
-    return std::make_unique<FileTraceSource>(path_, tree_size_);
-  }
 
  private:
   std::string path_;

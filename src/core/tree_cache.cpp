@@ -113,7 +113,6 @@ StepOutcome TreeCache::handle_positive(std::uint32_t rv) {
     translate_changeset(aborted_buf_);
     phase_restart(static_cast<std::uint32_t>(top_psize));
     out.change = ChangeKind::kPhaseRestart;
-    out.aborted_fetch_size = static_cast<std::uint32_t>(top_psize);
     out.aborted_fetch = aborted_buf_;
     out.changed = translate_changeset(changeset_);
   } else {

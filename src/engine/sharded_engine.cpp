@@ -169,18 +169,12 @@ std::size_t ShardedEngine::effective_threads() const {
 }
 
 EngineResult ShardedEngine::run(RequestSource& source) {
+  // Refused before any instance is reset or the stream is read: the demux
+  // hands no outcome back, which a closed loop depends on.
+  TC_CHECK(!source.is_closed_loop(),
+           "ShardedEngine::run takes open loops only; run a closed loop's "
+           "per-shard mirrors through run_split");
   const std::size_t num_shards = plan_.num_shards();
-  if (num_shards > 1 && source.is_closed_loop()) {
-    // Closed loop: split into one mirror per shard, so each shard's
-    // feedback stays local (see the header comment). The mirrors replay
-    // the stream from its start; open loops below run on from the
-    // source's current position.
-    const auto mirrors = source.split(plan_);
-    TC_CHECK(mirrors.size() == num_shards,
-             "closed-loop source cannot split into per-shard mirrors "
-             "(RequestSource::split); run it with a single shard");
-    return run_split(mirrors);
-  }
   for (auto& alg : algs_) alg->reset();
 
   EngineResult out;
@@ -190,7 +184,7 @@ EngineResult ShardedEngine::run(RequestSource& source) {
   const Stopwatch timer;
 
   if (num_shards == 1) {
-    // Unsharded: the plain driver, which also feeds closed-loop sources.
+    // Unsharded: sim::run_source.
     out.threads = 1;
     out.per_shard.push_back(sim::run_source(*algs_[0], source));
     out.total = out.per_shard.front();
@@ -353,11 +347,11 @@ EngineResult ShardedEngine::run_split(
   // Worker w runs the closed loops of the shards it owns (s % workers == w):
   // each is the exact fill → step → observe alternation of sim::run_source,
   // and the worker interleaves them round-robin, one chunk per pass, rather
-  // than running them to exhaustion one by one — mirrors of a
-  // shared-generation split (SplitKind::kShared) pull from one producer,
-  // and draining one shard first would queue most of the stream for its
-  // siblings. Shards share no state but that producer, so the order is
-  // free and per-shard results are unchanged; no outcome crosses a thread.
+  // than running them to exhaustion one by one — the mirrors of a router
+  // split (fib::RouterSource::split) pull from one producer, and draining
+  // one shard first would queue most of the stream for its siblings.
+  // Shards share no state but that producer, so the order is free and
+  // per-shard results are unchanged; no outcome crosses a thread.
   // Ownership stays static, unlike run()'s work-conserving pool: a closed
   // loop hands over ~1.24 requests per fill, so moving shards costs more
   // than the balance gains. On a 4-vCPU KVM guest, a variant that claimed

@@ -16,35 +16,34 @@
 // pinning. Tests enforce equality against independent per-shard
 // sequential runs and across thread counts.
 //
-// Open loops: every multi-shard open loop runs one demux loop, whatever
-// the worker count. The caller thread fills each batch once, routes each
-// request with one ShardPlan::route call into per-shard chunks, and
-// flushes every full chunk: with one worker it steps the chunk inline,
-// otherwise it appends the chunk to its shard's FIFO. The workers are
-// work-conserving: any idle worker takes any shard that has queued chunks
-// and that no other worker is running, and steps its chunks in order
-// while chunks remain, so shards move between workers from chunk to chunk.
-// All FIFOs together hold a bounded number of chunks. Each request is
-// generated exactly once, and the source is consumed from wherever it
-// stands — the engine never calls fork() or split() on an open loop.
+// Open loops: run() takes open loops only. With one shard it delegates to
+// sim::run_source. Every multi-shard open loop runs one demux loop,
+// whatever the worker count. The caller thread fills each batch once,
+// routes each request with one ShardPlan::route call into per-shard
+// chunks, and flushes every full chunk: with one worker it steps the
+// chunk inline, otherwise it appends the chunk to its shard's FIFO. The
+// workers are work-conserving: any idle worker takes any shard that has
+// queued chunks and that no other worker is running, and steps its chunks
+// in order while chunks remain, so shards move between workers from chunk
+// to chunk. All FIFOs together hold a bounded number of chunks. Each
+// request is generated exactly once, and the source is consumed from
+// wherever it stands — the engine never calls fork() or split().
 //
-// Closed loops: with one shard the engine delegates to sim::run_source,
-// which feeds outcomes back to the source, so closed-loop sources (the FIB
-// router) run unchanged. With multiple shards a closed-loop source is
-// split into per-shard mirrors (RequestSource::split — for the FIB router
-// a SplitKind::kShared split: one event producer generates the stream
-// once, in reference order, and hands each mirror its shard's events) and
-// run through run_split, which gives worker w the shards it owns
-// (s % workers == w). On that worker each shard runs the exact
-// fill → step → observe alternation of sim::run_source, the worker's shards
-// interleaved round-robin one chunk per pass. No outcome crosses a thread:
-// the one structure sibling mirrors share is the producer, which
-// serializes generation behind its own mutex. Per-shard results are
-// therefore bit-identical for every thread count and equal to the
-// reference event loop fib::run_router_sim over each shard (the
-// differential suite in tests/test_engine_closed_loop.cpp enforces this
-// for every registered algorithm). A closed-loop source whose split()
-// returns empty is refused with more than one shard.
+// Closed loops: run_split, at every shard count, one shard included. The
+// caller hands it one per-shard source per shard, built up front — for
+// the FIB router, fib::RouterSource::split: one event producer generates
+// the stream once, in reference order, and hands each mirror its shard's
+// events. Worker w runs the shards it owns (s % workers == w); on that
+// worker each shard runs the exact fill → step → observe alternation of
+// sim::run_source, the worker's shards interleaved round-robin one chunk
+// per pass. No outcome crosses a thread: the one structure sibling
+// mirrors share is the producer, which serializes generation behind its
+// own mutex. Per-shard results are therefore bit-identical for every
+// thread count and equal to the reference event loop fib::run_router_sim
+// over each shard (the differential suite in
+// tests/test_engine_closed_loop.cpp enforces this for every registered
+// algorithm). run() refuses a closed-loop source at every shard count,
+// before it resets an instance or reads the stream.
 //
 // Threads and failures: construction (with pin_threads), run() and
 // run_split share one pool. It spawns the workers — none when one worker
@@ -71,15 +70,15 @@ namespace treecache::engine {
 
 struct EngineConfig {
   /// Requested shard count; the plan caps it at the number of top-level
-  /// subtrees. 1 = unsharded (delegates to sim::run_source).
+  /// subtrees. 1 = unsharded (run() delegates to sim::run_source).
   std::size_t shards = 1;
   /// Worker threads for the sharded path; 0 picks one per shard, capped at
   /// the hardware concurrency. Never more than one worker per shard.
   std::size_t threads = 1;
-  /// Demux chunk size: requests handed to one shard per step_batch call.
-  /// Single-shard plans run through sim::run_source, whose batch is always
-  /// kDriverBatchSize — the constructor normalizes this field accordingly,
-  /// so config() reports the geometry actually used.
+  /// Demux chunk size: requests handed to one shard per step_batch call,
+  /// and run_split's fill buffer. Single-shard plans always use
+  /// sim::run_source's batch — the constructor normalizes this field
+  /// accordingly, so config() reports the geometry actually used.
   std::size_t batch = sim::kDriverBatchSize;
   /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
   /// a no-op elsewhere and when affinity is denied). Shard s's instance is
@@ -118,27 +117,25 @@ class ShardedEngine {
   ShardedEngine(const Tree& tree, const std::string& algorithm,
                 const sim::Params& params, EngineConfig config);
 
-  /// Resets every instance and runs `source` to exhaustion. See the header
-  /// comment for the determinism and closed-loop contracts. An open loop
-  /// is consumed from the source's current position at every geometry, so
-  /// a partly consumed source yields the same result at every thread
-  /// count. Only a multi-shard closed loop is split() into mirrors and
-  /// routed through run_split (it must be shardable or the run is
-  /// refused); its mirrors replay the stream from the very beginning —
-  /// pass a fresh or reset source. A throw from the source's fill(), the
-  /// demux or any instance stops every worker at its next chunk, chunks
-  /// still queued included, and the first throw is rethrown once all have
-  /// joined.
+  /// Resets every instance and runs the open loop `source` to exhaustion
+  /// (see the header comment for the determinism contract). The source is
+  /// consumed from its current position at every geometry, so a partly
+  /// consumed source yields the same result at every thread count. A
+  /// closed-loop source is refused — its mirrors go through run_split —
+  /// before any instance is reset or the source is read. A throw from the
+  /// source's fill(), the demux or any instance stops every worker at its
+  /// next chunk, chunks still queued included, and the first throw is
+  /// rethrown once all have joined.
   [[nodiscard]] EngineResult run(RequestSource& source);
 
   /// Resets every instance and runs one pre-split per-shard source per
   /// shard (mirrors[s] feeds shard s's instance, already in shard-local
-  /// ids), each on the worker that owns its shard. Callers that need
-  /// mirror-side state afterwards — e.g. per-shard router statistics —
-  /// split themselves and keep the mirrors; run() is sugar over this for
-  /// everyone else. Mirrors must be fresh (or reset) and are run to
-  /// exhaustion; a throw from any mirror or instance stops every worker
-  /// and is rethrown after they join.
+  /// ids), each on the worker that owns its shard — the engine's one
+  /// closed-loop path, at every shard count. The caller keeps the mirrors,
+  /// so mirror-side state such as per-shard router statistics survives
+  /// the run. Mirrors must be fresh (or reset) and are run to exhaustion;
+  /// a throw from any mirror or instance stops every worker and is
+  /// rethrown after they join.
   [[nodiscard]] EngineResult run_split(
       std::span<const std::unique_ptr<RequestSource>> mirrors);
 

@@ -12,7 +12,7 @@ namespace treecache::fib {
 RibConfig rib_config_from_params(const sim::Params& params) {
   return RibConfig{
       .rules = params.get_u64("rules", 4096),
-      .deaggregation = params.get_double("deagg", 0.45),
+      .deaggregation = params.get_double("deagg", 0.45, 0.0, 1.0),
       .max_length = static_cast<std::uint8_t>(
           params.get_u64("max-len", 24, Prefix::kWidth))};
 }
@@ -69,7 +69,8 @@ const sim::WorkloadRegistrar kRegisterFib{
     "fib",
     "RIB rule tree: Zipf packet LPM traffic + BGP-style alpha-chunk updates",
     [](const Tree& tree, const sim::Params& p, std::uint64_t seed) {
-      return fib_source(tree, p, seed, p.get_double("update-prob", 0.01));
+      return fib_source(tree, p, seed,
+                        p.get_double("update-prob", 0.01, 0.0, 1.0));
     }};
 
 const sim::WorkloadRegistrar kRegisterFibStable{
@@ -82,7 +83,8 @@ const sim::WorkloadRegistrar kRegisterFibChurn{
     "fib-churn",
     "RIB rule tree: update-heavy FIB stream (default update-prob 0.05)",
     [](const Tree& tree, const sim::Params& p, std::uint64_t seed) {
-      return fib_source(tree, p, seed, p.get_double("update-prob", 0.05));
+      return fib_source(tree, p, seed,
+                        p.get_double("update-prob", 0.05, 0.0, 1.0));
     }};
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Controller/switch simulation of Figure 1 — the self-contained reference
-// event loop. Production paths run the same loop through the unified
-// driver instead (fib/router_source.hpp + sim::run_source); equality of
-// the two is enforced by tests/test_fib_engine.cpp, and per shard of a
-// sharded run by tests/test_engine_closed_loop.cpp.
+// event loop. Production paths run the same loop as per-shard mirrors
+// through the engine instead (fib/router_source.hpp +
+// engine::ShardedEngine::run_split); equality of the two is enforced by
+// tests/test_fib_engine.cpp, and per shard of a sharded run by
+// tests/test_engine_closed_loop.cpp.
 //
 // The switch holds the cached subforest of rules; packets are looked up by
 // LPM over the cached rules only: the deepest cached rule on the address's
@@ -16,10 +17,10 @@
 // on every packet that LPM over the cached subforest never resolves to a
 // wrong (less specific) rule — the subforest invariant makes partial FIBs
 // forwarding-correct. It is the oracle for that: it walks the whole
-// descent, where the RouterSource mirror relies on the invariant and reads
-// only the match's cached flag. Any violation is counted in
-// forwarding_errors (and must be zero for every subforest-invariant
-// algorithm). If a violation does occur, the controller detects the stray
+// descent, where the router mirror (RouterMirrorSource) relies on the
+// invariant and reads only the match's cached flag. Any violation is
+// counted in forwarding_errors (and must be zero for every
+// subforest-invariant algorithm). If a violation does occur, the controller detects the stray
 // flow and detours it, so the mis-forwarded packet is charged and
 // reported to the caching algorithm exactly like a miss (a positive
 // request for the full-table match) rather than silently disappearing

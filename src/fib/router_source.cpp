@@ -21,28 +21,45 @@ std::shared_ptr<RouterEventProducer> require_producer(
 
 }  // namespace
 
-// --- RouterEventProducer --------------------------------------------------
+// --- RouterSource ---------------------------------------------------------
 
-RouterEventProducer::RouterEventProducer(const RuleTree& rules,
-                                         const RouterSimConfig& config,
-                                         const engine::ShardPlan& plan)
+RouterSource::RouterSource(const RuleTree& rules,
+                           const RouterSimConfig& config)
     : config_(config),
-      plan_(&plan),
       // Identical construction order to the reference loop: the sampler's
       // permutation draw consumes the same seed state, so every producer —
       // whatever its plan — ranks rules identically.
       start_rng_(config.seed),
       sampler_(std::make_shared<const PacketSampler>(
-          rules, config.zipf_skew, start_rng_)),
-      rng_(start_rng_),
-      queues_(plan.num_shards()) {
+          rules, config.zipf_skew, start_rng_)) {
   TC_CHECK(config_.update_probability >= 0.0 &&
                config_.update_probability < 1.0,
            "update probability must lie in [0, 1) so packet events can "
            "finish the run");
 }
 
-RouterEventProducer::RouterEventProducer(const RouterEventProducer& stream,
+std::vector<std::unique_ptr<RequestSource>> RouterSource::split(
+    const engine::ShardPlan& plan) const {
+  // ONE producer, shared by every mirror: the global stream is generated
+  // once, and each mirror consumes exactly its shard's slice of it. It
+  // draws from this source's sampler, so no split builds another.
+  auto producer = std::make_shared<RouterEventProducer>(*this, plan);
+  std::vector<std::unique_ptr<RequestSource>> out;
+  out.reserve(plan.num_shards());
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    out.push_back(std::make_unique<RouterMirrorSource>(producer, s));
+  }
+  return out;
+}
+
+// --- RouterEventProducer --------------------------------------------------
+
+RouterEventProducer::RouterEventProducer(const RuleTree& rules,
+                                         const RouterSimConfig& config,
+                                         const engine::ShardPlan& plan)
+    : RouterEventProducer(RouterSource(rules, config), plan) {}
+
+RouterEventProducer::RouterEventProducer(const RouterSource& stream,
                                          const engine::ShardPlan& plan)
     : config_(stream.config_),
       plan_(&plan),
@@ -220,39 +237,6 @@ void RouterMirrorSource::observe_batch(
         break;
     }
   }
-}
-
-// --- RouterSource ---------------------------------------------------------
-
-RouterSource::RouterSource(const RuleTree& rules,
-                           const RouterSimConfig& config)
-    : trivial_plan_(rules.tree, 1),
-      producer_(std::make_shared<RouterEventProducer>(rules, config,
-                                                      trivial_plan_)),
-      whole_(producer_, 0) {}
-
-std::size_t RouterSource::fill(std::span<Request> buffer) {
-  return whole_.fill(buffer);
-}
-
-void RouterSource::reset() { whole_.reset(); }
-
-void RouterSource::observe_batch(std::span<const StepOutcome> outcomes) {
-  whole_.observe_batch(outcomes);
-}
-
-std::vector<std::unique_ptr<RequestSource>> RouterSource::split(
-    const engine::ShardPlan& plan) const {
-  // ONE producer, shared by every mirror: the global stream is generated
-  // once, and each mirror consumes exactly its shard's slice of it. It
-  // draws from this source's sampler, so no split builds another.
-  auto producer = std::make_shared<RouterEventProducer>(*producer_, plan);
-  std::vector<std::unique_ptr<RequestSource>> out;
-  out.reserve(plan.num_shards());
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    out.push_back(std::make_unique<RouterMirrorSource>(producer, s));
-  }
-  return out;
 }
 
 }  // namespace treecache::fib

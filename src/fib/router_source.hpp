@@ -1,32 +1,36 @@
-// The Figure-1 switch/controller event loop as a closed-loop RequestSource.
+// The Figure-1 switch/controller event loop as per-shard closed-loop
+// RequestSources.
 //
-// RouterSource replays exactly the event stream of run_router_sim
-// (fib/router_sim.hpp, the reference implementation — equality is enforced
-// by tests), but instead of stepping the algorithm itself it emits the
-// requests the controller would feed it and lets the shared sim::run_source
-// driver do the stepping. The switch-side state it needs — "is this rule
-// cached right now?" for LPM over the cached subforest and for the
-// cached-update statistic — is mirrored from the StepOutcome feedback the
-// driver hands to observe_batch() after stepping, so the source never
-// touches the algorithm. The cache is descendant-closed, so LPM over the
-// cached rules is the full-table match if that match is cached and
-// nothing otherwise: a packet hits iff its match is cached.
+// A RouterSource is the stream: its config, and the packet sampler and RNG
+// state every producer of the stream starts from. It is not a source
+// itself; split() turns it into one RouterMirrorSource per shard of an
+// engine::ShardPlan (one for the trivial plan), which
+// engine::ShardedEngine::run_split drives. Together the mirrors replay
+// exactly the event stream of run_router_sim (fib/router_sim.hpp, the
+// reference implementation — equality is enforced by tests), but instead
+// of stepping the algorithm themselves they emit the requests the
+// controller would feed it. The switch-side state a mirror needs — "is
+// this rule cached right now?" for LPM over the cached subforest and for
+// the cached-update statistic — is mirrored from the StepOutcome feedback
+// handed to observe_batch() after stepping, so a mirror never touches the
+// algorithm. The cache is descendant-closed, so LPM over the cached rules
+// is the full-table match if that match is cached and nothing otherwise: a
+// packet hits iff its match is cached.
 //
 // Closed-loop batching contract: a pending α-chunk is predetermined and may
 // be batched, but after emitting a packet request fill() returns — the next
 // event reads the mirror, which the not-yet-observed outcome may change.
 //
-// Sharding (the producer/consumer mirror split): split() builds ONE
-// RouterEventProducer plus one RouterMirrorSource per shard of an
-// engine::ShardPlan. Events — event types, sampled rules and addresses —
-// are pure RNG, independent of any cache state, so the producer generates
-// the global stream ONCE and routes each event into the queue of the shard
-// owning its full-table match (the plan partitions the rule tree by
-// top-level prefix: a match's ancestors share its shard, except the
-// default rule, whose per-shard replica each line card mirrors locally).
-// The split's producer shares the source's own packet sampler and starts
-// from its post-shuffle RNG state, so a stream builds its rank table once
-// however often it is split.
+// The producer/consumer split: split() builds ONE RouterEventProducer plus
+// one RouterMirrorSource per shard. Events — event types, sampled rules
+// and addresses — are pure RNG, independent of any cache state, so the
+// producer generates the global stream ONCE and routes each event into the
+// queue of the shard owning its full-table match (the plan partitions the
+// rule tree by top-level prefix: a match's ancestors share its shard,
+// except the default rule, whose per-shard replica each line card mirrors
+// locally). The producer shares the RouterSource's packet sampler and
+// starts from its post-shuffle RNG state, so a stream builds its rank
+// table once however often it is split.
 // A mirror pulls only its own queue and consults only the shard's own
 // cache mirror, so feedback never crosses shards: each mirror needs
 // exactly its shard's outcomes, in per-shard order, while outcomes may
@@ -38,9 +42,11 @@
 // Threading: every producer call holds the producer's one mutex, so sibling
 // mirrors may take() from different threads. run_split drives each mirror
 // on the engine worker that owns its shard, one thread per mirror at a
-// time, which is the SplitKind::kShared contract. The producers of one
-// stream share a sampler that nothing writes after construction, so they
-// draw from it on any thread without a lock.
+// time. All mirrors of one split are reset together while none runs:
+// reset() on any of them rewinds the shared producer, so resetting one
+// mid-run invalidates its siblings. The producers of one stream share a
+// sampler that nothing writes after construction, so they draw from it on
+// any thread without a lock.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +60,35 @@
 #include "fib/traffic.hpp"
 
 namespace treecache::fib {
+
+/// One router event stream: its config, and the packet sampler and
+/// post-shuffle RNG state that every producer of the stream starts from.
+/// split() is the only way to run the stream.
+class RouterSource {
+ public:
+  /// Builds the stream's sampler from `config.seed`, drawing the rank
+  /// permutation in the reference loop's order. `rules` must outlive the
+  /// source and every mirror split from it.
+  RouterSource(const RuleTree& rules, const RouterSimConfig& config);
+
+  /// One RouterMirrorSource per shard of `plan`, all sharing a single
+  /// RouterEventProducer (see the header comment): generation runs once,
+  /// whatever the shard count, and the producer draws from this source's
+  /// own sampler. `plan` must be built over this source's rule tree and
+  /// outlive the mirrors; every element is a RouterMirrorSource, so
+  /// callers that need per-shard router statistics may downcast.
+  [[nodiscard]] std::vector<std::unique_ptr<RequestSource>> split(
+      const engine::ShardPlan& plan) const;
+
+ private:
+  friend class RouterEventProducer;
+
+  RouterSimConfig config_;
+  // Seeded, consumed by the sampler's permutation draw, then never written
+  // again: the stream's first state, which every producer copies.
+  Rng start_rng_;
+  std::shared_ptr<const PacketSampler> sampler_;  // one per stream
+};
 
 /// Generates the global event stream ONCE — in exactly the RNG order of
 /// the reference loop — and routes every event into a per-shard queue
@@ -70,15 +105,15 @@ namespace treecache::fib {
 /// reference order, whichever thread pumps it.
 class RouterEventProducer {
  public:
-  /// Builds the stream's sampler from `config.seed`. `rules` and `plan`
-  /// must outlive the producer.
+  /// The producer of RouterSource(rules, config) over `plan`. `rules` and
+  /// `plan` must outlive the producer.
   RouterEventProducer(const RuleTree& rules, const RouterSimConfig& config,
                       const engine::ShardPlan& plan);
 
-  /// A producer of `stream`'s event stream over another plan of the same
-  /// rule tree: it shares `stream`'s sampler and starts from its
-  /// post-shuffle RNG state. `plan` must outlive the producer.
-  RouterEventProducer(const RouterEventProducer& stream,
+  /// A producer of `stream` over a plan of its rule tree: it shares the
+  /// stream's sampler and starts from its post-shuffle RNG state. `plan`
+  /// must outlive the producer.
+  RouterEventProducer(const RouterSource& stream,
                       const engine::ShardPlan& plan);
 
   RouterEventProducer(const RouterEventProducer&) = delete;
@@ -103,7 +138,7 @@ class RouterEventProducer {
   [[nodiscard]] bool exhausted() const;
 
   /// Rewinds generation to the first event and drops every queued one.
-  /// All sibling mirrors must be reset together (the kShared contract).
+  /// All sibling mirrors must be reset together (see the header comment).
   void reset();
 
   [[nodiscard]] const RuleTree& rules() const { return sampler_->rules(); }
@@ -116,10 +151,8 @@ class RouterEventProducer {
 
   RouterSimConfig config_;
   const engine::ShardPlan* plan_;
-  // Seeded, consumed by the sampler's permutation draw, then never written
-  // again: the stream's first state, which sibling producers copy.
-  Rng start_rng_;
-  std::shared_ptr<const PacketSampler> sampler_;  // one per stream
+  Rng start_rng_;  // the stream's post-shuffle state, for reset()
+  std::shared_ptr<const PacketSampler> sampler_;  // the stream's
   mutable std::mutex mutex_;  // guards everything below
   Rng rng_;
   std::vector<std::vector<RouterEvent>> queues_;  // one per shard
@@ -130,14 +163,13 @@ class RouterEventProducer {
 /// a (usually shared) RouterEventProducer, emits the requests those events
 /// imply (in shard-local ids), and keeps one cache mirror for the shard's
 /// algorithm instance, fed by observe_batch() with that instance's
-/// outcomes in per-shard order. RouterSource below IS the trivial
-/// single-shard mirror behind the classic interface, so the two can never
-/// drift apart.
+/// outcomes in per-shard order. On the trivial one-shard plan it is the
+/// whole unsharded loop.
 class RouterMirrorSource final : public RequestSource {
  public:
   /// Producer-fed mirror sharing `producer` with its sibling shards (the
   /// shape RouterSource::split builds): generation runs once for all of
-  /// them. See the kShared contract in the header comment.
+  /// them. See the threading contract in the header comment.
   RouterMirrorSource(std::shared_ptr<RouterEventProducer> producer,
                      std::size_t shard);
 
@@ -175,55 +207,6 @@ class RouterMirrorSource final : public RequestSource {
   std::size_t next_event_ = 0;        // first unconsumed entry of events_
   NodeId pending_local_ = 0;
   std::uint64_t pending_ = 0;  // negatives left in the current α-chunk
-};
-
-/// The unsharded event loop: a thin wrapper over a RouterMirrorSource on
-/// the trivial one-shard plan, so there is exactly ONE implementation of
-/// the event stream — a mirror cannot drift out of lockstep with the
-/// "whole" source, because they are the same code. Equality with the
-/// self-contained reference loop (fib/router_sim.hpp) is enforced by
-/// tests, and transitively pins every shard mirror.
-class RouterSource final : public RequestSource {
- public:
-  /// `rules` must outlive the source. The algorithm driven against this
-  /// source must start from an empty cache (a fresh or reset() instance)
-  /// on the same rule tree.
-  RouterSource(const RuleTree& rules, const RouterSimConfig& config);
-
-  // The internal mirror's producer points at the member plan: default
-  // copy/move would dangle it.
-  RouterSource(const RouterSource&) = delete;
-  RouterSource& operator=(const RouterSource&) = delete;
-
-  [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
-  void reset() override;
-  void observe_batch(std::span<const StepOutcome> outcomes) override;
-  [[nodiscard]] bool is_closed_loop() const override { return true; }
-
-  /// One producer-fed RouterMirrorSource per shard, all sharing a single
-  /// RouterEventProducer (see the header comment): generation runs once,
-  /// whatever the shard count, and the producer draws from this source's
-  /// own sampler. `plan` must be built over this source's rule tree and
-  /// outlive the mirrors; every element is a RouterMirrorSource, so
-  /// callers that need per-shard router statistics may downcast.
-  [[nodiscard]] std::vector<std::unique_ptr<RequestSource>> split(
-      const engine::ShardPlan& plan) const override;
-  [[nodiscard]] SplitKind split_kind() const override {
-    return SplitKind::kShared;
-  }
-
-  /// Event-loop statistics accumulated so far. `algorithm_cost` is left
-  /// zero — the caller owns the algorithm and its cost.
-  [[nodiscard]] const RouterSimResult& stats() const {
-    return whole_.stats();
-  }
-
- private:
-  engine::ShardPlan trivial_plan_;  // one shard = the whole rule tree
-  // whole_'s producer, whose sampler every split shares; initialized
-  // after the plan it views.
-  std::shared_ptr<RouterEventProducer> producer_;
-  RouterMirrorSource whole_;
 };
 
 }  // namespace treecache::fib

@@ -76,14 +76,6 @@ std::size_t FibTraceSource::fill(std::span<Request> buffer) {
   return n;
 }
 
-std::unique_ptr<RequestSource> FibTraceSource::fork() const {
-  // Copy (sampler permutation included), then rewind to the captured
-  // post-setup RNG state: the fork replays the identical stream.
-  auto copy = std::make_unique<FibTraceSource>(*this);
-  copy->reset();
-  return copy;
-}
-
 void FibTraceSource::reset() {
   rng_ = start_rng_;
   events_done_ = 0;

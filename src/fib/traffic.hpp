@@ -132,9 +132,6 @@ class FibTraceSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
-  // size_hint stays nullopt: events expand to 1 or alpha requests, so the
-  // exact request count is unknown until the stream ends.
 
  private:
   FibWorkloadConfig config_;

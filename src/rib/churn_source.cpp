@@ -72,9 +72,6 @@ BasicRibChurnSource<PrefixT>::BasicRibChurnSource(
       start_rng_(rng),
       rng_(rng) {
   TC_CHECK(config_.alpha >= 1, "alpha must be positive");
-  const auto events = static_cast<std::uint64_t>(replay_->churn_nodes.size());
-  total_ = events * (config_.lookups_per_event + config_.alpha) +
-           config_.tail_lookups;
   reset();
 }
 
@@ -105,33 +102,17 @@ std::size_t BasicRibChurnSource<PrefixT>::fill(std::span<Request> buffer) {
     }
     break;
   }
-  emitted_ += n;
   return n;
 }
 
 template <typename PrefixT>
 void BasicRibChurnSource<PrefixT>::reset() {
   rng_ = start_rng_;
-  emitted_ = 0;
   event_ = 0;
   lookups_pending_ = 0;
   negatives_pending_ = 0;
   tail_pending_ = config_.tail_lookups;
   chunk_node_ = 0;
-}
-
-template <typename PrefixT>
-std::optional<std::uint64_t> BasicRibChurnSource<PrefixT>::size_hint() const {
-  return total_ - emitted_;
-}
-
-template <typename PrefixT>
-std::unique_ptr<RequestSource> BasicRibChurnSource<PrefixT>::fork() const {
-  // Copy (rank permutation and shared replay included), then rewind to the
-  // captured post-setup RNG state: the fork replays the identical stream.
-  auto copy = std::make_unique<BasicRibChurnSource<PrefixT>>(*this);
-  copy->reset();
-  return copy;
 }
 
 template class BasicRibChurnSource<fib::Prefix>;

@@ -10,12 +10,9 @@
 //   [L lookups] [α negatives @ event 0] [L lookups] [α negatives @ 1] ...
 //   ... [tail lookups]
 //
-// Open loop with an exact size_hint; fork() replays the identical stream
-// (the replay itself is shared immutably). Like every open loop it shards
-// through the engine's demux, which generates it once, and runs
-// bit-identically across every shard/thread geometry; the default
-// fork-based split() is a per-shard reference replay
-// (SplitKind::kReplicated) that the engine does not use.
+// An open loop: reset() replays the identical stream. Like every open loop
+// it shards through the engine's demux, which generates it once, and runs
+// bit-identically across every shard/thread geometry.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +27,8 @@ namespace treecache::rib {
 
 /// The immutable product of a feed ingest that replay runs on: the FIB
 /// over snapshot ∪ churned prefixes, plus the churn events resolved to
-/// tree nodes, in feed order. Shared (shared_ptr<const>) between a
-/// source and all its forks.
+/// tree nodes, in feed order. Shared (shared_ptr<const>) by every source
+/// that replays it.
 template <typename PrefixT>
 struct BasicChurnReplay {
   fib::BasicRuleTree<PrefixT> fib;
@@ -65,8 +62,6 @@ class BasicRibChurnSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override;
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   std::shared_ptr<const BasicChurnReplay<PrefixT>> replay_;
@@ -74,8 +69,6 @@ class BasicRibChurnSource final : public RequestSource {
   fib::BasicPacketSampler<PrefixT> sampler_;
   Rng start_rng_;  // state AFTER the rank permutation draw
   Rng rng_;
-  std::uint64_t total_ = 0;  // exact stream length in requests
-  std::uint64_t emitted_ = 0;
   std::size_t event_ = 0;
   std::uint64_t lookups_pending_ = 0;
   std::uint64_t negatives_pending_ = 0;

@@ -14,18 +14,18 @@ fib::RouterSimConfig fib_router_config(const Params& params,
   return fib::RouterSimConfig{
       .packets = params.get_u64("packets", 100000),
       .zipf_skew = params.get_double("skew", 1.0),
-      .update_probability = params.get_double("update-prob", 0.01),
+      .update_probability =
+          params.get_double("update-prob", 0.01, 0.0, 1.0),
       .alpha = params.alpha(),
       .seed = seed};
 }
 
 FibScenarioResult run_fib_scenario(const fib::RuleTree& rules,
                                    const FibScenario& scenario) {
-  // The closed-loop router is just another RequestSource. It splits into
-  // one router mirror per shard of the engine's plan (one for the trivial
-  // plan), and each engine worker runs the closed loops of the shards it
-  // owns. We split here rather than inside run() so the mirrors' router
-  // statistics survive the run and can be aggregated into the result.
+  // The router stream splits into one closed-loop mirror per shard of the
+  // engine's plan (one for the trivial plan), and each engine worker runs
+  // the closed loops of the shards it owns. The mirrors outlive the run,
+  // so their router statistics can be aggregated into the result.
   engine::ShardedEngine eng(rules.tree, scenario.algorithm, scenario.params,
                             scenario.engine);
   const fib::RouterSource source(

@@ -1,10 +1,10 @@
 // Closed-loop FIB scenario engine — the registry-resolvable face of the
 // paper's Figure-1 switch + controller event loop over a fib::RouterSource
-// (the closed-loop RequestSource; fib/router_sim.hpp keeps the
-// self-contained reference loop the source is tested against). Every
-// scenario splits the source into one router mirror per shard (one for a
-// single-shard plan) and runs them through
-// engine::ShardedEngine::run_split.
+// stream (fib/router_sim.hpp keeps the self-contained reference loop the
+// stream is tested against). Every scenario splits the stream into one
+// closed-loop router mirror per shard (one for a single-shard plan) and
+// runs them through engine::ShardedEngine::run_split, the engine's one
+// closed-loop path.
 //
 // A FibScenario names an algorithm (AlgorithmRegistry key) and carries one
 // Params bag using the same keys as the registered fib* workloads: the RIB

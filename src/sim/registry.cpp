@@ -22,12 +22,17 @@ std::uint64_t Params::get_u64(const std::string& key, std::uint64_t fallback,
   return *value;
 }
 
-double Params::get_double(const std::string& key, double fallback) const {
+double Params::get_double(const std::string& key, double fallback,
+                          double min, double max) const {
   if (!has(key)) return fallback;
   const std::string text = get(key, "");
   const auto value = parse_double(text);
   if (!value) {
     throw CheckFailure("parameter " + key + "=" + text + " is not a number");
+  }
+  if (*value < min || *value > max) {
+    throw CheckFailure("parameter " + key + "=" + text +
+                       " is out of range (" + range_text(min, max) + ")");
   }
   return *value;
 }

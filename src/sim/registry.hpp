@@ -9,9 +9,11 @@
 // Workload factories are STREAMING: they return a pull-based
 // std::unique_ptr<RequestSource> (core/request_source.hpp), not a
 // materialized Trace, so `sim::run_source` drives arbitrarily long runs in
-// O(1) memory and closed-loop sources (e.g. the FIB router) plug into the
-// same driver. `make_workload` materializes a source for consumers that
-// genuinely need a vector (offline evaluators, trace files, span tests).
+// O(1) memory, and the sharded engine's demux shards them. Every
+// registered workload is an open loop (the closed-loop FIB router runs
+// through sim/fib_engine.hpp instead). `make_workload` materializes a
+// source for consumers that genuinely need a vector (offline evaluators,
+// trace files, span tests).
 //
 // Adding a new algorithm takes three steps and touches only its own files:
 //   1. implement `class MyAlg final : public OnlineAlgorithm` anywhere;
@@ -27,11 +29,12 @@
 //
 // Adding a streaming workload is the same dance with a WorkloadRegistrar.
 // Implement fill() (emit up to buffer.size() requests, return how many;
-// 0 = exhausted) and reset() (replay the identical stream), then register:
+// 0 = exhausted) and reset() (replay the identical stream) — nothing else
+// of RequestSource is needed — then register:
 //   class PingPongSource final : public RequestSource {
 //    public:
 //     PingPongSource(const Tree& tree, std::uint64_t length)
-//         : tree_(&tree), remaining_(length) {}
+//         : tree_(&tree), length_(length), remaining_(length) {}
 //     std::size_t fill(std::span<Request> buffer) override {
 //       std::size_t n = 0;
 //       while (n < buffer.size() && remaining_ > 0) {
@@ -41,11 +44,11 @@
 //       }
 //       return n;
 //     }
-//     void reset() override { remaining_ = length_; }  // + store length_
-//     std::optional<std::uint64_t> size_hint() const override {
-//       return remaining_;
-//     }
-//    ...
+//     void reset() override { remaining_ = length_; }
+//    private:
+//     const Tree* tree_;
+//     std::uint64_t length_;
+//     std::uint64_t remaining_;
 //   };
 //   namespace {
 //   const sim::WorkloadRegistrar kReg{
@@ -108,8 +111,13 @@ class Params {
   [[nodiscard]] std::uint64_t get_u64(
       const std::string& key, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
+  /// The value of `key` as a whole finite number, or `fallback` when it
+  /// is absent. A value outside [min, max] (both ends inclusive) is
+  /// refused too; probabilities are read with [0, 1].
+  [[nodiscard]] double get_double(
+      const std::string& key, double fallback,
+      double min = std::numeric_limits<double>::lowest(),
+      double max = std::numeric_limits<double>::max()) const;
 
   // The two knobs every tree-caching algorithm shares.
   [[nodiscard]] std::uint64_t alpha() const { return get_u64("alpha", 16); }

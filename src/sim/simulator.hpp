@@ -1,10 +1,13 @@
-// The one driver every experiment runs through: pulls requests from a
-// RequestSource (open-loop trace generators and closed-loop feedback
-// sources alike), steps the algorithm through OnlineAlgorithm::step_batch
+// sim::run_source, the unsharded loop: pulls requests from a
+// RequestSource, steps the algorithm through OnlineAlgorithm::step_batch
 // with an AccountingSink, which feeds every outcome back to the source and
 // aggregates statistics. run_trace is the span convenience over it.
-// Sharded execution at scale lives in engine/sharded_engine.hpp, which
-// reuses the same per-round accounting so its totals are comparable.
+// Programs run open loops through it; sharded execution lives in
+// engine/sharded_engine.hpp, whose run() delegates one-shard open loops
+// here and whose run_split — the one path for closed loops such as the
+// FIB router's mirrors — runs the same fill → step → observe alternation
+// per shard. Both reuse the same per-round accounting, so their totals are
+// comparable.
 #pragma once
 
 #include <span>
@@ -121,7 +124,7 @@ inline constexpr std::size_t kDriverBatchSize = 4096;
 /// Runs the source to exhaustion from the algorithm's current state: pulls
 /// batches via RequestSource::fill, steps each through step_batch, and
 /// hands every StepOutcome back to the source's observe_batch() feedback
-/// (closed-loop sources depend on this). Memory use is O(1) in the stream
+/// (a closed loop would depend on this). Memory use is O(1) in the stream
 /// length. When `validate_every_step` is set, each request gets its own
 /// step_batch call and the cache is checked to be a subforest after it
 /// (O(n) per round — test-sized runs only).

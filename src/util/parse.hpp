@@ -7,10 +7,12 @@
 // here. Callers name the flag or key in their own error message.
 #pragma once
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace treecache {
@@ -36,6 +38,18 @@ namespace treecache {
     return std::nullopt;
   }
   return value;
+}
+
+/// The bounds of an inclusive range for an out-of-range error, e.g.
+/// "at least 0, at most 1".
+[[nodiscard]] inline std::string range_text(double min, double max) {
+  const auto shortest = [](double value) {
+    std::array<char, 32> text{};
+    const auto result =
+        std::to_chars(text.data(), text.data() + text.size(), value);
+    return std::string(text.data(), result.ptr);
+  };
+  return "at least " + shortest(min) + ", at most " + shortest(max);
 }
 
 }  // namespace treecache

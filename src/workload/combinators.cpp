@@ -18,19 +18,6 @@ void check_open_loop(const std::unique_ptr<RequestSource>& part) {
            "combinator parts must be open-loop sources");
 }
 
-/// fork() for a part list: every part must fork or the composite cannot.
-std::vector<std::unique_ptr<RequestSource>> fork_parts(
-    const std::vector<std::unique_ptr<RequestSource>>& parts) {
-  std::vector<std::unique_ptr<RequestSource>> out;
-  out.reserve(parts.size());
-  for (const auto& part : parts) {
-    auto copy = part->fork();
-    if (copy == nullptr) return {};
-    out.push_back(std::move(copy));
-  }
-  return out;
-}
-
 }  // namespace
 
 ConcatSource::ConcatSource(
@@ -49,25 +36,9 @@ std::size_t ConcatSource::fill(std::span<Request> buffer) {
   return 0;
 }
 
-std::unique_ptr<RequestSource> ConcatSource::fork() const {
-  auto parts = fork_parts(parts_);
-  if (parts.empty()) return nullptr;
-  return std::make_unique<ConcatSource>(std::move(parts));
-}
-
 void ConcatSource::reset() {
   for (const auto& part : parts_) part->reset();
   active_ = 0;
-}
-
-std::optional<std::uint64_t> ConcatSource::size_hint() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = active_; i < parts_.size(); ++i) {
-    const auto hint = parts_[i]->size_hint();
-    if (!hint.has_value()) return std::nullopt;
-    total += *hint;
-  }
-  return total;
 }
 
 MixSource::MixSource(std::vector<std::unique_ptr<RequestSource>> parts,
@@ -112,26 +83,10 @@ std::size_t MixSource::fill(std::span<Request> buffer) {
   return n;
 }
 
-std::unique_ptr<RequestSource> MixSource::fork() const {
-  auto parts = fork_parts(parts_);
-  if (parts.empty()) return nullptr;
-  return std::make_unique<MixSource>(std::move(parts), weights_, start_rng_);
-}
-
 void MixSource::reset() {
   for (const auto& part : parts_) part->reset();
   std::ranges::fill(exhausted_, 0);
   rng_ = start_rng_;
-}
-
-std::optional<std::uint64_t> MixSource::size_hint() const {
-  std::uint64_t total = 0;
-  for (const auto& part : parts_) {
-    const auto hint = part->size_hint();
-    if (!hint.has_value()) return std::nullopt;
-    total += *hint;
-  }
-  return total;
 }
 
 ChurnInjectSource::ChurnInjectSource(std::unique_ptr<RequestSource> inner,
@@ -171,25 +126,11 @@ std::size_t ChurnInjectSource::fill(std::span<Request> buffer) {
   return got;
 }
 
-std::unique_ptr<RequestSource> ChurnInjectSource::fork() const {
-  auto inner = inner_->fork();
-  if (inner == nullptr) return nullptr;
-  return std::make_unique<ChurnInjectSource>(std::move(inner), *tree_,
-                                             period_, alpha_, start_rng_);
-}
-
 void ChurnInjectSource::reset() {
   inner_->reset();
   rng_ = start_rng_;
   since_chunk_ = 0;
   pending_ = 0;
-}
-
-std::optional<std::uint64_t> ChurnInjectSource::size_hint() const {
-  const auto inner_hint = inner_->size_hint();
-  if (!inner_hint.has_value()) return std::nullopt;
-  const std::uint64_t chunks_ahead = (since_chunk_ + *inner_hint) / period_;
-  return *inner_hint + pending_ + chunks_ahead * alpha_;
 }
 
 // Registry adapters. Parts resolve recursively through the registry with

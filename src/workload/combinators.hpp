@@ -41,9 +41,6 @@ class ConcatSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override;
-  /// Forks every part; nullptr if any part cannot fork.
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   std::vector<std::unique_ptr<RequestSource>> parts_;
@@ -60,9 +57,6 @@ class MixSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override;
-  /// Forks every part; nullptr if any part cannot fork.
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   std::vector<std::unique_ptr<RequestSource>> parts_;
@@ -83,9 +77,6 @@ class ChurnInjectSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override;
-  /// Forks the inner source; nullptr if it cannot fork.
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   std::unique_ptr<RequestSource> inner_;

@@ -130,14 +130,6 @@ std::size_t HotspotSource::fill(std::span<Request> buffer) {
   return n;
 }
 
-std::unique_ptr<RequestSource> HotspotSource::fork() const {
-  // Copy, then rewind: the copy's reset() restores the captured start RNG,
-  // so the fork replays the identical stream from round one.
-  auto copy = std::make_unique<HotspotSource>(*this);
-  copy->reset();
-  return copy;
-}
-
 void HotspotSource::reset() {
   rng_ = start_rng_;
   hot_ = static_cast<NodeId>(rng_.below(tree_->size()));
@@ -179,14 +171,6 @@ std::size_t UpdateChurnSource::fill(std::span<Request> buffer) {
     }
   }
   return n;
-}
-
-std::unique_ptr<RequestSource> UpdateChurnSource::fork() const {
-  // Copy, then rewind: the copy's reset() restores the captured start RNG,
-  // so the fork replays the identical stream from round one.
-  auto copy = std::make_unique<UpdateChurnSource>(*this);
-  copy->reset();
-  return copy;
 }
 
 void UpdateChurnSource::reset() {
@@ -240,10 +224,9 @@ const sim::WorkloadRegistrar kRegisterUniform{
     "uniform", "uniformly random nodes, Bernoulli(neg) negative requests",
     [](const Tree& tree, const sim::Params& p, std::uint64_t seed)
         -> std::unique_ptr<RequestSource> {
-      return std::make_unique<UniformSource>(tree,
-                                             p.get_u64("length", 100000),
-                                             p.get_double("neg", 0.2),
-                                             Rng(seed));
+      return std::make_unique<UniformSource>(
+          tree, p.get_u64("length", 100000),
+          p.get_double("neg", 0.2, 0.0, 1.0), Rng(seed));
     }};
 
 const sim::WorkloadRegistrar kRegisterZipf{
@@ -252,7 +235,8 @@ const sim::WorkloadRegistrar kRegisterZipf{
         -> std::unique_ptr<RequestSource> {
       return std::make_unique<ZipfSource>(
           tree, p.get_u64("length", 100000), p.get_double("skew", 1.0),
-          p.get_double("neg", 0.2), /*leaves_only=*/false, Rng(seed));
+          p.get_double("neg", 0.2, 0.0, 1.0), /*leaves_only=*/false,
+          Rng(seed));
     }};
 
 const sim::WorkloadRegistrar kRegisterZipfLeaf{
@@ -261,7 +245,8 @@ const sim::WorkloadRegistrar kRegisterZipfLeaf{
         -> std::unique_ptr<RequestSource> {
       return std::make_unique<ZipfSource>(
           tree, p.get_u64("length", 100000), p.get_double("skew", 1.0),
-          p.get_double("neg", 0.2), /*leaves_only=*/true, Rng(seed));
+          p.get_double("neg", 0.2, 0.0, 1.0), /*leaves_only=*/true,
+          Rng(seed));
     }};
 
 const sim::WorkloadRegistrar kRegisterHotspot{
@@ -269,8 +254,9 @@ const sim::WorkloadRegistrar kRegisterHotspot{
     [](const Tree& tree, const sim::Params& p, std::uint64_t seed)
         -> std::unique_ptr<RequestSource> {
       return std::make_unique<HotspotSource>(
-          tree, p.get_u64("length", 100000), p.get_double("move-prob", 0.01),
-          p.get_double("neg", 0.2), Rng(seed));
+          tree, p.get_u64("length", 100000),
+          p.get_double("move-prob", 0.01, 0.0, 1.0),
+          p.get_double("neg", 0.2, 0.0, 1.0), Rng(seed));
     }};
 
 const sim::WorkloadRegistrar kRegisterChurn{
@@ -279,7 +265,7 @@ const sim::WorkloadRegistrar kRegisterChurn{
         -> std::unique_ptr<RequestSource> {
       return std::make_unique<UpdateChurnSource>(
           tree, p.get_u64("length", 100000), p.get_double("skew", 1.0),
-          p.alpha(), p.get_double("update-prob", 0.05), Rng(seed));
+          p.alpha(), p.get_double("update-prob", 0.05, 0.0, 1.0), Rng(seed));
     }};
 
 }  // namespace

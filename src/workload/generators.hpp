@@ -6,6 +6,8 @@
 // independent of how many requests are drawn. The eager *_trace helpers
 // below materialize a source for callers that want a vector; they advance
 // the caller's RNG via split() so consecutive calls draw distinct traces.
+// Only UniformSource and ZipfSource fork(): perfbench replays their
+// streams (deep-uniform-8x3 and zipf-1x1) through it.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +30,6 @@ class UniformSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
-    return remaining_;
-  }
   [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
@@ -52,9 +51,6 @@ class ZipfSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
-    return remaining_;
-  }
   [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
@@ -77,10 +73,6 @@ class HotspotSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
-    return remaining_;
-  }
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   const Tree* tree_;
@@ -105,10 +97,6 @@ class UpdateChurnSource final : public RequestSource {
 
   [[nodiscard]] std::size_t fill(std::span<Request> buffer) override;
   void reset() override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
-    return remaining_;
-  }
-  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override;
 
  private:
   std::uint64_t length_;

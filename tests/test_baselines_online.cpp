@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "baselines/local_tc.hpp"
 #include "baselines/lru_closure.hpp"
@@ -127,6 +128,12 @@ TEST(LocalTc, RestartsWhenFetchDoesNotFit) {
   local.step(positive(2));  // fetch {2}
   const auto out = local.step(positive(1));  // P(1) = {1}, 1+1 > 1
   EXPECT_EQ(out.change, ChangeKind::kPhaseRestart);
+  // The outcome names the fetch it abandons, as TC's restarts do.
+  EXPECT_EQ(std::vector<NodeId>(out.aborted_fetch.begin(),
+                                out.aborted_fetch.end()),
+            (std::vector<NodeId>{1}));
+  EXPECT_EQ(std::vector<NodeId>(out.changed.begin(), out.changed.end()),
+            (std::vector<NodeId>{2}));
   EXPECT_TRUE(local.cache().empty());
 }
 

@@ -31,9 +31,12 @@
 #include "sim/simulator.hpp"
 #include "tree/tree_builder.hpp"
 #include "workload/generators.hpp"
+#include "workload_trees.hpp"
 
 namespace treecache {
 namespace {
+
+using testing_util::tree_for_workload;
 
 sim::Params smoke_params() {
   sim::Params p;
@@ -382,12 +385,12 @@ TEST(ShardPlan, SkewedFibTreeKeepsHeavyPrefixWhole) {
   sim::Params params = smoke_params();
   params.set("packets", "300");
   const fib::RouterSimConfig router{.packets = 300, .alpha = 3, .seed = 5};
+  const fib::RouterSource source(rt, router);
   std::vector<engine::EngineResult> results;
   for (const std::size_t threads : {1u, 3u}) {
     engine::ShardedEngine eng(rt.tree, "tc", params,
                               {.shards = 4, .threads = threads});
-    fib::RouterSource source(rt, router);
-    results.push_back(eng.run(source));
+    results.push_back(eng.run_split(source.split(eng.plan())));
   }
   EXPECT_EQ(results[0].total, results[1].total);
   for (std::size_t s = 0; s < results[0].per_shard.size(); ++s) {
@@ -407,33 +410,46 @@ sim::Params engine_params() {
 }
 
 TEST(ShardedEngine, EqualsIndependentPerShardSequentialRuns) {
+  // Every registered workload is an open loop, and the demux is what
+  // shards it (most of them cannot split() themselves): each shard must
+  // equal a standalone run of the substream the demux routes to it.
   Rng rng(11);
-  const Tree tree = trees::random_recursive(300, rng);
-  const sim::Params params = engine_params();
-  const Trace trace = sim::make_workload("zipf", tree, params, 17);
+  const Tree generic_tree = trees::random_recursive(300, rng);
+  const sim::Params params = smoke_params();
+  const fib::RuleTree rule_tree = fib::rule_tree_from_params(params);
 
-  engine::ShardedEngine eng(tree, "tc", params,
-                            {.shards = 4, .threads = 2, .batch = 128});
-  TraceSource source{std::span<const Request>(trace)};
-  const engine::EngineResult sharded = eng.run(source);
-  const engine::ShardPlan& plan = eng.plan();
-  ASSERT_GE(plan.num_shards(), 2u);
+  for (const std::string& name : sim::WorkloadRegistry::instance().names()) {
+    const Tree& tree =
+        tree_for_workload(name, params, rule_tree.tree, generic_tree);
+    const Trace trace = sim::make_workload(name, tree, params, 17);
+    for (const std::size_t threads : {1u, 3u}) {
+      SCOPED_TRACE(name + ", " + std::to_string(threads) + " threads");
+      engine::ShardedEngine eng(
+          tree, "tc", params,
+          {.shards = 4, .threads = threads, .batch = 128});
+      const auto source = sim::make_source(name, tree, params, 17);
+      const engine::EngineResult sharded = eng.run(*source);
+      const engine::ShardPlan& plan = eng.plan();
+      ASSERT_GE(plan.num_shards(), 2u);
 
-  Cost sum;
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    // Reference: this shard's subsequence, remapped, run sequentially on a
-    // fresh instance over the shard tree.
-    Trace local;
-    for (const Request& r : trace) {
-      if (plan.shard_of(r.node) == s) local.push_back(plan.to_local(r));
+      Cost sum;
+      for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+        // Reference: this shard's subsequence, remapped, run sequentially
+        // on a fresh instance over the shard tree.
+        Trace local;
+        for (const Request& r : trace) {
+          if (plan.shard_of(r.node) == s) local.push_back(plan.to_local(r));
+        }
+        const auto alg =
+            sim::make_algorithm("tc", plan.shard_tree(s), params);
+        const sim::RunResult reference = sim::run_trace(*alg, local);
+        EXPECT_EQ(sharded.per_shard[s], reference) << "shard " << s;
+        sum += reference.cost;
+      }
+      EXPECT_EQ(sharded.total.cost, sum);
+      EXPECT_EQ(sharded.total.rounds, trace.size());
     }
-    const auto alg = sim::make_algorithm("tc", plan.shard_tree(s), params);
-    const sim::RunResult reference = sim::run_trace(*alg, local);
-    EXPECT_EQ(sharded.per_shard[s], reference) << "shard " << s;
-    sum += reference.cost;
   }
-  EXPECT_EQ(sharded.total.cost, sum);
-  EXPECT_EQ(sharded.total.rounds, trace.size());
 }
 
 TEST(ShardedEngine, ResultsInvariantAcrossThreadCounts) {
@@ -589,10 +605,9 @@ TEST(ShardedEngine, GeneratesEachRequestOnceAndRunsSilently) {
     const fib::RuleTree rt = fib::rule_tree_from_params(fib_params);
     engine::ShardedEngine eng(rt.tree, "tc", fib_params,
                               {.shards = 4, .threads = 2});
-    fib::RouterSource closed(rt, fib::RouterSimConfig{.packets = 200});
-    EXPECT_EQ(closed.split_kind(), SplitKind::kShared);
+    const fib::RouterSource closed(rt, fib::RouterSimConfig{.packets = 200});
     testing::internal::CaptureStderr();
-    (void)eng.run(closed);
+    (void)eng.run_split(closed.split(eng.plan()));
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   }
 }
@@ -653,30 +668,6 @@ TEST(ShardedEngine, SingleShardEqualsRunSource) {
   const sim::RunResult direct = sim::run_source(*alg, *source);
   EXPECT_EQ(via_engine.total, direct);
   EXPECT_EQ(via_engine.shards, 1u);
-}
-
-TEST(ShardedEngine, RunsClosedLoopSourcesThroughTheMirrorSplit) {
-  const sim::Params params = smoke_params();
-  const fib::RuleTree rt = fib::rule_tree_from_params(params);
-  const fib::RouterSimConfig router{.packets = 200};
-  // Multi-shard closed loops split into per-shard mirrors, each run on
-  // the worker that owns its shard (tests/test_engine_closed_loop.cpp is
-  // the full differential suite) — the run is accepted and bit-identical
-  // for every thread count.
-  engine::ShardedEngine sharded(rt.tree, "tc", params,
-                                {.shards = 4, .threads = 2});
-  fib::RouterSource closed(rt, router);
-  const engine::EngineResult via_split = sharded.run(closed);
-  EXPECT_GT(via_split.total.rounds, 0u);
-  EXPECT_GT(via_split.shards, 1u);
-  // run() is sugar over run_split on the source's own split.
-  const fib::RouterSource split_from(rt, router);
-  EXPECT_EQ(sharded.run_split(split_from.split(sharded.plan())).per_shard,
-            via_split.per_shard);
-  // The single-shard path delegates to run_source and accepts it.
-  engine::ShardedEngine single(rt.tree, "tc", params, {.shards = 1});
-  fib::RouterSource fresh(rt, router);
-  EXPECT_GT(single.run(fresh).total.rounds, 0u);
 }
 
 TEST(ShardedEngine, ReportsWallTimeAndThroughput) {
@@ -928,7 +919,7 @@ struct OutcomeDigest {
   ChangeKind change = ChangeKind::kNone;
   std::vector<NodeId> changed;
   std::vector<NodeId> also_evicted;
-  std::uint32_t aborted_fetch_size = 0;
+  std::vector<NodeId> aborted_fetch;
 
   friend bool operator==(const OutcomeDigest&,
                          const OutcomeDigest&) = default;
@@ -939,7 +930,7 @@ OutcomeDigest digest(const StepOutcome& out) {
       out.paid, out.change,
       std::vector<NodeId>(out.changed.begin(), out.changed.end()),
       std::vector<NodeId>(out.also_evicted.begin(), out.also_evicted.end()),
-      out.aborted_fetch_size};
+      std::vector<NodeId>(out.aborted_fetch.begin(), out.aborted_fetch.end())};
 }
 
 class RecordingSink final : public OutcomeSink {
@@ -961,12 +952,8 @@ TEST(StepBatch, MatchesScalarStepForEveryAlgorithmAndWorkload) {
     for (const std::string& w_name :
          sim::WorkloadRegistry::instance().names()) {
       SCOPED_TRACE(alg_name + " x " + w_name);
-      // fib-real first: its name also matches the fib* prefix.
-      const Tree& tree = rib::is_real_fib_workload_name(w_name)
-                             ? rib::shared_real_fib(params).tree()
-                             : fib::is_fib_workload_name(w_name)
-                                   ? rule_tree.tree
-                                   : generic_tree;
+      const Tree& tree =
+          tree_for_workload(w_name, params, rule_tree.tree, generic_tree);
       const Trace trace = sim::make_workload(w_name, tree, params, 41);
 
       const auto scalar = sim::make_algorithm(alg_name, tree, params);

@@ -179,26 +179,6 @@ TEST(ClosedLoopSharding, DifferentialSweepMatchesSequentialReference) {
 
 // --- Mirror semantics ----------------------------------------------------
 
-TEST(ClosedLoopSharding, TrivialPlanMirrorEqualsRouterSource) {
-  sim::Params params = diff_params(kShapes[0]);
-  const fib::RuleTree rules = fib::rule_tree_from_params(params);
-  const fib::RouterSimConfig router = sim::fib_router_config(params, 9);
-  const engine::ShardPlan plan(rules.tree, 1);
-
-  const fib::RouterSource split_from(rules, router);
-  const auto mirrors = split_from.split(plan);
-  ASSERT_EQ(mirrors.size(), 1u);
-  const auto mirror_alg = sim::make_algorithm("tc", rules.tree, params);
-  const sim::RunResult via_mirror = sim::run_source(*mirror_alg, *mirrors[0]);
-
-  fib::RouterSource source(rules, router);
-  const auto source_alg = sim::make_algorithm("tc", rules.tree, params);
-  const sim::RunResult via_source = sim::run_source(*source_alg, source);
-
-  EXPECT_EQ(via_mirror, via_source);
-  expect_equal_stats(mirror_stats(mirrors, 0), source.stats());
-}
-
 TEST(ClosedLoopSharding, MirrorStatsPartitionTheEventStream) {
   // Every packet and every update event is owned by exactly one shard, so
   // the event-level statistics are conserved under the mirror split for
@@ -207,17 +187,17 @@ TEST(ClosedLoopSharding, MirrorStatsPartitionTheEventStream) {
   // can never be dropped or double-counted.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
-  const fib::RouterSimConfig router = sim::fib_router_config(params, 4);
+  const fib::RouterSource source(rules, sim::fib_router_config(params, 4));
 
-  fib::RouterSource whole(rules, router);
-  const auto whole_alg = sim::make_algorithm("tc", rules.tree, params);
-  (void)sim::run_source(*whole_alg, whole);
+  engine::ShardedEngine whole_eng(rules.tree, "tc", params, {.shards = 1});
+  const auto whole = source.split(whole_eng.plan());
+  (void)whole_eng.run_split(whole);
+  const fib::RouterSimResult& whole_stats = mirror_stats(whole, 0);
 
   for (const std::size_t shards : {2u, 4u, 8u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
     engine::ShardedEngine eng(rules.tree, "tc", params,
                               {.shards = shards, .threads = 2});
-    fib::RouterSource source(rules, router);
     const auto mirrors = source.split(eng.plan());
     (void)eng.run_split(mirrors);
     fib::RouterSimResult sum;
@@ -228,8 +208,8 @@ TEST(ClosedLoopSharding, MirrorStatsPartitionTheEventStream) {
           << "shard " << s;
       sum += stats;
     }
-    EXPECT_EQ(sum.packets, whole.stats().packets);
-    EXPECT_EQ(sum.updates, whole.stats().updates);
+    EXPECT_EQ(sum.packets, whole_stats.packets);
+    EXPECT_EQ(sum.updates, whole_stats.updates);
   }
 }
 
@@ -240,12 +220,12 @@ TEST(ClosedLoopSharding, StatelessAlgorithmAggregateIsShardCountInvariant) {
   // shards=1/threads=1 run, field for field.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
-  const fib::RouterSimConfig router = sim::fib_router_config(params, 13);
+  const fib::RouterSource source(rules, sim::fib_router_config(params, 13));
 
   engine::ShardedEngine baseline_eng(rules.tree, "none", params,
                                      {.shards = 1, .threads = 1});
-  fib::RouterSource baseline_source(rules, router);
-  const sim::RunResult baseline = baseline_eng.run(baseline_source).total;
+  const sim::RunResult baseline =
+      baseline_eng.run_split(source.split(baseline_eng.plan())).total;
 
   for (const std::size_t shards : {2u, 4u, 8u}) {
     for (const std::size_t threads : {2u, 4u}) {
@@ -253,8 +233,7 @@ TEST(ClosedLoopSharding, StatelessAlgorithmAggregateIsShardCountInvariant) {
                    std::to_string(threads) + " threads");
       engine::ShardedEngine eng(rules.tree, "none", params,
                                 {.shards = shards, .threads = threads});
-      fib::RouterSource source(rules, router);
-      EXPECT_EQ(eng.run(source).total, baseline);
+      EXPECT_EQ(eng.run_split(source.split(eng.plan())).total, baseline);
     }
   }
 }
@@ -421,11 +400,12 @@ TEST(ClosedLoopSharding, SplitsOfOneSourceShareItsSampler) {
 
 TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
   // Chunk-granularity feedback must be invisible to the closed loop: a
-  // source fed one observe_batch per fill()-chunk stays in request-level
+  // mirror fed one observe_batch per fill()-chunk stays in request-level
   // lockstep with a twin fed every outcome individually through the
-  // scalar observe() forwarder, for the whole source and for every shard
-  // mirror. The batched side keeps owned copies of a chunk's outcomes —
-  // their spans die at the next step — and hands them over at once.
+  // scalar observe() forwarder, for the whole stream (the one-shard plan)
+  // and for every shard of a sharded plan. The batched side keeps owned
+  // copies of a chunk's outcomes — their spans die at the next step — and
+  // hands them over at once.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
   const fib::RouterSimConfig router = sim::fib_router_config(params, 33);
@@ -464,23 +444,19 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
     ASSERT_GT(requests, 0u);
   };
 
-  {
-    SCOPED_TRACE("RouterSource");
-    fib::RouterSource unit(rules, router);
-    fib::RouterSource batched(rules, router);
-    drive(unit, batched, rules.tree);
-    expect_equal_stats(batched.stats(), unit.stats());
-  }
   // Mirror s of two separate splits: the other mirrors of each split are
   // never driven, so their events just queue up.
-  const engine::ShardPlan plan(rules.tree, 4);
   const fib::RouterSource source(rules, router);
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    SCOPED_TRACE("mirror shard " + std::to_string(s));
-    const auto unit = source.split(plan);
-    const auto batched = source.split(plan);
-    drive(*unit[s], *batched[s], plan.shard_tree(s));
-    expect_equal_stats(mirror_stats(batched, s), mirror_stats(unit, s));
+  for (const std::size_t shards : {1u, 4u}) {
+    const engine::ShardPlan plan(rules.tree, shards);
+    for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " of " +
+                   std::to_string(plan.num_shards()));
+      const auto unit = source.split(plan);
+      const auto batched = source.split(plan);
+      drive(*unit[s], *batched[s], plan.shard_tree(s));
+      expect_equal_stats(mirror_stats(batched, s), mirror_stats(unit, s));
+    }
   }
 }
 
@@ -622,15 +598,42 @@ TEST(ClosedLoopSharding, MirrorThrowStopsEveryWorkerAndRethrows) {
 }
 
 TEST(ClosedLoopSharding, UnsplittableClosedLoopSourceIsRefused) {
-  // A closed-loop source without a split() override cannot run sharded —
-  // the refusal must be loud, up front, and must not touch the stream.
+  // run() takes open loops only: at every shard count, one included, a
+  // closed-loop source is refused loudly and up front — before an
+  // instance is reset or the stream is read — naming run_split, the one
+  // closed-loop path.
   const Tree tree = trees::complete_kary(3, 2);
   sim::Params params;
   params.set("alpha", "2");
   params.set("capacity", "16");
-  engine::ShardedEngine eng(tree, "tc", params, {.shards = 2});
-  ScriptedMirror closed({positive(1)});
-  EXPECT_THROW((void)eng.run(closed), CheckFailure);
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    engine::ShardedEngine eng(tree, "tc", params, {.shards = shards});
+    ASSERT_EQ(eng.plan().num_shards(), shards);
+    // A first run leaves every instance with a cost to lose.
+    std::vector<std::unique_ptr<RequestSource>> mirrors;
+    for (std::size_t s = 0; s < shards; ++s) {
+      mirrors.push_back(
+          std::make_unique<ScriptedMirror>(std::vector<Request>{positive(1)}));
+    }
+    ASSERT_EQ(eng.run_split(mirrors).total.cost.service, shards);
+
+    ScriptedMirror closed({positive(2)});
+    std::string message;
+    try {
+      (void)eng.run(closed);
+    } catch (const CheckFailure& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find("run_split"), std::string::npos)
+        << "refusal: '" << message << "'";
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(eng.algorithm(s).cost().service, 1u) << "shard " << s;
+    }
+    Request untouched;
+    ASSERT_EQ(closed.fill({&untouched, 1}), 1u);
+    EXPECT_EQ(untouched, positive(2));
+  }
 }
 
 }  // namespace

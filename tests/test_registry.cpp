@@ -18,6 +18,7 @@
 #include "tools/flags.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
+#include "workload_trees.hpp"
 
 namespace treecache {
 namespace {
@@ -103,19 +104,13 @@ TEST(Registry, EveryWorkloadProducesAValidTrace) {
   params.set("rules", "60");  // keep the fib* substrate test-sized
   params.set("rib-feed",
              std::string(TREECACHE_TEST_DATA_DIR) + "/rib_v4.feed");
-  // fib* workloads are only defined over their own RIB rule tree, and
-  // fib-real over the tree rebuilt from its feed (its name also matches
-  // the fib* prefix, so test it first).
   const fib::RuleTree rule_tree = fib::rule_tree_from_params(params);
 
   for (const std::string& name :
        sim::WorkloadRegistry::instance().names()) {
     SCOPED_TRACE("workload: " + name);
-    const Tree& tree = rib::is_real_fib_workload_name(name)
-                           ? rib::shared_real_fib(params).tree()
-                           : fib::is_fib_workload_name(name)
-                                 ? rule_tree.tree
-                                 : generic_tree;
+    const Tree& tree = testing_util::tree_for_workload(
+        name, params, rule_tree.tree, generic_tree);
     const Trace trace = sim::make_workload(name, tree, params, rng());
     EXPECT_FALSE(trace.empty());
     for (const Request& r : trace) {
@@ -260,6 +255,47 @@ TEST(Flags, ValuesAboveTheirBoundAreRefused) {
                 .find("parameter max-len=264 is out of range"),
             std::string::npos);
   EXPECT_EQ(p.get_u64("max-len", 24), 264u);  // unbounded by default
+
+  // Numbers take inclusive bounds on both ends; probabilities are read
+  // with [0, 1], so 7 withdraws per update or a 1.5 share of negative
+  // requests is refused where it used to run.
+  std::vector<std::string> prob_args{"--withdraw-prob", "7", "--neg", "-0.5",
+                                     "--fresh-prob", "1", "--deagg", "0"};
+  std::vector<char*> prob_argv;
+  for (std::string& arg : prob_args) prob_argv.push_back(arg.data());
+  const tools::Flags probs(static_cast<int>(prob_argv.size()),
+                           prob_argv.data(), 0);
+  EXPECT_NE(
+      failure_of([&] { return probs.get_double("withdraw-prob", 0.1, 0, 1); })
+          .find("--withdraw-prob 7 is out of range (at least 0, at most 1)"),
+      std::string::npos);
+  EXPECT_NE(failure_of([&] { return probs.get_double("neg", 0.2, 0, 1); })
+                .find("--neg -0.5 is out of range"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(probs.get_double("fresh-prob", 0.5, 0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(probs.get_double("deagg", 0.45, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(probs.get_double("move-prob", 0.01, 0, 1), 0.01);
+  EXPECT_DOUBLE_EQ(probs.get_double("withdraw-prob", 0.1), 7.0);
+
+  const sim::Params q(std::map<std::string, std::string>{
+      {"neg", "1.5"}, {"update-prob", "1"}, {"move-prob", "0"},
+      {"deagg", "-0.1"}});
+  EXPECT_NE(failure_of([&] { return q.get_double("neg", 0.2, 0, 1); })
+                .find("parameter neg=1.5 is out of range (at least 0, at "
+                      "most 1)"),
+            std::string::npos);
+  EXPECT_NE(failure_of([&] { return q.get_double("deagg", 0.45, 0, 1); })
+                .find("parameter deagg=-0.1 is out of range"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(q.get_double("update-prob", 0.01, 0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(q.get_double("move-prob", 0.01, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(q.get_double("neg", 0.2), 1.5);  // unbounded by default
+
+  // A registered workload reads its probabilities bounded.
+  const Tree tree = trees::path(4);
+  EXPECT_NE(failure_of([&] { return sim::make_source("uniform", tree, q, 1); })
+                .find("parameter neg=1.5 is out of range"),
+            std::string::npos);
 }
 
 TEST(Registry, OfflineEvaluatorsAgreeWithDirectCalls) {

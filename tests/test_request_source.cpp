@@ -7,28 +7,31 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "engine/shard_plan.hpp"
 #include "fib/fib_workloads.hpp"
-#include "fib/router_source.hpp"
 #include "fib/traffic.hpp"
 #include "rib/workloads.hpp"
-#include "sim/fib_engine.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tree/tree_builder.hpp"
 #include "workload/combinators.hpp"
 #include "workload/generators.hpp"
+#include "workload_trees.hpp"
 
 namespace treecache {
 namespace {
+
+using testing_util::tree_for_workload;
 
 sim::Params smoke_params() {
   sim::Params p;
@@ -42,36 +45,23 @@ sim::Params smoke_params() {
   return p;
 }
 
-/// The registry-wide loops run every workload, and each family of
-/// workloads is only defined over its own tree: fib* over the synthetic
-/// RIB rule tree, fib-real over the tree rebuilt from its feed, the rest
-/// over any tree. (fib-real must be tested first — its name also matches
-/// the fib* prefix.)
-const Tree& tree_for_workload(const std::string& name,
-                              const sim::Params& params,
-                              const Tree& rule_tree,
-                              const Tree& generic_tree) {
-  if (rib::is_real_fib_workload_name(name)) {
-    return rib::shared_real_fib(params).tree();
-  }
-  return fib::is_fib_workload_name(name) ? rule_tree : generic_tree;
-}
-
 Trace ones(std::size_t count, NodeId node) {
   return Trace(count, positive(node));
 }
 
 TEST(TraceSourceAdapter, StreamsOwnsAndResets) {
-  TraceSource source(Trace{positive(1), negative(2), positive(0)});
-  EXPECT_EQ(source.size_hint(), std::optional<std::uint64_t>(3));
-  EXPECT_EQ(source.next(), positive(1));
-  EXPECT_EQ(source.size_hint(), std::optional<std::uint64_t>(2));
-  EXPECT_EQ(source.next(), negative(2));
-  EXPECT_EQ(source.next(), positive(0));
-  EXPECT_EQ(source.next(), std::nullopt);
-  EXPECT_EQ(source.next(), std::nullopt);  // stays exhausted
+  const Trace trace{positive(1), negative(2), positive(0)};
+  TraceSource source{Trace(trace)};
+  std::array<Request, 2> buffer{};
+  ASSERT_EQ(source.fill(buffer), 2u);
+  EXPECT_EQ(buffer[0], positive(1));
+  EXPECT_EQ(buffer[1], negative(2));
+  ASSERT_EQ(source.fill(buffer), 1u);
+  EXPECT_EQ(buffer[0], positive(0));
+  EXPECT_EQ(source.fill(buffer), 0u);
+  EXPECT_EQ(source.fill(buffer), 0u);  // stays exhausted
   source.reset();
-  EXPECT_EQ(source.next(), positive(1));
+  EXPECT_EQ(materialize(source), trace);
 }
 
 TEST(TraceSourceAdapter, BorrowingViewMatchesOwning) {
@@ -156,12 +146,16 @@ TEST(RegisteredWorkloads, ResetReplaysTheIdenticalStream) {
   }
 }
 
-// Property test for RequestSource::split over every registered (open-loop)
-// workload: the per-shard streams are exactly the stable partition of the
-// unsharded stream by owning shard — so their concatenation is a
-// permutation of it — each part replays identically after reset(), and
-// split() is independent of how far the parent has been consumed.
+// Property test for RequestSource::split over the registered workloads that
+// can fork (uniform, zipf, zipfleaf): the per-shard streams are exactly the
+// stable partition of the unsharded stream by owning shard — so their
+// concatenation is a permutation of it — each part replays identically
+// after reset(), and split() is independent of how far the parent has been
+// consumed. Every other workload cannot fork, so its split() is empty; the
+// engine's demux shards those (ShardedEngine.
+// EqualsIndependentPerShardSequentialRuns in tests/test_engine.cpp).
 TEST(RegisteredWorkloads, SplitPartitionsEveryStreamByShard) {
+  const std::set<std::string> forkable = {"uniform", "zipf", "zipfleaf"};
   Rng rng(29);
   const Tree generic_tree = trees::random_recursive(60, rng);
   const sim::Params params = smoke_params();
@@ -178,17 +172,19 @@ TEST(RegisteredWorkloads, SplitPartitionsEveryStreamByShard) {
     const Trace whole = materialize(*source);
     ASSERT_FALSE(whole.empty());
 
-    // A shardable stream must say so: split_kind() tells callers that
-    // decorate or replay a source how its split() behaves, and
-    // "unsplittable" from a workload whose split() works would misreport
-    // it.
-    EXPECT_NE(source->split_kind(), SplitKind::kUnsplittable);
+    // Every registered workload is an open loop, so split_kind() advises
+    // a replicated split; it is empty unless the source can fork.
+    EXPECT_EQ(source->split_kind(), SplitKind::kReplicated);
+    if (!forkable.contains(name)) {
+      EXPECT_EQ(source->fork(), nullptr);
+      EXPECT_TRUE(source->split(plan).empty());
+      continue;
+    }
 
     // Splitting AFTER the parent was drained: parts replay from round one
     // regardless of the parent's position.
     const auto parts = source->split(plan);
-    ASSERT_EQ(parts.size(), plan.num_shards())
-        << "every registered workload must be shardable";
+    ASSERT_EQ(parts.size(), plan.num_shards());
 
     std::vector<Trace> expected(plan.num_shards());
     for (const Request& r : whole) {
@@ -210,12 +206,16 @@ TEST(RegisteredWorkloads, SplitPartitionsEveryStreamByShard) {
 }
 
 TEST(RegisteredWorkloads, SplitKindAdvisesHowEachSourceScalesOut) {
-  // Open-loop sources default to fork-per-shard replication...
+  // Open-loop sources default to fork-per-shard replication — advisory
+  // only: a source that cannot fork replicates nothing...
+  const Tree tree = trees::complete_kary(2, 3);
+  const engine::ShardPlan plan(tree, 3);
   TraceSource open(ones(3, 1));
   EXPECT_EQ(open.split_kind(), SplitKind::kReplicated);
+  EXPECT_TRUE(open.split(plan).empty());
 
-  // ...a closed loop without a split() override is honest about being
-  // unshardable...
+  // ...and a closed loop without a split() override is honest about being
+  // unshardable.
   class ClosedStub final : public RequestSource {
    public:
     [[nodiscard]] std::size_t fill(std::span<Request>) override { return 0; }
@@ -224,13 +224,7 @@ TEST(RegisteredWorkloads, SplitKindAdvisesHowEachSourceScalesOut) {
   };
   ClosedStub closed;
   EXPECT_EQ(closed.split_kind(), SplitKind::kUnsplittable);
-
-  // ...and the fib router advertises shared generation: one producer
-  // feeding every shard mirror instead of S replicated streams.
-  const sim::Params params = smoke_params();
-  const fib::RuleTree rt = fib::rule_tree_from_params(params);
-  const fib::RouterSource source(rt, sim::fib_router_config(params, 5));
-  EXPECT_EQ(source.split_kind(), SplitKind::kShared);
+  EXPECT_TRUE(closed.split(plan).empty());
 }
 
 /// FNV-1a-64 over each request's node (4 bytes, little-endian) and sign.
@@ -346,7 +340,6 @@ TEST(Combinators, ConcatPlaysPartsInOrder) {
   parts.push_back(std::make_unique<TraceSource>(ones(3, 1)));
   parts.push_back(std::make_unique<TraceSource>(ones(2, 2)));
   workload::ConcatSource concat(std::move(parts));
-  EXPECT_EQ(concat.size_hint(), std::optional<std::uint64_t>(5));
   const Trace expected{positive(1), positive(1), positive(1), positive(2),
                        positive(2)};
   EXPECT_EQ(materialize(concat), expected);
@@ -359,7 +352,6 @@ TEST(Combinators, MixDrainsEveryPartExactly) {
   parts.push_back(std::make_unique<TraceSource>(ones(30, 1)));
   parts.push_back(std::make_unique<TraceSource>(ones(10, 2)));
   workload::MixSource mix(std::move(parts), {3.0, 1.0}, Rng(5));
-  EXPECT_EQ(mix.size_hint(), std::optional<std::uint64_t>(40));
   const Trace first = materialize(mix);
   ASSERT_EQ(first.size(), 40u);
   std::size_t from_first = 0;
@@ -378,7 +370,6 @@ TEST(Combinators, ChurnInjectInsertsAlphaChunks) {
   workload::ChurnInjectSource source(
       std::make_unique<TraceSource>(ones(10, 3)), tree, /*period=*/4,
       /*alpha=*/3, Rng(9));
-  EXPECT_EQ(source.size_hint(), std::optional<std::uint64_t>(16));
   const Trace trace = materialize(source);
   ASSERT_EQ(trace.size(), 16u);  // 10 inner + 2 chunks of 3
   std::size_t negatives = 0;

@@ -1,6 +1,6 @@
 // The fib-real replay path end to end over the checked-in fixture feeds:
 // ingest, the churn's resolution to rule-tree nodes (against exact()),
-// stream shape, source determinism (reset/fork/size_hint),
+// stream shape, source determinism (reset and the registry),
 // bit-identical engine runs across shard and thread geometries, and the
 // Appendix B canonicalization bound on a real-churn IPv6 trace — the
 // wide-key wind through rule_tree, the packet sampler and canonicalizer.
@@ -163,11 +163,8 @@ TEST(ChurnSource, StreamShapeIsLookupsThenAlphaChunks) {
   const std::uint64_t expected =
       events * (config.lookups_per_event + config.alpha) +
       config.tail_lookups;
-  EXPECT_EQ(source.size_hint(), std::optional<std::uint64_t>(expected));
-
   const Trace trace = materialize(source);
   ASSERT_EQ(trace.size(), expected);
-  EXPECT_EQ(source.size_hint(), std::optional<std::uint64_t>(0));
 
   const std::size_t stride = config.lookups_per_event + config.alpha;
   for (std::uint64_t e = 0; e < events; ++e) {
@@ -189,7 +186,7 @@ TEST(ChurnSource, StreamShapeIsLookupsThenAlphaChunks) {
   }
 }
 
-TEST(ChurnSource, ResetForkAndRegistryReplayIdentically) {
+TEST(ChurnSource, ResetAndRegistryReplayIdentically) {
   const sim::Params params = real_params("rib_v4.feed", 4);
   const RealFibReplay& replay = shared_real_fib(params);
   const Tree& tree = replay.tree();
@@ -200,11 +197,10 @@ TEST(ChurnSource, ResetForkAndRegistryReplayIdentically) {
   source->reset();
   EXPECT_EQ(materialize(*source), first);
 
-  // fork() replays the identical stream even mid-consumption.
+  // reset() replays the identical stream even mid-consumption.
   (void)materialize(*source, first.size() / 3);
-  const auto forked = source->fork();
-  ASSERT_NE(forked, nullptr);
-  EXPECT_EQ(materialize(*forked), first);
+  source->reset();
+  EXPECT_EQ(materialize(*source), first);
 
   // A different seed is a different permutation/stream (the substrate is
   // shared; the traffic is not).

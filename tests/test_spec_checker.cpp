@@ -4,6 +4,8 @@
 // changeset rules.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/local_tc.hpp"
 #include "core/invariant_checker.hpp"
 #include "core/trace.hpp"
@@ -24,17 +26,21 @@ TEST(SpecChecker, RejectsLocalTcForIgnoringAggregateSaturation) {
   SpecChecker checker(t, 2, 3, /*max_enum_candidates=*/8);
 
   const Trace trace{positive(1), positive(1), positive(1), positive(2)};
-  bool fired = false;
+  std::string fired;
   for (const Request& r : trace) {
     const StepOutcome out = local.step(r);
     try {
       checker.observe(r, out);
-    } catch (const CheckFailure&) {
-      fired = true;
+    } catch (const CheckFailure& e) {
+      fired = e.what();
       break;
     }
   }
-  EXPECT_TRUE(fired) << "checker accepted a non-TC execution";
+  // It fires for the missed action, not for some other mismatch.
+  EXPECT_NE(fired.find("saturated positive changeset exists with no action "
+                       "taken"),
+            std::string::npos)
+      << "checker gave: '" << fired << "'";
 }
 
 TEST(SpecChecker, RejectsWrongServiceCharge) {

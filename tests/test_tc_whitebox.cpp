@@ -200,7 +200,7 @@ TEST(TcWhitebox, PhaseStatsConsistentWithOutcomes) {
         const PhaseStats& closed = phases[phases.size() - 2];
         EXPECT_EQ(closed.last_round, round);
         EXPECT_EQ(phases.back().first_round, round + 1);
-        EXPECT_EQ(closed.k_end, out.changed.size() + out.aborted_fetch_size);
+        EXPECT_EQ(closed.k_end, out.changed.size() + out.aborted_fetch.size());
         break;
       }
       case ChangeKind::kNone:

@@ -60,14 +60,21 @@ class Flags {
   }
 
   /// The value of --key as a whole finite number, or `fallback` when the
-  /// flag is absent.
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const {
+  /// flag is absent. A value outside [min, max] (both ends inclusive) is
+  /// refused too; probabilities are read with [0, 1].
+  [[nodiscard]] double get_double(
+      const std::string& key, double fallback,
+      double min = std::numeric_limits<double>::lowest(),
+      double max = std::numeric_limits<double>::max()) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const auto value = parse_double(it->second);
     if (!value) {
       throw CheckFailure("--" + key + " " + it->second + " is not a number");
+    }
+    if (*value < min || *value > max) {
+      throw CheckFailure("--" + key + " " + it->second +
+                         " is out of range (" + range_text(min, max) + ")");
     }
     return *value;
   }

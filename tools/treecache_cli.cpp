@@ -280,7 +280,7 @@ int cmd_gen_rib(const Flags& flags) {
   Rng rng(flags.get_u64("seed", 1));
   const fib::RibConfig config{
       .rules = flags.get_u64("rules", 10000),
-      .deaggregation = flags.get_double("deagg", 0.45),
+      .deaggregation = flags.get_double("deagg", 0.45, 0.0, 1.0),
       .max_length = static_cast<std::uint8_t>(
           flags.get_u64("max-len", 24, fib::Prefix::kWidth))};
   const auto rib = fib::generate_rib(config, rng);
@@ -303,15 +303,16 @@ int cmd_gen_feed(const Flags& flags) {
   config.routes = flags.get_u64("routes", config.routes);
   config.updates = flags.get_u64("updates", config.updates);
   config.family = static_cast<int>(flags.get_u64("family", 4, 46));
-  config.withdraw_probability =
-      flags.get_double("withdraw-prob", config.withdraw_probability);
-  config.fresh_announce_probability =
-      flags.get_double("fresh-prob", config.fresh_announce_probability);
+  config.withdraw_probability = flags.get_double(
+      "withdraw-prob", config.withdraw_probability, 0.0, 1.0);
+  config.fresh_announce_probability = flags.get_double(
+      "fresh-prob", config.fresh_announce_probability, 0.0, 1.0);
   config.max_length4 = static_cast<std::uint8_t>(
       flags.get_u64("max-len", config.max_length4, fib::Prefix::kWidth));
   config.max_length6 = static_cast<std::uint8_t>(
       flags.get_u64("max-len6", config.max_length6, fib::Prefix6::kWidth));
-  config.deaggregation = flags.get_double("deagg", config.deaggregation);
+  config.deaggregation =
+      flags.get_double("deagg", config.deaggregation, 0.0, 1.0);
   const std::uint64_t seed = flags.get_u64("seed", 1);
   const std::string format = flags.get("format", "text");
   TC_CHECK(format == "text" || format == "mrt",
