@@ -35,18 +35,19 @@ int main() {
   const RuleTree rt = build_rule_tree(rib);
 
   const std::uint64_t alpha = 16;
-  const ChunkedTrace workload = make_fib_workload(
-      rt,
-      {.events = sim::bench_scaled(150000), .zipf_skew = 1.05,
-       .update_probability = 0.004, .alpha = alpha},
-      rng);
-  const auto trace_stats = stats(workload.trace, rt.tree.size());
+  FibTraceSource source(rt,
+                        {.events = sim::bench_scaled(150000),
+                         .zipf_skew = 1.05, .update_probability = 0.004,
+                         .alpha = alpha},
+                        rng);
+  const Trace trace = materialize(source);
+  const auto trace_stats = stats(trace, rt.tree.size());
   std::printf("substrate: %zu rules, tree height %u, max degree %u\n", rules,
               rt.tree.height(), rt.tree.max_degree());
   std::printf("workload: %zu rounds (%zu packets, %zu update chunks), "
               "alpha = %llu\n",
-              workload.trace.size(), trace_stats.positives,
-              workload.chunks.size(),
+              trace.size(), trace_stats.positives,
+              static_cast<std::size_t>(trace_stats.negatives / alpha),
               static_cast<unsigned long long>(alpha));
 
   const double no_cache_total = static_cast<double>(trace_stats.positives);
@@ -68,7 +69,7 @@ int main() {
     // has to register itself to join the experiment.
     for (const char* name : {"tc", "lru", "lruinv", "local", "none"}) {
       const auto alg = sim::make_algorithm(name, rt.tree, params);
-      const auto result = sim::run_trace(*alg, workload.trace);
+      const auto result = sim::run_trace(*alg, trace);
       const double hit_rate =
           1.0 - static_cast<double>(result.paid_positive) /
                     std::max(1.0, static_cast<double>(trace_stats.positives));
@@ -94,10 +95,10 @@ int main() {
     }
 
     // Offline static optimum: the best fixed subforest for this trace.
-    const auto weights = positive_weights(rt.tree, workload.trace);
+    const auto weights = positive_weights(rt.tree, trace);
     const auto chosen = best_static_subforest(rt.tree, weights, capacity);
     const std::uint64_t static_cost =
-        static_cache_cost(rt.tree, workload.trace, alpha, chosen);
+        static_cache_cost(rt.tree, trace, alpha, chosen);
     const double static_hit =
         static_cast<double>(chosen.covered_weight) /
         std::max(1.0, static_cast<double>(trace_stats.positives));

@@ -8,9 +8,7 @@
 // (ingested dump+update churn) through the same open-loop engine at 1x1
 // and 8xN. The tc-deep rows run a 13-level universe, deep enough that
 // TC's subtree slice scans carry the round, at 1x1 and at 8xN with
-// pinned workers, each shard's state first-touched on worker s % workers
-// (the open loop's idle workers take any queued shard, so that placement
-// holds until a shard first moves).
+// pinned workers.
 // Identical seed per mode, best of TREECACHE_BENCH_REPS repetitions; emits
 // BENCH_throughput.json when TREECACHE_BENCH_JSON_DIR is set (the CI perf
 // artifact).
@@ -47,7 +45,7 @@ struct Mode {
   bool real_feed = false;    // fib-real: ingested RIB feed replay
   std::string baseline{};    // mode name the speedup column divides by
   bool deep = false;         // run on the deep (13-level) universe
-  bool pin = false;  // pin workers; first-touch shard s on s % workers
+  bool pin = false;  // pin the run's workers to cores
 };
 
 /// Every row runs the paper's TC.
@@ -208,7 +206,7 @@ int main() {
        .real_feed = true,
        .baseline = "fib-real-1x1"},
       // Deep-universe rows: TC on the 13-level tree, unsharded and then
-      // sharded 8xN with pinned workers and first-touched shard state.
+      // sharded 8xN with pinned workers.
       {.name = "tc-deep-1x1",
        .shards = 1,
        .baseline = "tc-deep-1x1",
@@ -382,9 +380,8 @@ int main() {
       "whether that pays on this machine. "
       "The fib-real rows swap the synthetic stream for replayed RIB-feed "
       "churn. The tc-deep rows run TC on a 13-level universe where the "
-      "subtree slice scans are long (tc-deep-8xN adds pinned workers, "
-      "each shard's state first-touched on worker s % workers until the "
-      "shard first moves). The rib-1m rows stress the ingestion "
+      "subtree slice scans are long (tc-deep-8xN adds pinned workers). "
+      "The rib-1m rows stress the ingestion "
       "layer at internet scale: ~1M synthetic IPv4 routes applied to the "
       "RIB's hash table (records/s) and rebuilt into the replay rule tree "
       "(nodes/s), with the table's entries and heap bytes and peak RSS as "

@@ -31,15 +31,15 @@ static int example_main(int argc, char** argv) {
   ConsoleTable table({"update prob", "chunks", "dirty chunks", "TC cost",
                       "canonical cost", "canonical/raw", "<= 2?"});
   for (const double update_prob : {0.0, 0.002, 0.01, 0.05, 0.2}) {
-    Rng wl(100 + static_cast<std::uint64_t>(update_prob * 10000));
-    const ChunkedTrace workload = make_fib_workload(
+    FibTraceSource source(
         rt,
         {.events = events, .zipf_skew = 1.0,
          .update_probability = update_prob, .alpha = alpha},
-        wl);
+        Rng(100 + static_cast<std::uint64_t>(update_prob * 10000)));
+    const Trace workload = materialize(source);
     TreeCache tc(rt.tree, {.alpha = alpha, .capacity = capacity});
     const CanonicalizationReport report =
-        run_canonicalized(rt.tree, workload, tc);
+        run_canonicalized(rt.tree, workload, alpha, tc);
     table.add_row(
         {ConsoleTable::fmt(update_prob, 3), ConsoleTable::fmt(report.chunks),
          ConsoleTable::fmt(report.dirty_chunks),

@@ -5,20 +5,21 @@
 // materializing a Trace up front. Sources come in two flavours:
 //
 //   open loop    the stream is fixed in advance (trace files, random
-//                generators, combinators over them). Feedback is ignored.
-//                sim::run_source runs one unsharded, and
-//                engine::ShardedEngine::run demuxes one over its shards,
-//                reading it through fill() alone.
+//                generators, combinators over them), read through fill()
+//                alone: no outcome is handed back. sim::run_source runs
+//                one unsharded, and engine::ShardedEngine::run demuxes one
+//                over its shards.
 //   closed loop  the next request depends on how the algorithm reacted —
 //                e.g. a FIB router mirror only emits a request when a
 //                packet misses the switch cache. Such a source rebuilds
 //                the cache state it needs from the StepOutcome feedback
 //                handed to observe_batch() after stepping. Closed loops
 //                run through ShardedEngine::run_split, one per shard (one
-//                shard included); ShardedEngine::run refuses them.
+//                shard included); sim::run_source and ShardedEngine::run
+//                refuse them.
 //
-// The closed-loop contract (each run_split shard, and sim::run_source) is
-// strict alternation per batch:
+// The closed-loop contract (each run_split shard) is strict alternation
+// per batch:
 //   n = source.fill(buffer)       // n requests that do NOT depend on
 //                                 // outcomes the source has not seen yet
 //   step the n requests           // alg.step / step_batch
@@ -93,11 +94,12 @@ class RequestSource {
   }
 
   /// THE feedback virtual — the one customization point on the feedback
-  /// hot path. The driver hands over stepped outcomes in stream order,
-  /// chunked at its convenience (a whole step_batch chunk, or one at a
-  /// time via observe() below), always before the fill() that could
-  /// depend on them. The outcomes' spans are only valid for the duration
-  /// of the call. Open-loop sources ignore it (the default).
+  /// hot path. run_split hands a closed loop its stepped outcomes in
+  /// stream order, chunked at its convenience (a whole step_batch chunk,
+  /// or one at a time via observe() below), always before the fill() that
+  /// could depend on them. The outcomes' spans are only valid for the
+  /// duration of the call. Neither sim::run_source nor the engine's demux
+  /// calls it on an open loop; the default ignores the outcomes.
   virtual void observe_batch(std::span<const StepOutcome> /*outcomes*/) {}
 
   /// Single-outcome convenience over observe_batch — a thin non-virtual
@@ -110,7 +112,7 @@ class RequestSource {
   /// True when the stream depends on observe_batch() feedback. Such a
   /// source runs only on ShardedEngine::run_split, one per shard, where
   /// each receives its own shard's outcomes in per-shard order;
-  /// ShardedEngine::run refuses it at every shard count.
+  /// sim::run_source and ShardedEngine::run refuse it.
   [[nodiscard]] virtual bool is_closed_loop() const { return false; }
 
   /// A fresh instance that replays this source's stream from the very

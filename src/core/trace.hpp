@@ -13,14 +13,6 @@ namespace treecache {
 /// An input instance: one request per round, rounds numbered from 1.
 using Trace = std::vector<Request>;
 
-/// A trace with marked update chunks: each chunk is a [begin, end) index
-/// range of α consecutive negative requests to one node, modelling a single
-/// rule update (Appendix B). Chunks are disjoint and ordered.
-struct ChunkedTrace {
-  Trace trace;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-};
-
 struct TraceStats {
   std::size_t positives = 0;
   std::size_t negatives = 0;

@@ -17,8 +17,7 @@ TreeCache::TreeCache(const Tree& tree, TreeCacheConfig config)
   TC_CHECK(config_.capacity >= 1, "capacity must be at least 1");
   phases_.push_back(PhaseStats{.first_round = 1});
   // Per-instance scratch arena: sized once here so steady-state rounds do
-  // no allocation. A shard constructed on its pinned worker thread first-
-  // touches these pages there, placing the arena with the shard.
+  // no allocation.
   const std::size_t changeset_cap =
       std::min<std::size_t>(tree.size(), 2 * config_.capacity + 2);
   rank_changeset_.reserve(changeset_cap);

@@ -19,9 +19,9 @@ namespace treecache::engine {
 namespace {
 
 /// Pins the calling thread to the CPU owned by worker `w` (w modulo the
-/// hardware concurrency, so a worker lands on the same core at construction
-/// and on every run). Returns the CPU, or -1 when pinning is unavailable or
-/// denied (reported, not fatal).
+/// hardware concurrency, so a worker lands on the same core on every run).
+/// Returns the CPU, or -1 when pinning is unavailable or denied (reported,
+/// not fatal).
 int pin_to_cpu(std::size_t w) {
 #if defined(__linux__)
   const unsigned hardware =
@@ -81,14 +81,19 @@ void finalize(EngineResult& out, std::span<const Tally> tallies,
 
 /// The engine's one thread pool. Spawns `workers` threads, worker w running
 /// work(w) — pinned first, when `pin` is set, to the CPU of pin_to_cpu(w),
-/// which lands in cpus[w] when `cpus` is not empty — and runs caller() on
-/// the calling thread. The first exception thrown by any of them wins:
-/// stop() is called, which must make every sibling return, and the
-/// exception is rethrown once every thread has joined. With one worker it
-/// spawns nothing: the calling thread runs caller() and then work(0).
+/// which it records in out.worker_cpus[w] — and runs caller() on the
+/// calling thread. The first exception thrown by any of them wins: stop()
+/// is called, which must make every sibling return, and the exception is
+/// rethrown once every thread has joined. With one worker it spawns
+/// nothing: the calling thread runs caller() and then work(0).
 template <typename Work, typename Caller, typename Stop>
-void run_pool(std::size_t workers, bool pin, std::span<int> cpus,
+void run_pool(std::size_t workers, bool pin, EngineResult& out,
               const Work& work, const Caller& caller, const Stop& stop) {
+  out.threads = workers;
+  out.pinned = pin;
+  // -1 until a worker's affinity call succeeds (a denied call, or a spawn
+  // that failed, keeps it).
+  if (pin) out.worker_cpus.assign(workers, -1);
   if (workers <= 1) {
     caller();
     work(0);
@@ -114,10 +119,7 @@ void run_pool(std::size_t workers, bool pin, std::span<int> cpus,
   guarded([&] {
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
-        if (pin) {
-          const int cpu = pin_to_cpu(w);
-          if (!cpus.empty()) cpus[w] = cpu;
-        }
+        if (pin) out.worker_cpus[w] = pin_to_cpu(w);
         guarded([&] { work(w); });
       });
     }
@@ -140,24 +142,11 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
   // single-worker geometries so config() reports what was done.
   if (effective_threads() <= 1) config_.pin_threads = false;
 
-  const std::size_t num_shards = plan_.num_shards();
-  algs_.resize(num_shards);
-  // With pin_threads, shard s is built on pinned worker s % workers, the
-  // worker that runs it in run_split: the instance's cache bitmap,
-  // NodeState records and scratch arena are first-touched on that worker's
-  // core, so their pages are placed on its NUMA node. The registry is
-  // read-only after static init, so concurrent make_algorithm calls are
-  // safe; each thread writes disjoint algs_/worker_cpus_ slots and the join
-  // publishes them.
-  const std::size_t builders = config_.pin_threads ? effective_threads() : 1;
-  if (config_.pin_threads) worker_cpus_.assign(builders, -1);
-  const auto build = [&](std::size_t w) {
-    for (std::size_t s = w; s < num_shards; s += builders) {
-      algs_[s] = sim::make_algorithm(algorithm, plan_.shard_tree(s), params);
-    }
-  };
-  // Each builder ends after its shards, so a throw needs no stop hook.
-  run_pool(builders, config_.pin_threads, worker_cpus_, build, [] {}, [] {});
+  algs_.reserve(plan_.num_shards());
+  for (std::size_t s = 0; s < plan_.num_shards(); ++s) {
+    algs_.push_back(
+        sim::make_algorithm(algorithm, plan_.shard_tree(s), params));
+  }
 }
 
 std::size_t ShardedEngine::effective_threads() const {
@@ -179,12 +168,11 @@ EngineResult ShardedEngine::run(RequestSource& source) {
 
   EngineResult out;
   out.shards = num_shards;
-  out.pinned = config_.pin_threads;
-  out.worker_cpus = worker_cpus_;
   const Stopwatch timer;
 
   if (num_shards == 1) {
-    // Unsharded: sim::run_source.
+    // Unsharded: sim::run_source, on the caller (pin_threads is normalized
+    // off).
     out.threads = 1;
     out.per_shard.push_back(sim::run_source(*algs_[0], source));
     out.total = out.per_shard.front();
@@ -196,8 +184,6 @@ EngineResult ShardedEngine::run(RequestSource& source) {
   }
 
   const std::size_t workers = effective_threads();
-  out.threads = workers;
-
   std::vector<Tally> tallies(num_shards);
   std::vector<sim::AccountingSink> sinks;
   sinks.reserve(num_shards);
@@ -313,7 +299,7 @@ EngineResult ShardedEngine::run(RequestSource& source) {
     work.notify_all();
   };
 
-  run_pool(workers, config_.pin_threads, {}, drain, demux, stop);
+  run_pool(workers, config_.pin_threads, out, drain, demux, stop);
   finalize(out, tallies, algs_);
   out.total.wall_seconds = timer.seconds();
   return out;
@@ -331,11 +317,8 @@ EngineResult ShardedEngine::run_split(
 
   EngineResult out;
   out.shards = num_shards;
-  out.pinned = config_.pin_threads;
-  out.worker_cpus = worker_cpus_;
   const Stopwatch timer;
   const std::size_t workers = num_shards == 1 ? 1 : effective_threads();
-  out.threads = workers;
 
   std::vector<Tally> tallies(num_shards);
   std::vector<sim::AccountingSink> sinks;
@@ -379,7 +362,7 @@ EngineResult ShardedEngine::run_split(
     }
   };
   // A throw on one worker stops its siblings at their next pass.
-  run_pool(workers, config_.pin_threads, {}, drive, [] {},
+  run_pool(workers, config_.pin_threads, out, drive, [] {},
            [&] { failed.store(true, std::memory_order_relaxed); });
   finalize(out, tallies, algs_);
   out.total.wall_seconds = timer.seconds();

@@ -45,15 +45,16 @@
 // algorithm). run() refuses a closed-loop source at every shard count,
 // before it resets an instance or reads the stream.
 //
-// Threads and failures: construction (with pin_threads), run() and
-// run_split share one pool. It spawns the workers — none when one worker
-// suffices, and then the caller thread does all the work — and runs the
-// caller's part (run()'s demux loop) on the caller thread. The first
-// exception thrown on any thread wins: every other thread is stopped at
-// its next chunk or pass, and the exception is rethrown once all have
-// joined. So run() rethrows whichever of a demux error and a worker error
-// came first, and after a demux error the workers stop without stepping
-// the chunks still queued; the instances are reset by the next run.
+// Threads and failures: the constructor builds every instance on the
+// caller thread and starts none. run() and run_split share one pool. It
+// spawns the workers — none when one worker suffices, and then the caller
+// thread does all the work — and runs the caller's part (run()'s demux
+// loop) on the caller thread. The first exception thrown on any thread
+// wins: every other thread is stopped at its next chunk or pass, and the
+// exception is rethrown once all have joined. So run() rethrows whichever
+// of a demux error and a worker error came first, and after a demux error
+// the workers stop without stepping the chunks still queued; the
+// instances are reset by the next run.
 #pragma once
 
 #include <memory>
@@ -80,16 +81,12 @@ struct EngineConfig {
   /// sim::run_source's batch — the constructor normalizes this field
   /// accordingly, so config() reports the geometry actually used.
   std::size_t batch = sim::kDriverBatchSize;
-  /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
-  /// a no-op elsewhere and when affinity is denied). Shard s's instance is
-  /// then also *constructed* on pinned worker s % workers, so its cache
-  /// bitmap, NodeState records and scratch arena are first-touched — hence
-  /// placed — on that worker's core (and NUMA node). run_split keeps shard
-  /// s on that worker for the whole run; run()'s open loop moves shards
-  /// between workers, so there the placement holds only until a shard
-  /// first moves. Only effective when the run actually uses more than one
-  /// worker; the constructor normalizes it to false otherwise, so config()
-  /// reports what was done.
+  /// Pin each run's worker w to CPU w % hardware_concurrency (Linux
+  /// sched_setaffinity; a no-op elsewhere and when affinity is denied).
+  /// Pinning acts at run time only: every instance is built on the caller
+  /// thread either way. Only effective when the run actually uses more than
+  /// one worker; the constructor normalizes it to false otherwise, so
+  /// config() reports what was done.
   bool pin_threads = false;
 };
 
@@ -103,8 +100,9 @@ struct EngineResult {
   std::size_t shards = 0;
   std::size_t threads = 0;  // workers actually used
   /// True iff the run used pinned workers (EngineConfig::pin_threads after
-  /// normalization); worker_cpus[w] is the CPU worker w landed on, or -1
-  /// when the affinity call failed (reported, not fatal).
+  /// normalization); worker_cpus[w] is the CPU the run's worker w landed
+  /// on, or -1 when the affinity call failed (reported, not fatal). Empty
+  /// when the run was not pinned.
   bool pinned = false;
   std::vector<int> worker_cpus;
 };
@@ -112,8 +110,8 @@ struct EngineResult {
 class ShardedEngine {
  public:
   /// Plans the shards over `tree` and builds one registry-resolved
-  /// `algorithm` instance per shard on its shard tree. `tree` must outlive
-  /// the engine.
+  /// `algorithm` instance per shard on its shard tree, all on the calling
+  /// thread. `tree` must outlive the engine.
   ShardedEngine(const Tree& tree, const std::string& algorithm,
                 const sim::Params& params, EngineConfig config);
 
@@ -152,10 +150,6 @@ class ShardedEngine {
 
   ShardPlan plan_;
   EngineConfig config_;
-  /// CPU each worker was pinned to at construction (-1 = affinity denied);
-  /// empty when pin_threads is off. Every run re-pins worker w to the same
-  /// w % hardware_concurrency slot.
-  std::vector<int> worker_cpus_;
   std::vector<std::unique_ptr<OnlineAlgorithm>> algs_;  // one per shard
 };
 

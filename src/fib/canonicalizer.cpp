@@ -1,6 +1,7 @@
 #include "fib/canonicalizer.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace treecache::fib {
 
@@ -36,37 +37,46 @@ std::size_t apply_to_shadow(Subforest& shadow, const Tree& tree,
 }  // namespace
 
 CanonicalizationReport run_canonicalized(const Tree& tree,
-                                         const ChunkedTrace& input,
+                                         std::span<const Request> trace,
+                                         std::uint64_t alpha,
                                          OnlineAlgorithm& alg) {
+  TC_CHECK(alpha >= 1, "alpha must be positive");
   CanonicalizationReport report;
-  report.chunks = input.chunks.size();
 
   Subforest shadow(tree);
-  std::size_t next_chunk = 0;
   struct PendingChange {
     ChangeKind kind;
     std::vector<NodeId> nodes;
   };
   std::vector<PendingChange> pending;
+  NodeId chunk_node = 0;
+  std::uint64_t chunk_left = 0;  // negatives left in the open chunk
   bool chunk_dirty = false;  // a change happened strictly inside the chunk
 
-  for (std::size_t i = 0; i < input.trace.size(); ++i) {
-    const Request r = input.trace[i];
-    // Is round i inside a chunk? Chunks are ordered and disjoint.
-    while (next_chunk < input.chunks.size() &&
-           input.chunks[next_chunk].second <= i) {
-      ++next_chunk;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const Request r = trace[i];
+    // Every negative request belongs to one update's α-chunk: a run of
+    // negatives to one node is whole chunks, and only the trace's end may
+    // cut its last one short.
+    const bool in_chunk = r.sign == Sign::kNegative;
+    if (chunk_left > 0) {
+      TC_CHECK(in_chunk && r.node == chunk_node,
+               "round " + std::to_string(i + 1) +
+                   " cuts an update chunk short after " +
+                   std::to_string(alpha - chunk_left) + " of alpha=" +
+                   std::to_string(alpha) + " negatives to node " +
+                   std::to_string(chunk_node));
+    } else if (in_chunk) {
+      chunk_node = r.node;
+      chunk_left = alpha;
+      ++report.chunks;
     }
-    const bool in_chunk = next_chunk < input.chunks.size() &&
-                          input.chunks[next_chunk].first <= i &&
-                          i < input.chunks[next_chunk].second;
-    const bool chunk_last =
-        in_chunk && (i + 1 == input.chunks[next_chunk].second);
+    if (in_chunk) --chunk_left;
+    const bool chunk_last = in_chunk && chunk_left == 0;
 
     // The canonical solution serves from the shadow cache.
-    const bool shadow_pays = r.sign == Sign::kPositive
-                                 ? !shadow.contains(r.node)
-                                 : shadow.contains(r.node);
+    const bool shadow_pays =
+        in_chunk ? shadow.contains(r.node) : !shadow.contains(r.node);
     if (shadow_pays) ++report.canonical_cost.service;
 
     const StepOutcome out = alg.step(r);

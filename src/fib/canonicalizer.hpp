@@ -6,15 +6,18 @@
 // transformed online into a canonical B' by postponing all mid-chunk cache
 // modifications to the chunk's end, with B'(I) ≤ 2·B(I).
 //
-// run_canonicalized replays a chunked trace through an algorithm while
+// run_canonicalized replays a FIB request stream through an algorithm while
 // simulating the postponement on a shadow cache, returning both costs so
-// tests and benches can verify the bound (and measure the actual gap).
+// tests and benches can verify the bound (and measure the actual gap). The
+// chunks are read off the requests: in the FIB model every negative request
+// belongs to one update's α-chunk, so a run of negatives to one node is
+// whole chunks, back-to-back updates to one rule included.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "core/online_algorithm.hpp"
-#include "core/trace.hpp"
 #include "tree/tree.hpp"
 
 namespace treecache::fib {
@@ -36,8 +39,14 @@ struct CanonicalizationReport {
   }
 };
 
-/// Replays `input` through `alg` (which must start fresh on `tree`).
+/// Replays `trace` through `alg` (which must start fresh on `tree`), each
+/// run of negatives to one node read as whole α-chunks. The trace may end
+/// inside its last chunk: that chunk counts, and its pending changes apply
+/// after the last round. Any other run of negatives — one that a positive
+/// request or another node cuts short of whole chunks — is refused with a
+/// CheckFailure.
 [[nodiscard]] CanonicalizationReport run_canonicalized(
-    const Tree& tree, const ChunkedTrace& input, OnlineAlgorithm& alg);
+    const Tree& tree, std::span<const Request> trace, std::uint64_t alpha,
+    OnlineAlgorithm& alg);
 
 }  // namespace treecache::fib

@@ -82,24 +82,4 @@ void FibTraceSource::reset() {
   pending_ = 0;
 }
 
-ChunkedTrace make_fib_workload(const RuleTree& rules,
-                               const FibWorkloadConfig& config, Rng& rng) {
-  TC_CHECK(config.alpha >= 1, "alpha must be positive");
-  const PacketSampler packets(rules, config.zipf_skew, rng);
-  ChunkedTrace out;
-  out.trace.reserve(config.events);
-  for (std::size_t i = 0; i < config.events; ++i) {
-    const RouterEvent event =
-        packets.sample_event(rng, config.update_probability);
-    if (event.kind == RouterEventKind::kUpdate) {
-      const std::size_t begin = out.trace.size();
-      append_repeated(out.trace, negative(event.node), config.alpha);
-      out.chunks.emplace_back(begin, out.trace.size());
-    } else {
-      out.trace.push_back(positive(event.node));
-    }
-  }
-  return out;
-}
-
 }  // namespace treecache::fib

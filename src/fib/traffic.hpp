@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "core/request_source.hpp"
-#include "core/trace.hpp"
 #include "fib/rule_tree.hpp"
 #include "util/rng.hpp"
 #include "workload/zipf.hpp"
@@ -111,20 +110,12 @@ struct FibWorkloadConfig {
   std::uint64_t alpha = 16;           // chunk length per update
 };
 
-/// Packets become positive requests to their full-table LPM node; updates
-/// become α-chunks of negative requests to a Zipf-popular rule. Chunk
-/// boundaries are recorded for the Appendix-B canonicalization experiment.
-/// (Eager variant of FibTraceSource; kept for chunk-aware consumers —
-/// both draw the identical stream from the same RNG state, enforced by
-/// tests/test_request_source.cpp.)
-[[nodiscard]] ChunkedTrace make_fib_workload(const RuleTree& rules,
-                                             const FibWorkloadConfig& config,
-                                             Rng& rng);
-
-/// Streaming FIB workload: the open-loop packet/update stream of
-/// make_fib_workload as a pull-based source, emitting `config.events`
-/// events lazily (one positive request per packet, an α-chunk of negative
-/// requests per update). `rules` must outlive the source.
+/// Streaming FIB workload: packets become positive requests to their
+/// full-table LPM node, and updates α-chunks of negative requests to a
+/// Zipf-popular rule, emitted lazily over `config.events` events. Every
+/// negative request belongs to one update's chunk, so the chunks can be
+/// read off the stream (fib::run_canonicalized does). `rules` must outlive
+/// the source.
 class FibTraceSource final : public RequestSource {
  public:
   FibTraceSource(const RuleTree& rules, const FibWorkloadConfig& config,

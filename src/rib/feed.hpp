@@ -21,10 +21,14 @@
 #include <vector>
 
 #include "fib/ipv6.hpp"
-#include "rib/rib_table.hpp"
 #include "util/rng.hpp"
 
 namespace treecache::rib {
+
+/// Abstract next-hop identifier a feed carries with each route. A deployed
+/// RIB stores a peer address plus path attributes; the decoders parse and
+/// range-check it as a small integer, and the RIB table does not keep it.
+using NextHop = std::uint32_t;
 
 enum class FeedOp : std::uint8_t { kDump, kAnnounce, kWithdraw };
 

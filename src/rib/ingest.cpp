@@ -10,13 +10,13 @@ void apply_family(BasicIngest<PrefixT>& family, const FeedRecord& record,
   switch (record.op) {
     case FeedOp::kDump:
       ++family.stats.dump_routes;
-      if (!family.rib.route_add(prefix, record.next_hop)) {
+      if (!family.rib.route_add(prefix)) {
         ++family.stats.replaced_routes;
       }
       break;
     case FeedOp::kAnnounce:
       ++family.stats.announces;
-      if (!family.rib.route_add(prefix, record.next_hop)) {
+      if (!family.rib.route_add(prefix)) {
         ++family.stats.replaced_routes;
       }
       family.churn.push_back(prefix);

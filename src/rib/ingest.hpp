@@ -11,6 +11,7 @@
 
 #include "rib/feed.hpp"
 #include "rib/rib_table.hpp"
+#include "tree/tree.hpp"
 
 namespace treecache::rib {
 

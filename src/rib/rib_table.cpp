@@ -1,7 +1,5 @@
 #include "rib/rib_table.hpp"
 
-#include <algorithm>
-
 namespace treecache::rib {
 
 namespace {
@@ -49,8 +47,7 @@ void BasicRibTable<PrefixT>::grow() {
 }
 
 template <typename PrefixT>
-bool BasicRibTable<PrefixT>::route_add(const PrefixT& prefix,
-                                       NextHop next_hop) {
+bool BasicRibTable<PrefixT>::route_add(const PrefixT& prefix) {
   std::size_t i = probe(prefix);
   if (slots_[i].state == State::kEmpty) {
     if (4 * (entries_ + 1) > 3 * slots_.size()) {
@@ -62,11 +59,9 @@ bool BasicRibTable<PrefixT>::route_add(const PrefixT& prefix,
     ++entries_;
   }
   Slot& slot = slots_[i];
-  slot.next_hop = next_hop;
   if (slot.state == State::kLive) return false;
   slot.state = State::kLive;
   ++routes_;
-  ++live_by_length_[prefix.length];
   return true;
 }
 
@@ -75,44 +70,8 @@ bool BasicRibTable<PrefixT>::route_delete(const PrefixT& prefix) {
   Slot& slot = slots_[probe(prefix)];
   if (slot.state != State::kLive) return false;
   slot.state = State::kWithdrawn;
-  slot.next_hop = 0;
   --routes_;
-  --live_by_length_[prefix.length];
   return true;
-}
-
-template <typename PrefixT>
-std::optional<NextHop> BasicRibTable<PrefixT>::lookup(const Bits& addr) const {
-  for (unsigned length = PrefixT::kWidth + 1; length-- > 0;) {
-    if (live_by_length_[length] == 0) continue;
-    const Slot& slot =
-        slots_[probe(PrefixT::make(addr, static_cast<std::uint8_t>(length)))];
-    if (slot.state == State::kLive) return slot.next_hop;
-  }
-  return std::nullopt;
-}
-
-template <typename PrefixT>
-std::optional<NextHop> BasicRibTable<PrefixT>::exact(
-    const PrefixT& prefix) const {
-  const Slot& slot = slots_[probe(prefix)];
-  if (slot.state != State::kLive) return std::nullopt;
-  return slot.next_hop;
-}
-
-template <typename PrefixT>
-std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
-  std::vector<PrefixT> out;
-  out.reserve(routes_);
-  for (const Slot& slot : slots_) {
-    if (slot.state == State::kLive) {
-      out.push_back(PrefixT{slot.bits, slot.length});
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const PrefixT& a, const PrefixT& b) {
-    return a.length != b.length ? a.length < b.length : a.bits < b.bits;
-  });
-  return out;
 }
 
 template <typename PrefixT>
@@ -127,15 +86,7 @@ std::vector<PrefixT> BasicRibTable<PrefixT>::entries() const {
   return out;
 }
 
-template <typename PrefixT>
-fib::BasicRuleTree<PrefixT> rebuild_fib_from_rib(
-    const BasicRibTable<PrefixT>& table) {
-  return fib::build_rule_tree(table.prefixes());
-}
-
 template class BasicRibTable<fib::Prefix>;
 template class BasicRibTable<fib::Prefix6>;
-template fib::RuleTree rebuild_fib_from_rib<fib::Prefix>(const RibTable&);
-template fib::RuleTree6 rebuild_fib_from_rib<fib::Prefix6>(const RibTable6&);
 
 }  // namespace treecache::rib

@@ -41,13 +41,11 @@ RealFibReplay build_real_fib(const sim::Params& params) {
   if (family == 6) {
     TC_CHECK(!ingest.v6.empty(),
              "the feed carries no IPv6 records (family 6 requested)");
-    replay.stats = ingest.v6.stats;
     replay.v6 = std::make_shared<const ChurnReplay6>(
         make_churn_replay(ingest.v6));
   } else {
     TC_CHECK(!ingest.v4.empty(),
              "the feed carries no IPv4 records (family 4 requested)");
-    replay.stats = ingest.v4.stats;
     replay.v4 = std::make_shared<const ChurnReplay>(
         make_churn_replay(ingest.v4));
   }

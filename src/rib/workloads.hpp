@@ -31,14 +31,12 @@ namespace treecache::rib {
 [[nodiscard]] std::vector<std::string> feed_paths_from_params(
     const sim::Params& params);
 
-/// One ingested feed, ready to replay: the selected family's churn replay
-/// (shared immutably with every source built over it) plus the ingest
-/// stats for reporting.
+/// One ingested feed, ready to replay: the selected family's churn replay,
+/// shared immutably with every source built over it.
 struct RealFibReplay {
   int family = 4;  // 4 or 6, from the "family" param
   std::shared_ptr<const ChurnReplay> v4;    // set when family == 4
   std::shared_ptr<const ChurnReplay6> v6;   // set when family == 6
-  IngestStats stats;
 
   [[nodiscard]] const Tree& tree() const {
     return family == 6 ? v6->fib.tree : v4->fib.tree;

@@ -11,11 +11,16 @@ namespace treecache::sim {
 
 fib::RouterSimConfig fib_router_config(const Params& params,
                                        std::uint64_t seed) {
+  const double update_probability =
+      params.get_double("update-prob", 0.01, 0.0, 1.0);
+  TC_CHECK(update_probability < 1.0,
+           "parameter update-prob=" + params.get("update-prob", "") +
+               " must lie below 1: the run ends after its packets, and at "
+               "1 every event is an update");
   return fib::RouterSimConfig{
       .packets = params.get_u64("packets", 100000),
       .zipf_skew = params.get_double("skew", 1.0),
-      .update_probability =
-          params.get_double("update-prob", 0.01, 0.0, 1.0),
+      .update_probability = update_probability,
       .alpha = params.alpha(),
       .seed = seed};
 }

@@ -53,7 +53,8 @@ struct FibScenarioResult {
 };
 
 /// Router configuration from the shared parameter keys: packets (default
-/// 100000), skew (1.0), update-prob (0.01), alpha; `seed` drives traffic.
+/// 100000), skew (1.0), update-prob (0.01, below 1), alpha; `seed` drives
+/// traffic. A bad value is refused naming its key.
 [[nodiscard]] fib::RouterSimConfig fib_router_config(const Params& params,
                                                      std::uint64_t seed);
 

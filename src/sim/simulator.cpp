@@ -9,9 +9,14 @@ namespace treecache::sim {
 
 RunResult run_source(OnlineAlgorithm& alg, RequestSource& source,
                      bool validate_every_step) {
+  // Refused before the stream is read or the algorithm stepped: this loop
+  // hands no outcome back, which a closed loop depends on.
+  TC_CHECK(!source.is_closed_loop(),
+           "sim::run_source takes open loops only; run a closed loop's "
+           "per-shard mirrors through ShardedEngine::run_split");
   RunResult result;
   const Stopwatch timer;
-  AccountingSink sink(result, alg, &source);
+  AccountingSink sink(result, alg, nullptr);
   std::array<Request, kDriverBatchSize> buffer;
   // Validation steps one request per step_batch call, so that the cache is
   // checked after every round.

@@ -1,13 +1,12 @@
-// sim::run_source, the unsharded loop: pulls requests from a
-// RequestSource, steps the algorithm through OnlineAlgorithm::step_batch
-// with an AccountingSink, which feeds every outcome back to the source and
-// aggregates statistics. run_trace is the span convenience over it.
-// Programs run open loops through it; sharded execution lives in
-// engine/sharded_engine.hpp, whose run() delegates one-shard open loops
-// here and whose run_split — the one path for closed loops such as the
-// FIB router's mirrors — runs the same fill → step → observe alternation
-// per shard. Both reuse the same per-round accounting, so their totals are
-// comparable.
+// sim::run_source, the unsharded loop: pulls requests from an open-loop
+// RequestSource and steps the algorithm through OnlineAlgorithm::step_batch
+// with an AccountingSink, which aggregates statistics. run_trace is the
+// span convenience over it. Sharded execution lives in
+// engine/sharded_engine.hpp: run() delegates one-shard open loops here,
+// and run_split — the one path for closed loops such as the FIB router's
+// mirrors, one shard included — runs the fill → step → observe alternation
+// per shard. All of them share the per-round accounting, so their totals
+// are comparable.
 #pragma once
 
 #include <span>
@@ -90,14 +89,13 @@ inline void accumulate_outcome(RunResult& result, const Request& request,
   if (cache_size > result.max_cache_size) result.max_cache_size = cache_size;
 }
 
-/// The driver's sink: accumulates every outcome into a RunResult and
-/// (when a source is attached) forwards the closed-loop feedback through
+/// The driver's sink: accumulates every outcome into a RunResult and,
+/// when a source is attached, forwards the closed-loop feedback through
 /// observe() — i.e. an observe_batch() of one, straight from the
 /// algorithm's scratch, no copies; sources must accept any feedback
-/// granularity. run_source hands one to every step_batch call. The
-/// sharded engine attaches one per shard: without a source on the
-/// open-loop demux, and with the shard's mirror in run_split, whose closed
-/// loops step and observe on the same worker — see
+/// granularity. Open loops attach none: run_source and the engine's
+/// open-loop demux. run_split attaches each shard's mirror, whose closed
+/// loop steps and observes on one worker — see
 /// engine/sharded_engine.hpp.
 class AccountingSink final : public OutcomeSink {
  public:
@@ -121,12 +119,13 @@ class AccountingSink final : public OutcomeSink {
 /// demux chunk the sharded engine defaults to).
 inline constexpr std::size_t kDriverBatchSize = 4096;
 
-/// Runs the source to exhaustion from the algorithm's current state: pulls
-/// batches via RequestSource::fill, steps each through step_batch, and
-/// hands every StepOutcome back to the source's observe_batch() feedback
-/// (a closed loop would depend on this). Memory use is O(1) in the stream
-/// length. When `validate_every_step` is set, each request gets its own
-/// step_batch call and the cache is checked to be a subforest after it
+/// Runs the open-loop source to exhaustion from the algorithm's current
+/// state: pulls batches via RequestSource::fill and steps each through
+/// step_batch. No outcome goes back to the source, so a closed-loop source
+/// is refused — its mirrors go through ShardedEngine::run_split — before
+/// the source is read or the algorithm stepped. Memory use is O(1) in the
+/// stream length. When `validate_every_step` is set, each request gets its
+/// own step_batch call and the cache is checked to be a subforest after it
 /// (O(n) per round — test-sized runs only).
 [[nodiscard]] RunResult run_source(OnlineAlgorithm& alg,
                                    RequestSource& source,

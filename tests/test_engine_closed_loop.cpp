@@ -598,10 +598,10 @@ TEST(ClosedLoopSharding, MirrorThrowStopsEveryWorkerAndRethrows) {
 }
 
 TEST(ClosedLoopSharding, UnsplittableClosedLoopSourceIsRefused) {
-  // run() takes open loops only: at every shard count, one included, a
-  // closed-loop source is refused loudly and up front — before an
-  // instance is reset or the stream is read — naming run_split, the one
-  // closed-loop path.
+  // run() and sim::run_source take open loops only: at every shard count,
+  // one included, a closed-loop source is refused loudly and up front —
+  // before an instance is reset or stepped, or the stream is read —
+  // naming run_split, the one closed-loop path.
   const Tree tree = trees::complete_kary(3, 2);
   sim::Params params;
   params.set("alpha", "2");
@@ -634,6 +634,21 @@ TEST(ClosedLoopSharding, UnsplittableClosedLoopSourceIsRefused) {
     ASSERT_EQ(closed.fill({&untouched, 1}), 1u);
     EXPECT_EQ(untouched, positive(2));
   }
+
+  const auto alg = sim::make_algorithm("tc", tree, params);
+  ScriptedMirror closed({positive(2)});
+  std::string message;
+  try {
+    (void)sim::run_source(*alg, closed);
+  } catch (const CheckFailure& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("run_split"), std::string::npos)
+      << "refusal: '" << message << "'";
+  EXPECT_EQ(alg->cost().total(), 0u);  // a step would have paid the miss
+  Request untouched;
+  ASSERT_EQ(closed.fill({&untouched, 1}), 1u);
+  EXPECT_EQ(untouched, positive(2));
 }
 
 }  // namespace

@@ -296,6 +296,11 @@ TEST(RuleTree, DropsDuplicatesAndDefaultRoute) {
   EXPECT_EQ(rt.lpm(parse_address("10.1.9.9")),
             2u);  // the /16, inserted after the /8
   EXPECT_EQ(rt.lpm(parse_address("77.1.9.9")), 0u);  // default rule
+
+  // No rules at all: the tree is just the default rule.
+  const RuleTree empty = build_rule_tree(std::vector<Prefix>{});
+  EXPECT_EQ(empty.tree.size(), 1u);
+  EXPECT_EQ(empty.lpm(0x01020304u), 0u);
 }
 
 /// FNV-1a-64 over 100,000 draws of a Zipf(1.0) sampler on a deaggregated
@@ -555,14 +560,13 @@ TEST(Canonicalizer, FactorTwoBoundOnUpdateHeavyWorkloads) {
   const auto rib = generate_rib({.rules = 200, .deaggregation = 0.5}, rng);
   const RuleTree rt = build_rule_tree(rib);
   for (const double update_prob : {0.05, 0.2, 0.5}) {
-    Rng wl(rng());
-    const auto workload = make_fib_workload(
-        rt,
-        {.events = 20000, .zipf_skew = 1.0,
-         .update_probability = update_prob, .alpha = 8},
-        wl);
+    FibTraceSource source(rt,
+                          {.events = 20000, .zipf_skew = 1.0,
+                           .update_probability = update_prob, .alpha = 8},
+                          Rng(rng()));
+    const Trace workload = materialize(source);
     TreeCache tc(rt.tree, {.alpha = 8, .capacity = 32});
-    const auto report = run_canonicalized(rt.tree, workload, tc);
+    const auto report = run_canonicalized(rt.tree, workload, 8, tc);
     EXPECT_EQ(report.raw_cost.total(), tc.cost().total());
     EXPECT_LE(report.canonical_cost.total(), 2 * report.raw_cost.total())
         << "update_prob " << update_prob;
@@ -575,14 +579,94 @@ TEST(Canonicalizer, CleanRunsCostTheSame) {
   Rng rng(37);
   const auto rib = generate_rib({.rules = 150}, rng);
   const RuleTree rt = build_rule_tree(rib);
-  const auto workload = make_fib_workload(
-      rt, {.events = 5000, .zipf_skew = 1.0, .update_probability = 0.0,
-           .alpha = 4},
-      rng);
-  EXPECT_TRUE(workload.chunks.empty());
+  FibTraceSource source(rt,
+                        {.events = 5000, .zipf_skew = 1.0,
+                         .update_probability = 0.0, .alpha = 4},
+                        rng);
+  const Trace workload = materialize(source);
   TreeCache tc(rt.tree, {.alpha = 4, .capacity = 24});
-  const auto report = run_canonicalized(rt.tree, workload, tc);
+  const auto report = run_canonicalized(rt.tree, workload, 4, tc);
+  EXPECT_EQ(report.chunks, 0u);
   EXPECT_EQ(report.canonical_cost.total(), report.raw_cost.total());
+}
+
+/// Runs `trace` (α = 3, capacity 3) through TC and through
+/// invalidate-on-update LRU, which evicts at a chunk's first negative.
+std::array<CanonicalizationReport, 2> canonicalize_both(
+    const Tree& tree, const Trace& trace) {
+  TreeCache tc(tree, {.alpha = 3, .capacity = 3});
+  LruClosure inv(tree,
+                 {.alpha = 3, .capacity = 3, .evict_on_negative = true});
+  return {run_canonicalized(tree, trace, 3, tc),
+          run_canonicalized(tree, trace, 3, inv)};
+}
+
+void expect_report(const CanonicalizationReport& r, std::uint64_t chunks,
+                   std::uint64_t dirty, Cost raw, Cost canonical) {
+  EXPECT_EQ(r.chunks, chunks);
+  EXPECT_EQ(r.dirty_chunks, dirty);
+  EXPECT_EQ(r.raw_cost, raw);
+  EXPECT_EQ(r.canonical_cost, canonical);
+}
+
+// The chunks are read off the requests. The pinned reports equal those
+// of the earlier canonicalizer, which took the chunk boundaries as a
+// separate list, on the same traces.
+const Tree& chunk_tree() {
+  static const Tree tree(std::vector<NodeId>{kNoNode, 0, 0, 1});
+  return tree;
+}
+
+TEST(Canonicalizer, BackToBackUpdatesToOneRuleAreTwoChunks) {
+  // One 2α run of negatives to rule 3: two updates, two chunks. LRU
+  // evicts inside the first and has nothing left to change in the second.
+  Trace trace;
+  append_repeated(trace, positive(3), 4);
+  append_repeated(trace, negative(3), 6);
+  append_repeated(trace, positive(3), 2);
+  append_repeated(trace, positive(1), 2);
+  const auto [tc, inv] = canonicalize_both(chunk_tree(), trace);
+  expect_report(tc, 2, 0, {.service = 10, .reorg = 6},
+                {.service = 10, .reorg = 6});
+  expect_report(inv, 2, 1, {.service = 4, .reorg = 12},
+                {.service = 6, .reorg = 12});
+}
+
+TEST(Canonicalizer, TraceCutInsideItsLastChunk) {
+  // The trace ends 2 negatives into its second chunk: the chunk counts,
+  // its mid-chunk eviction is not counted dirty, and the shadow cache
+  // keeps paying for the rule until the end.
+  Trace trace;
+  append_repeated(trace, positive(3), 4);
+  append_repeated(trace, negative(3), 3);
+  append_repeated(trace, positive(1), 4);
+  append_repeated(trace, negative(1), 2);
+  const auto [tc, inv] = canonicalize_both(chunk_tree(), trace);
+  expect_report(tc, 2, 0, {.service = 10, .reorg = 6},
+                {.service = 10, .reorg = 6});
+  expect_report(inv, 2, 1, {.service = 4, .reorg = 15},
+                {.service = 7, .reorg = 15});
+}
+
+TEST(Canonicalizer, ShortRunMidTraceIsRefused) {
+  // Fewer than α negatives, cut short by a packet or by an update to
+  // another rule, is no update chunk: the run is refused.
+  for (const Request cut : {positive(3), negative(1)}) {
+    Trace trace;
+    append_repeated(trace, positive(3), 4);
+    append_repeated(trace, negative(3), 2);
+    append_repeated(trace, cut, 3);
+    TreeCache tc(chunk_tree(), {.alpha = 3, .capacity = 3});
+    std::string message;
+    try {
+      (void)run_canonicalized(chunk_tree(), trace, 3, tc);
+    } catch (const CheckFailure& e) {
+      message = e.message();
+    }
+    EXPECT_EQ(message,
+              "round 7 cuts an update chunk short after 2 of alpha=3 "
+              "negatives to node 3");
+  }
 }
 
 }  // namespace

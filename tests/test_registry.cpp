@@ -14,6 +14,7 @@
 
 #include "fib/fib_workloads.hpp"
 #include "rib/workloads.hpp"
+#include "sim/fib_engine.hpp"
 #include "sim/simulator.hpp"
 #include "tools/flags.hpp"
 #include "tree/tree_builder.hpp"
@@ -295,6 +296,11 @@ TEST(Flags, ValuesAboveTheirBoundAreRefused) {
   const Tree tree = trees::path(4);
   EXPECT_NE(failure_of([&] { return sim::make_source("uniform", tree, q, 1); })
                 .find("parameter neg=1.5 is out of range"),
+            std::string::npos);
+  // The router reads update-prob below 1: at 1 every event is an update,
+  // and no packet would end its run.
+  EXPECT_NE(failure_of([&] { return sim::fib_router_config(q, 1).packets; })
+                .find("parameter update-prob=1 must lie below 1"),
             std::string::npos);
 }
 

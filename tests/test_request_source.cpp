@@ -18,7 +18,6 @@
 
 #include "engine/shard_plan.hpp"
 #include "fib/fib_workloads.hpp"
-#include "fib/traffic.hpp"
 #include "rib/workloads.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
@@ -318,19 +317,6 @@ TEST(RegisteredWorkloads, StreamedAndMaterializedRunsAreIdentical) {
     EXPECT_EQ(streamed, materialized);
     EXPECT_EQ(streamed.rounds, trace.size());
   }
-}
-
-TEST(FibStreaming, SourceMatchesEagerChunkedTrace) {
-  sim::Params params = smoke_params();
-  const fib::RuleTree rt = fib::rule_tree_from_params(params);
-  const fib::FibWorkloadConfig config{.events = 3000,
-                                      .zipf_skew = 1.1,
-                                      .update_probability = 0.03,
-                                      .alpha = 4};
-  Rng eager_rng(17);
-  const ChunkedTrace eager = make_fib_workload(rt, config, eager_rng);
-  fib::FibTraceSource source(rt, config, Rng(17));
-  EXPECT_EQ(materialize(source), eager.trace);
 }
 
 // --- Combinators. --------------------------------------------------------

@@ -305,8 +305,8 @@ TEST(Engine, MrtFixtureIsBitIdenticalAndMatchesTheTextFixture) {
   // Cross-format: the text fixture drives an identical replay.
   const sim::Params text_params = real_params("rib_v4.feed", 4);
   const RealFibReplay& text_replay = shared_real_fib(text_params);
-  EXPECT_EQ(text_replay.stats.dump_routes, replay.stats.dump_routes);
-  EXPECT_EQ(text_replay.stats.updates(), replay.stats.updates());
+  EXPECT_TRUE(text_replay.tree() == replay.tree());
+  EXPECT_EQ(text_replay.v4->churn_nodes, replay.v4->churn_nodes);
   engine::ShardedEngine text_engine(text_replay.tree(), "tc", text_params,
                                     {.shards = 8, .threads = 2, .batch = 128});
   const auto text_source =
@@ -367,28 +367,21 @@ TEST(SharedRealFib, FeedMutationInvalidatesTheProcessCache) {
 
 TEST(Canonicalizer, FactorTwoBoundHoldsOnRealIpv6Churn) {
   // Appendix B's canonicalization bound, exercised on the wide-key path:
-  // the chunked trace comes from real IPv6 feed churn, chunk boundaries
-  // from the known stream shape.
+  // the stream comes from real IPv6 feed churn, one α-chunk per feed
+  // update, which the canonicalizer reads off the requests.
   const sim::Params params = real_params("rib_v6.feed", 6);
   const RealFibReplay& replay = shared_real_fib(params);
   const ChurnReplayConfig config{
       .lookups_per_event = 8, .tail_lookups = 0, .zipf_skew = 1.0,
       .alpha = 4};
   RibChurnSource6 source(replay.v6, config, Rng(31));
-
-  ChunkedTrace chunked;
-  chunked.trace = materialize(source);
-  const std::size_t stride = config.lookups_per_event + config.alpha;
-  for (std::size_t base = 0; base + stride <= chunked.trace.size();
-       base += stride) {
-    chunked.chunks.emplace_back(base + config.lookups_per_event,
-                                base + stride);
-  }
-  ASSERT_FALSE(chunked.chunks.empty());
+  const Trace trace = materialize(source);
+  ASSERT_FALSE(replay.v6->churn_nodes.empty());
 
   TreeCache tc(replay.tree(), {.alpha = 4, .capacity = 16});
-  const auto report = fib::run_canonicalized(replay.tree(), chunked, tc);
-  EXPECT_EQ(report.chunks, chunked.chunks.size());
+  const auto report =
+      fib::run_canonicalized(replay.tree(), trace, config.alpha, tc);
+  EXPECT_EQ(report.chunks, replay.v6->churn_nodes.size());
   EXPECT_EQ(report.raw_cost.total(), tc.cost().total());
   EXPECT_LE(report.canonical_cost.total(), 2 * report.raw_cost.total());
 }

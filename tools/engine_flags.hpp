@@ -18,8 +18,8 @@ inline constexpr const char* kEngineFlagKeys[] = {"shards", "threads",
                                                  "batch", "pin"};
 
 /// Engine geometry from the shared flags, with EngineConfig's own
-/// defaults for anything not given. --pin on|off pins shard workers to
-/// cores and first-touches each shard's state on its worker.
+/// defaults for anything not given. --pin on|off pins each run's workers
+/// to cores.
 [[nodiscard]] inline engine::EngineConfig engine_config_from(
     const Flags& flags) {
   const engine::EngineConfig defaults{};

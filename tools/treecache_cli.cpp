@@ -47,9 +47,9 @@
 //              [--shards S] [--threads N] [--batch B] [--pin on|off]
 //              [--seed S] [--json out.json]; aggregate
 //              costs are identical for every --threads value (per-shard
-//              routing is deterministic). --pin on pins shard workers to
-//              cores and first-touches shard state on its worker; the
-//              JSON echoes the effective affinity. --algos a,b,...
+//              routing is deterministic). --pin on pins the run's
+//              workers to cores; the JSON echoes the effective
+//              affinity. --algos a,b,...
 //              instead of --algo runs a side-by-side comparison over the
 //              same stream (speedup vs the first name — `--algos none,tc`
 //              reads TC against the generation-plus-driver floor)
