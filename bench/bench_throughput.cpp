@@ -376,7 +376,7 @@ int main() {
       "generates the event stream once, behind a mutex, and each worker "
       "runs the fill/step/observe loops of the shards it owns — so the "
       "sharded closed loop pays one serialized generation pass plus "
-      "parallel stepping and mirroring; its ratio to the 1x1 row measures "
+      "parallel stepping and counting; its ratio to the 1x1 row measures "
       "whether that pays on this machine. "
       "The fib-real rows swap the synthetic stream for replayed RIB-feed "
       "churn. The tc-deep rows run TC on a 13-level universe where the "

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
-
-#include "sim/registry.hpp"
 
 namespace treecache {
 
@@ -92,17 +89,5 @@ std::uint64_t belady_faults(const std::vector<PageId>& sequence,
   }
   return faults;
 }
-
-namespace {
-const sim::PagingRegistrar kRegisterLruPaging{
-    "lru", "least-recently-used",
-    [](std::size_t k) { return std::make_unique<LruPaging>(k); }};
-const sim::PagingRegistrar kRegisterFifoPaging{
-    "fifo", "first-in-first-out",
-    [](std::size_t k) { return std::make_unique<FifoPaging>(k); }};
-const sim::PagingRegistrar kRegisterFwfPaging{
-    "fwf", "flush-when-full",
-    [](std::size_t k) { return std::make_unique<FwfPaging>(k); }};
-}  // namespace
 
 }  // namespace treecache

@@ -60,14 +60,21 @@ class OnlineAlgorithm {
   virtual StepOutcome step(Request request) = 0;
 
   /// Serves a whole batch in stream order, handing each outcome to `sink`
-  /// right after its round. Semantically identical to calling step() in a
-  /// loop (tests enforce this for every registered algorithm); overrides
-  /// exist so the driver's hot path amortizes the virtual dispatch over a
-  /// batch instead of paying it per round.
+  /// right after its round. A request that is not a packet is served as
+  /// step() serves it (tests enforce this for every registered algorithm).
+  /// A packet is the switch's lookup in this cache: a cached node is a hit,
+  /// which steps nothing and hands the sink an unpaid StepOutcome{}; an
+  /// uncached one is stepped as the positive request it is. Overrides must
+  /// keep both rules; they exist so a run's hot path amortizes the virtual
+  /// dispatch over a batch instead of paying it per round.
   virtual void step_batch(std::span<const Request> requests,
                           OutcomeSink& sink) {
     for (const Request& request : requests) {
-      sink.on_outcome(request, step(request));
+      if (request.packet && cache().contains(request.node)) {
+        sink.on_outcome(request, StepOutcome{});
+      } else {
+        sink.on_outcome(request, step(request));
+      }
     }
   }
 

@@ -9,30 +9,31 @@
 //                alone: no outcome is handed back. sim::run_source runs
 //                one unsharded, and engine::ShardedEngine::run demuxes one
 //                over its shards.
-//   closed loop  the next request depends on how the algorithm reacted —
-//                e.g. a FIB router mirror only emits a request when a
-//                packet misses the switch cache. Such a source rebuilds
-//                the cache state it needs from the StepOutcome feedback
-//                handed to observe_batch() after stepping. Closed loops
-//                run through ShardedEngine::run_split, one per shard (one
-//                shard included); sim::run_source and ShardedEngine::run
-//                refuse them.
+//   closed loop  the source reads how the algorithm reacted — e.g. a FIB
+//                router mirror emits every packet as a packet request,
+//                which the instance's step_batch answers from its own
+//                cache, and counts its hits and misses from the
+//                StepOutcome feedback handed to observe_batch() after
+//                stepping. Closed loops run through
+//                ShardedEngine::run_split, one per shard (one shard
+//                included); sim::run_source and ShardedEngine::run refuse
+//                them.
 //
 // The closed-loop contract (each run_split shard) is strict alternation
 // per batch:
 //   n = source.fill(buffer)       // n requests that do NOT depend on
 //                                 // outcomes the source has not seen yet
-//   step the n requests           // alg.step / step_batch
+//   step the n requests           // alg.step_batch
 //   source.observe_batch(...)     // the n outcomes, in stream order,
 //                                 // delivered before the next fill()
 // fill() returning 0 ends the run. A closed-loop source must therefore
-// only batch requests whose values are already determined (e.g. the
-// remainder of an α-chunk) and return before generating an event that
-// reads its mirrored cache state. The feedback granularity is free: the
-// driver may deliver the n outcomes as one batch or as n batches of one
-// (sim::AccountingSink does the latter) — a source must not care, which
-// is why observe_batch is the ONLY feedback virtual and observe() is a
-// non-virtual convenience forwarding a single outcome through it.
+// only batch requests whose values are already determined; the router's
+// are (the switch lookup happens in step_batch), so its fills end at no
+// miss. The feedback granularity is free: run_split may deliver the n
+// outcomes as one batch or as n batches of one (sim::AccountingSink does
+// the latter) — a source must not care, which is why observe_batch is the
+// ONLY feedback virtual and observe() is a non-virtual convenience
+// forwarding a single outcome through it.
 //
 // A source implements fill() and reset(); everything else has a default.
 // size_hint(), fork(), split() and split_kind() stay virtual because the

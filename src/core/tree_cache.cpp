@@ -52,9 +52,14 @@ void TreeCache::step_batch(std::span<const Request> requests,
                            OutcomeSink& sink) {
   // TreeCache is final, so step() devirtualizes here: the batch pays one
   // virtual dispatch total instead of one per round, and step_batch ≡
-  // step holds by construction.
+  // step holds by construction. A cached packet is the switch's hit and
+  // steps nothing (OnlineAlgorithm::step_batch).
   for (const Request& request : requests) {
-    sink.on_outcome(request, step(request));
+    if (request.packet && cache_.contains(request.node)) {
+      sink.on_outcome(request, StepOutcome{});
+    } else {
+      sink.on_outcome(request, step(request));
+    }
   }
 }
 

@@ -88,7 +88,8 @@ class ShardPlan {
     TC_CHECK(request.node < universe_->size(),
              "request to node outside the universe");
     const Located at = locate(request.node);
-    return {at.shard, Request{at.local, request.sign}};
+    request.node = at.local;
+    return {at.shard, request};
   }
 
   /// Which shard serves requests to global node `v`.
@@ -115,9 +116,11 @@ class ShardPlan {
     return universe_->from_preorder(local + rank_offset(s));
   }
 
-  /// The request routed into its shard's id space.
+  /// The request routed into its shard's id space, sign and packet flag
+  /// kept.
   [[nodiscard]] Request to_local(Request request) const {
-    return Request{to_local(request.node), request.sign};
+    request.node = to_local(request.node);
+    return request;
   }
 
  private:

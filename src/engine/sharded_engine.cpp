@@ -328,19 +328,18 @@ EngineResult ShardedEngine::run_split(
   }
 
   // Worker w runs the closed loops of the shards it owns (s % workers == w):
-  // each is the exact fill → step → observe alternation of sim::run_source,
-  // and the worker interleaves them round-robin, one chunk per pass, rather
-  // than running them to exhaustion one by one — the mirrors of a router
-  // split (fib::RouterSource::split) pull from one producer, and draining
-  // one shard first would queue most of the stream for its siblings.
-  // Shards share no state but that producer, so the order is free and
-  // per-shard results are unchanged; no outcome crosses a thread.
-  // Ownership stays static, unlike run()'s work-conserving pool: a closed
-  // loop hands over ~1.24 requests per fill, so moving shards costs more
-  // than the balance gains. On a 4-vCPU KVM guest, a variant that claimed
-  // any free shard per pass ran a 1M-route FIB at 8 shards on 3 workers at
-  // 1.69–1.77M ops/s against 1.99–2.25M, with CPU per op up from 784–875
-  // to 1,061–1,119 ns.
+  // each alternates fill → step_batch → observe, and the worker interleaves
+  // them round-robin, one chunk per pass, rather than running them to
+  // exhaustion one by one — the mirrors of a router split
+  // (fib::RouterSource::split) pull from one producer, and draining one
+  // shard first would queue most of the stream for its siblings. Shards
+  // share no state but that producer, so the order is free and per-shard
+  // results are unchanged; no outcome crosses a thread. Ownership stays
+  // static, unlike run()'s work-conserving pool. It was measured when a
+  // router fill ended at every miss (~1.24 requests per fill): on a 4-vCPU
+  // KVM guest, a variant that claimed any free shard per pass ran a
+  // 1M-route FIB at 8 shards on 3 workers at 1.69–1.77M ops/s against
+  // 1.99–2.25M, with CPU per op up from 784–875 to 1,061–1,119 ns.
   std::atomic<bool> failed{false};
   const auto drive = [&](std::size_t w) {
     std::vector<Request> buffer(config_.batch);

@@ -34,16 +34,16 @@
 // the FIB router, fib::RouterSource::split: one event producer generates
 // the stream once, in reference order, and hands each mirror its shard's
 // events. Worker w runs the shards it owns (s % workers == w); on that
-// worker each shard runs the exact fill → step → observe alternation of
-// sim::run_source, the worker's shards interleaved round-robin one chunk
-// per pass. No outcome crosses a thread: the one structure sibling
-// mirrors share is the producer, which serializes generation behind its
-// own mutex. Per-shard results are therefore bit-identical for every
-// thread count and equal to the reference event loop fib::run_router_sim
-// over each shard (the differential suite in
-// tests/test_engine_closed_loop.cpp enforces this for every registered
-// algorithm). run() refuses a closed-loop source at every shard count,
-// before it resets an instance or reads the stream.
+// worker each shard alternates fill → step_batch → observe (the
+// closed-loop contract of core/request_source.hpp), the worker's shards
+// interleaved round-robin one chunk per pass. No outcome crosses a
+// thread: the one structure sibling mirrors share is the producer, which
+// serializes generation behind its own mutex. Per-shard results are
+// therefore bit-identical for every thread count and equal to the
+// reference event loop fib::run_router_sim over each shard (the
+// differential suite in tests/test_engine_closed_loop.cpp enforces this
+// for every registered algorithm). run() refuses a closed-loop source at
+// every shard count, before it resets an instance or reads the stream.
 //
 // Threads and failures: the constructor builds every instance on the
 // caller thread and starts none. run() and run_split share one pool. It

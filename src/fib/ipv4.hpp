@@ -51,13 +51,6 @@ template <typename BitsT>
   return static_cast<BitsT>((~BitsT{}) << (kWidth - length));
 }
 
-/// Bit `i` of a key, MSB first: bit 0 is the top (leftmost) bit.
-template <typename BitsT>
-[[nodiscard]] constexpr bool key_bit(const BitsT& bits, unsigned i) {
-  constexpr unsigned kWidth = AddressFamily<BitsT>::kWidth;
-  return ((bits >> (kWidth - 1 - i)) & BitsT{1}) != BitsT{};
-}
-
 /// A prefix `bits/length` over a width-parameterized key; bits beyond
 /// `length` are stored as zero. Ordering is (bits, length) via the
 /// defaulted comparison — total and deterministic, which the set-based

@@ -1,9 +1,10 @@
 // Controller/switch simulation of Figure 1 — the self-contained reference
-// event loop. Production paths run the same loop as per-shard mirrors
-// through the engine instead (fib/router_source.hpp +
-// engine::ShardedEngine::run_split); equality of the two is enforced by
-// tests/test_fib_engine.cpp, and per shard of a sharded run by
-// tests/test_engine_closed_loop.cpp.
+// event loop. Production paths run the same loop through the engine
+// instead: per-shard mirrors (fib/router_source.hpp) emit each packet as a
+// packet request, and engine::ShardedEngine::run_split steps it through
+// the instance's step_batch, which resolves it against the instance's
+// cache. Equality of the two is enforced by tests/test_fib_engine.cpp,
+// and per shard of a sharded run by tests/test_engine_closed_loop.cpp.
 //
 // The switch holds the cached subforest of rules; packets are looked up by
 // LPM over the cached rules only: the deepest cached rule on the address's
@@ -17,14 +18,14 @@
 // on every packet that LPM over the cached subforest never resolves to a
 // wrong (less specific) rule — the subforest invariant makes partial FIBs
 // forwarding-correct. It is the oracle for that: it walks the whole
-// descent, where the router mirror (RouterMirrorSource) relies on the
-// invariant and reads only the match's cached flag. Any violation is
-// counted in forwarding_errors (and must be zero for every
-// subforest-invariant algorithm). If a violation does occur, the controller detects the stray
-// flow and detours it, so the mis-forwarded packet is charged and
-// reported to the caching algorithm exactly like a miss (a positive
-// request for the full-table match) rather than silently disappearing
-// from the online instance.
+// descent, where the engine's packet lookup (OnlineAlgorithm::step_batch)
+// relies on the invariant and reads only the match's cached flag. Any
+// violation is counted in forwarding_errors (and must be zero for every
+// subforest-invariant algorithm). If a violation does occur, the
+// controller detects the stray flow and detours it, so the mis-forwarded
+// packet is charged and reported to the caching algorithm exactly like a
+// miss (a positive request for the full-table match) rather than silently
+// disappearing from the online instance.
 #pragma once
 
 #include <cstdint>

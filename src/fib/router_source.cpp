@@ -1,6 +1,5 @@
 #include "fib/router_source.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/online_algorithm.hpp"
@@ -67,7 +66,7 @@ RouterEventProducer::RouterEventProducer(const RouterSource& stream,
       sampler_(stream.sampler_),
       rng_(start_rng_),
       queues_(plan.num_shards()) {
-  TC_CHECK(&plan.universe() == &rules().tree,
+  TC_CHECK(&plan.universe() == &sampler_->rules().tree,
            "the shard plan was built over a different tree than the "
            "stream's rule tree");
 }
@@ -129,111 +128,88 @@ void RouterEventProducer::reset() {
 RouterMirrorSource::RouterMirrorSource(
     std::shared_ptr<RouterEventProducer> producer, std::size_t shard)
     : producer_(require_producer(std::move(producer))),
-      rules_(&producer_->rules()),
       plan_(&producer_->plan()),
       shard_(shard),
-      alpha_(producer_->config().alpha),
-      cached_(plan_->shard_tree(shard).size(), 0) {
+      alpha_(producer_->config().alpha) {
   TC_CHECK(shard_ < plan_->num_shards(), "shard index outside the plan");
 }
 
-bool RouterMirrorSource::cached_rule(NodeId v) const {
-  if (plan_->shard_of(v) == shard_) return cached_[plan_->to_local(v)] != 0;
-  // The ancestors of an owned rule are rules of this shard, plus the
-  // default rule. The latter reads as this shard's replica root (local
-  // node 0), never as foreign state.
-  return v == rules_->tree.root() && cached_[0] != 0;
-}
-
-bool RouterMirrorSource::cached_ancestor(NodeId v) const {
-  for (v = rules_->tree.parent(v); v != kNoNode; v = rules_->tree.parent(v)) {
-    if (cached_rule(v)) return true;
-  }
-  return false;
-}
-
 std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
+  TC_DCHECK(observed_ == emitted_.size(),
+            "fill() before the last fill's outcomes were all observed");
+  emitted_.clear();
+  observed_ = 0;
+  // Consume this shard's slice of the pre-generated global stream. No
+  // request depends on an outcome not yet observed, so the fill runs until
+  // the buffer is full or the taken events run out. It takes again only
+  // when it has nothing to hand over: a take() pumps the shared stream
+  // while this shard's queue is empty, so taking for a part-filled buffer
+  // would generate the siblings' events far ahead of them. The producer's
+  // termination is global — all mirrors stop after the same event — while
+  // stats_ counts only the events this shard owns.
   std::size_t n = 0;
-  // A pending update chunk is predetermined: drain it (or as much as fits)
-  // and return, so its outcomes are observed before the next owned event
-  // reads the cache mirror.
-  while (pending_ > 0 && n < buffer.size()) {
-    --pending_;
-    buffer[n++] = negative(pending_local_);
-  }
-  if (n > 0) return n;
-
-  // Consume this shard's slice of the pre-generated global stream, one
-  // take() at a time. The producer's termination is global — all mirrors
-  // stop after the same event — while stats_ counts only the events this
-  // shard owns.
-  for (;;) {
+  while (n < buffer.size()) {
+    if (pending_ > 0) {
+      emitted_.push_back(pending_ == alpha_ ? Emitted::kChunkHead
+                                            : Emitted::kChunkTail);
+      --pending_;
+      buffer[n++] = negative(pending_local_);
+      continue;
+    }
     if (next_event_ == events_.size()) {
+      if (n > 0) break;
       next_event_ = 0;
-      if (!producer_->take(shard_, events_)) return 0;
+      if (!producer_->take(shard_, events_)) break;
     }
     const RouterEvent event = events_[next_event_++];
     TC_DCHECK(plan_->shard_of(event.node) == shard_,
               "the producer queued another shard's event");
     const NodeId local = plan_->to_local(event.node);
     if (event.kind == RouterEventKind::kUpdate) {
+      // A chunk of α negative requests (Appendix B), emitted above.
       ++stats_.updates;
-      if (cached_[local] != 0) ++stats_.cached_updates;
       pending_local_ = local;
       pending_ = alpha_;
-      while (pending_ > 0 && n < buffer.size()) {
-        --pending_;
-        buffer[n++] = negative(pending_local_);
-      }
-      return n;
-    }
-
-    ++stats_.packets;
-    // The switch looks up the packet over this card's cached rules only.
-    // The cache is descendant-closed, so that lookup returns the
-    // full-table match if it is cached and nothing otherwise: a cached
-    // ancestor would have its whole subtree cached, the match included.
-    if (cached_[local] != 0) {
-      ++stats_.hits;
       continue;
     }
-    TC_DCHECK(!cached_ancestor(event.node),
-              "a cached rule would mis-forward a packet its uncached "
-              "descendant matches: the cache is not descendant-closed");
-    ++stats_.misses;
-    buffer[n++] = positive(local);
-    // Stop here: the fetch this request may trigger changes the mirror
-    // the next owned packet lookup depends on.
-    return n;
+    // The switch looks the packet up in the instance's cache: step_batch
+    // answers a cached match and steps an uncached one.
+    ++stats_.packets;
+    emitted_.push_back(Emitted::kPacket);
+    buffer[n++] = packet(local);
   }
+  return n;
 }
 
 void RouterMirrorSource::reset() {
   producer_->reset();
-  std::ranges::fill(cached_, 0);
   stats_ = {};
   pending_ = 0;
   events_.clear();
   next_event_ = 0;
+  emitted_.clear();
+  observed_ = 0;
 }
 
 void RouterMirrorSource::observe_batch(
     std::span<const StepOutcome> outcomes) {
-  // Outcomes arrive in shard-LOCAL ids, straight from this shard's
-  // algorithm instance, in per-shard stream order.
+  // Outcomes arrive from this shard's algorithm instance, one per emitted
+  // request, in per-shard stream order.
+  TC_DCHECK(outcomes.size() <= emitted_.size() - observed_,
+            "more outcomes than emitted requests");
   for (const StepOutcome& outcome : outcomes) {
-    for (const NodeId v : outcome.also_evicted) cached_[v] = 0;
-    switch (outcome.change) {
-      case ChangeKind::kNone:
+    switch (emitted_[observed_++]) {
+      case Emitted::kPacket:
+        if (outcome.paid) {
+          ++stats_.misses;
+        } else {
+          ++stats_.hits;
+        }
         break;
-      case ChangeKind::kFetch:
-        for (const NodeId v : outcome.changed) cached_[v] = 1;
+      case Emitted::kChunkHead:
+        if (outcome.paid) ++stats_.cached_updates;
         break;
-      case ChangeKind::kEvict:
-        for (const NodeId v : outcome.changed) cached_[v] = 0;
-        break;
-      case ChangeKind::kPhaseRestart:
-        std::ranges::fill(cached_, 0);
+      case Emitted::kChunkTail:
         break;
     }
   }

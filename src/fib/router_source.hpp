@@ -8,18 +8,25 @@
 // engine::ShardedEngine::run_split drives. Together the mirrors replay
 // exactly the event stream of run_router_sim (fib/router_sim.hpp, the
 // reference implementation — equality is enforced by tests), but instead
-// of stepping the algorithm themselves they emit the requests the
-// controller would feed it. The switch-side state a mirror needs — "is
-// this rule cached right now?" for LPM over the cached subforest and for
-// the cached-update statistic — is mirrored from the StepOutcome feedback
-// handed to observe_batch() after stepping, so a mirror never touches the
-// algorithm. The cache is descendant-closed, so LPM over the cached rules
-// is the full-table match if that match is cached and nothing otherwise: a
-// packet hits iff its match is cached.
+// of stepping the algorithm themselves they emit one request per event
+// for the shard's algorithm instance: a packet as packet(match), which the
+// instance's step_batch resolves against its own cache (a cached match is
+// a hit and steps nothing, an uncached one is the controller's positive
+// request), and a rule update as its α-chunk of negative requests
+// (Appendix B). The cache is descendant-closed, so LPM over the cached
+// rules is the full-table match if that match is cached and nothing
+// otherwise: a packet hits iff its match is cached, which is exactly the
+// instance's lookup. No event reads the cache when it is drawn, so fill()
+// ends at no miss: it hands over every event its shard has taken, up to a
+// whole buffer, and pumps the shared stream only when it has nothing to
+// hand over.
 //
-// Closed-loop batching contract: a pending α-chunk is predetermined and may
-// be batched, but after emitting a packet request fill() returns — the next
-// event reads the mirror, which the not-yet-observed outcome may change.
+// A mirror keeps no copy of the cache. It counts its shard's events from
+// the StepOutcome feedback handed to observe_batch(): one outcome per
+// emitted request, in order. A packet hit when its outcome is unpaid and
+// missed when it is paid; an update was cached when the first negative of
+// its chunk is paid, since a negative request is charged exactly when its
+// node is cached.
 //
 // The producer/consumer split: split() builds ONE RouterEventProducer plus
 // one RouterMirrorSource per shard. Events — event types, sampled rules
@@ -27,17 +34,16 @@
 // producer generates the global stream ONCE and routes each event into the
 // queue of the shard owning its full-table match (the plan partitions the
 // rule tree by top-level prefix: a match's ancestors share its shard,
-// except the default rule, whose per-shard replica each line card mirrors
+// except the default rule, whose per-shard replica each line card holds
 // locally). The producer shares the RouterSource's packet sampler and
 // starts from its post-shuffle RNG state, so a stream builds its rank
 // table once however often it is split.
-// A mirror pulls only its own queue and consults only the shard's own
-// cache mirror, so feedback never crosses shards: each mirror needs
-// exactly its shard's outcomes, in per-shard order, while outcomes may
-// complete out of order globally. Requests are emitted in shard-LOCAL
-// node ids and observe_batch() expects shard-local outcomes — a mirror
-// plugs straight into the shard's algorithm instance with no translation
-// in the engine.
+// A mirror pulls only its own queue and counts only its own shard's
+// outcomes, so feedback never crosses shards: each mirror needs exactly
+// its shard's outcomes, in per-shard order, while outcomes may complete
+// out of order globally. Requests are emitted in shard-LOCAL node ids and
+// observe_batch() expects shard-local outcomes — a mirror plugs straight
+// into the shard's algorithm instance with no translation in the engine.
 //
 // Threading: every producer call holds the producer's one mutex, so sibling
 // mirrors may take() from different threads. run_split drives each mirror
@@ -94,11 +100,10 @@ class RouterSource {
 /// the reference loop — and routes every event into a per-shard queue
 /// keyed by the shard owning `node`. Generation is pull-driven: a mirror
 /// that has consumed its events calls take(), which pumps the stream while
-/// the shard's queue is empty and hands the whole queue over. Consumption
-/// is paced by misses, so buffering is NOT bounded by the inter-shard
-/// skew: a shard whose mirror consumes fewer events per fill than its
-/// siblings (a lower hit rate, a busier worker) sees its queue grow with
-/// the stream.
+/// the shard's queue is empty and hands the whole queue over. Buffering is
+/// NOT bounded by the inter-shard skew: a shard whose mirror consumes its
+/// events more slowly than its siblings (a busier worker) sees its queue
+/// grow with the stream.
 ///
 /// Thread-safe: every public call holds one mutex, so sibling mirrors may
 /// take() from different threads and generation still runs once, in
@@ -141,7 +146,6 @@ class RouterEventProducer {
   /// All sibling mirrors must be reset together (see the header comment).
   void reset();
 
-  [[nodiscard]] const RuleTree& rules() const { return sampler_->rules(); }
   [[nodiscard]] const RouterSimConfig& config() const { return config_; }
   [[nodiscard]] const engine::ShardPlan& plan() const { return *plan_; }
 
@@ -161,10 +165,9 @@ class RouterEventProducer {
 
 /// One shard's slice of the closed loop: consumes its shard's events from
 /// a (usually shared) RouterEventProducer, emits the requests those events
-/// imply (in shard-local ids), and keeps one cache mirror for the shard's
-/// algorithm instance, fed by observe_batch() with that instance's
-/// outcomes in per-shard order. On the trivial one-shard plan it is the
-/// whole unsharded loop.
+/// imply (in shard-local ids), and counts them from the outcomes of the
+/// shard's algorithm instance, handed to observe_batch() in per-shard
+/// order. On the trivial one-shard plan it is the whole unsharded loop.
 class RouterMirrorSource final : public RequestSource {
  public:
   /// Producer-fed mirror sharing `producer` with its sibling shards (the
@@ -180,31 +183,29 @@ class RouterMirrorSource final : public RequestSource {
   void observe_batch(std::span<const StepOutcome> outcomes) override;
   [[nodiscard]] bool is_closed_loop() const override { return true; }
 
-  /// Statistics of the events this shard owns. Summing over all mirrors
+  /// Statistics of the events this shard owns, complete once every
+  /// emitted request's outcome has been observed. Summing over all mirrors
   /// of a plan reconstructs the full event stream: every packet and every
   /// update is owned by exactly one shard.
   [[nodiscard]] const RouterSimResult& stats() const { return stats_; }
 
  private:
-  /// Cache-mirror lookup by GLOBAL rule id, for the debug ancestor walk
-  /// (cached_ancestor). fill() reads its owned events' rules by local id
-  /// instead. A foreign rule reads as uncached, except the default rule,
-  /// which reads this shard's replica (local node 0) — the line card's own
-  /// copy.
-  [[nodiscard]] bool cached_rule(NodeId v) const;
-  /// True iff a proper ancestor of GLOBAL rule `v` reads as cached: the
-  /// debug check that the mirrored cache is descendant-closed.
-  [[nodiscard]] bool cached_ancestor(NodeId v) const;
+  /// What the outcome of an emitted request counts for.
+  enum class Emitted : std::uint8_t {
+    kPacket,     // a hit if unpaid, a miss if paid
+    kChunkHead,  // an update's first negative: paid iff the rule was cached
+    kChunkTail,  // the rest of the chunk: counts nothing
+  };
 
   std::shared_ptr<RouterEventProducer> producer_;
-  const RuleTree* rules_;  // == &producer_->rules()
   const engine::ShardPlan* plan_;
   std::size_t shard_;
   std::uint64_t alpha_;
-  std::vector<std::uint8_t> cached_;  // by LOCAL id, incl. replica root
-  RouterSimResult stats_;             // owned events only
-  std::vector<RouterEvent> events_;   // the last take(), consumed in order
-  std::size_t next_event_ = 0;        // first unconsumed entry of events_
+  RouterSimResult stats_;            // owned events only
+  std::vector<RouterEvent> events_;  // the last take(), consumed in order
+  std::size_t next_event_ = 0;       // first unconsumed entry of events_
+  std::vector<Emitted> emitted_;     // the last fill(), in order
+  std::size_t observed_ = 0;         // entries of emitted_ observed so far
   NodeId pending_local_ = 0;
   std::uint64_t pending_ = 0;  // negatives left in the current α-chunk
 };

@@ -97,7 +97,6 @@ std::string Registry<Factory>::describe() const {
 template class Registry<AlgorithmFactory>;
 template class Registry<WorkloadFactory>;
 template class Registry<OfflineEvaluatorFactory>;
-template class Registry<PagingFactory>;
 
 std::unique_ptr<OnlineAlgorithm> make_algorithm(const std::string& name,
                                                 const Tree& tree,
@@ -121,11 +120,6 @@ Trace make_workload(const std::string& name, const Tree& tree,
 std::uint64_t evaluate_offline(const std::string& name, const Tree& tree,
                                const Trace& trace, const Params& params) {
   return OfflineEvaluatorRegistry::instance().at(name)(tree, trace, params);
-}
-
-std::unique_ptr<PagingAlgorithm> make_paging(const std::string& name,
-                                             std::size_t k) {
-  return PagingRegistry::instance().at(name)(k);
 }
 
 }  // namespace treecache::sim

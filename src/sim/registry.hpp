@@ -1,7 +1,7 @@
 // Registry-driven simulator core.
 //
-// Online algorithms, workload sources, offline evaluators and paging
-// policies self-register behind name-keyed factories, so the simulator, the
+// Online algorithms, workload sources and offline evaluators
+// self-register behind name-keyed factories, so the simulator, the
 // CLI, parameter sweeps and the benchmark harness all resolve
 // algorithm × workload × parameter grids from one table instead of
 // hand-wired #include lists.
@@ -72,7 +72,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/paging.hpp"
 #include "core/online_algorithm.hpp"
 #include "core/request_source.hpp"
 #include "core/trace.hpp"
@@ -151,10 +150,6 @@ using WorkloadFactory = std::function<std::unique_ptr<RequestSource>(
 using OfflineEvaluatorFactory = std::function<std::uint64_t(
     const Tree& tree, const Trace& trace, const Params& params)>;
 
-/// Builds a classic paging policy with capacity k (Appendix C reduction).
-using PagingFactory =
-    std::function<std::unique_ptr<PagingAlgorithm>(std::size_t k)>;
-
 /// One generic name → factory table. Keys are unique; lookups throw
 /// CheckFailure listing the registered names on a miss.
 template <typename Factory>
@@ -192,7 +187,6 @@ class Registry {
 using AlgorithmRegistry = Registry<AlgorithmFactory>;
 using WorkloadRegistry = Registry<WorkloadFactory>;
 using OfflineEvaluatorRegistry = Registry<OfflineEvaluatorFactory>;
-using PagingRegistry = Registry<PagingFactory>;
 
 /// Convenience lookups: resolve a name and invoke the factory.
 [[nodiscard]] std::unique_ptr<OnlineAlgorithm> make_algorithm(
@@ -207,8 +201,6 @@ using PagingRegistry = Registry<PagingFactory>;
                                              const Tree& tree,
                                              const Trace& trace,
                                              const Params& params);
-[[nodiscard]] std::unique_ptr<PagingAlgorithm> make_paging(
-    const std::string& name, std::size_t k);
 
 /// Static registrars: declare one as a namespace-local const in the
 /// component's own .cpp to self-register at load time.
@@ -233,14 +225,6 @@ struct OfflineEvaluatorRegistrar {
                             OfflineEvaluatorFactory factory) {
     OfflineEvaluatorRegistry::instance().add(name, std::move(summary),
                                              std::move(factory));
-  }
-};
-
-struct PagingRegistrar {
-  PagingRegistrar(const std::string& name, std::string summary,
-                  PagingFactory factory) {
-    PagingRegistry::instance().add(name, std::move(summary),
-                                   std::move(factory));
   }
 };
 

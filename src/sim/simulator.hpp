@@ -58,10 +58,13 @@ struct RunResult {
 /// running cache-size peak (`cache_size` is the cache size right after the
 /// step). Shared by run_source and the sharded engine so their accounting
 /// can never drift apart. cost/final_cache_size/wall_seconds are finalized
-/// by the caller once the stream ends.
+/// by the caller once the stream ends. A packet whose outcome is unpaid hit
+/// the switch's cache (OnlineAlgorithm::step_batch) and stepped nothing,
+/// so it is no round and leaves `result` as it was.
 inline void accumulate_outcome(RunResult& result, const Request& request,
                                const StepOutcome& outcome,
                                std::size_t cache_size) {
+  if (request.packet && !outcome.paid) return;
   ++result.rounds;
   if (outcome.paid) {
     ++result.paid_requests;

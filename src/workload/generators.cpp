@@ -122,8 +122,10 @@ std::size_t HotspotSource::fill(std::span<Request> buffer) {
       v = tree_->from_preorder(tree_->preorder_index(hot_) +
                                rng_.below(tree_->subtree_size(hot_)));
     } else if (rng_.chance(0.3)) {
-      const auto path = tree_->path_to_root(hot_);
-      v = path[rng_.below(path.size())];
+      // One of the depth + 1 nodes on hot's root path, walked up to.
+      for (auto up = rng_.below(tree_->depth(hot_) + 1); up > 0; --up) {
+        v = tree_->parent(v);
+      }
     }
     buffer[n++] = Request{v, draw_sign(negative_fraction_, rng_)};
   }

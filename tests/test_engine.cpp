@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/tree_cache.hpp"
 #include "deep_universe.hpp"
 #include "engine/shard_plan.hpp"
 #include "fib/fib_workloads.hpp"
@@ -221,10 +222,10 @@ TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
   // arithmetic over preorder ranks. They must agree with the relabeling
   // for every node, at every shard count, on random trees, on a FIB rule
   // tree and on the 13-level deep universe, whose ids are not preorder
-  // ranks. route() must equal {shard_of, to_local} for both signs and
-  // refuse a node past the universe in every build. Every shard tree, a
-  // rank slice of the universe, must equal the Tree built from its
-  // relabeled parent array.
+  // ranks. route() must equal {shard_of, to_local} for both signs and for
+  // a packet, whose flag it keeps, and refuse a node past the universe in
+  // every build. Every shard tree, a rank slice of the universe, must
+  // equal the Tree built from its relabeled parent array.
   Rng rng(13);
   const Tree recursive = trees::random_recursive(300, rng);
   const Tree bounded = trees::random_bounded_degree(200, 4, rng);
@@ -242,10 +243,12 @@ TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
       for (NodeId v = 0; v < tree->size(); ++v) {
         EXPECT_EQ(plan.shard_of(v), ref.shard_of[v]) << "v=" << v;
         EXPECT_EQ(plan.to_local(v), ref.local_id[v]) << "v=" << v;
-        for (const Request r : {positive(v), negative(v)}) {
+        for (const Request r : {positive(v), negative(v), packet(v)}) {
           const engine::RoutedRequest routed = plan.route(r);
           EXPECT_EQ(routed.shard, plan.shard_of(v)) << "v=" << v;
           EXPECT_EQ(routed.local, plan.to_local(r)) << "v=" << v;
+          EXPECT_EQ(routed.local, (Request{ref.local_id[v], r.sign, r.packet}))
+              << "v=" << v;
         }
         // Each shard tree carries the universe's edges under the
         // relabeling. A top-level subtree root hangs off local 0, which
@@ -982,6 +985,83 @@ TEST(StepBatch, MatchesScalarStepForEveryAlgorithmAndWorkload) {
       }
       EXPECT_EQ(batched->cost(), scalar->cost());
       EXPECT_EQ(batched->cache().size(), scalar->cache().size());
+    }
+  }
+}
+
+/// Records each outcome's digest and accounts it as run_source and
+/// run_split do.
+class AccountingRecorder final : public OutcomeSink {
+ public:
+  explicit AccountingRecorder(const OnlineAlgorithm& alg)
+      : accounting_(result, alg, nullptr) {}
+  void on_outcome(const Request& request,
+                  const StepOutcome& outcome) override {
+    digests.push_back(digest(outcome));
+    accounting_.on_outcome(request, outcome);
+  }
+
+  sim::RunResult result;
+  std::vector<OutcomeDigest> digests;
+
+ private:
+  sim::AccountingSink accounting_;
+};
+
+TEST(StepBatch, PacketsAreTheSwitchLookupInTheInstancesCache) {
+  // A packet is the switch's lookup (Figure 1). After every request of a
+  // stream, each registered algorithm gets a packet through step_batch,
+  // and a twin sees the stream alone: a cached packet must hand the sink
+  // an unpaid kNone outcome and leave the instance as the twin is (so no
+  // recency moves: LRU's later evictions would part from the twin's; nor
+  // does TC's round counter), and an uncached one must act as the twin's
+  // positive(node). The accounting sink counts a round for the miss and
+  // none for the hit.
+  Rng rng(23);
+  const Tree tree = trees::random_recursive(30, rng);
+  const sim::Params params = smoke_params();
+  const Trace trace = sim::make_workload("zipf", tree, params, 43);
+  const OutcomeDigest hit_digest = digest(StepOutcome{});
+
+  for (const std::string& alg_name :
+       sim::AlgorithmRegistry::instance().names()) {
+    SCOPED_TRACE(alg_name);
+    const auto alg = sim::make_algorithm(alg_name, tree, params);
+    const auto twin = sim::make_algorithm(alg_name, tree, params);
+    AccountingRecorder sink(*alg);
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      alg->step_batch({&trace[i], 1}, sink);
+      ASSERT_EQ(sink.digests.back(), digest(twin->step(trace[i])))
+          << "round " << i + 1;
+      // A Zipf-popular node, cached or not by now.
+      const NodeId v = trace[(7 * i + 3) % trace.size()].node;
+      const bool cached = alg->cache().contains(v);
+      const std::uint64_t rounds = sink.result.rounds;
+      const Request lookup = packet(v);
+      alg->step_batch({&lookup, 1}, sink);
+      if (cached) {
+        ++hits;
+        ASSERT_EQ(sink.digests.back(), hit_digest) << "hit after " << i + 1;
+        ASSERT_EQ(sink.result.rounds, rounds);
+      } else {
+        ++misses;
+        ASSERT_EQ(sink.digests.back(), digest(twin->step(positive(v))))
+            << "miss after " << i + 1;
+        ASSERT_EQ(sink.result.rounds, rounds + 1);
+      }
+      ASSERT_EQ(alg->cost(), twin->cost());
+      ASSERT_EQ(alg->cache().as_vector(), twin->cache().as_vector());
+      if (const auto* tc = dynamic_cast<const TreeCache*>(alg.get())) {
+        ASSERT_EQ(tc->round(), dynamic_cast<const TreeCache&>(*twin).round());
+      }
+    }
+    EXPECT_EQ(sink.result.rounds, trace.size() + misses);
+    EXPECT_GT(misses, 0u);
+    // Every algorithm that ever caches meets some of its packets cached.
+    if (sink.result.max_cache_size > 0) {
+      EXPECT_GT(hits, 0u);
     }
   }
 }

@@ -398,14 +398,41 @@ TEST(ClosedLoopSharding, SplitsOfOneSourceShareItsSampler) {
   }
 }
 
+/// Keeps owned copies of the outcomes of one step_batch chunk: their spans
+/// die at the next step.
+class ChunkSink final : public OutcomeSink {
+ public:
+  void on_outcome(const Request& /*request*/,
+                  const StepOutcome& outcome) override {
+    StepOutcome copy = outcome;
+    copy.changed = own(outcome.changed);
+    copy.also_evicted = own(outcome.also_evicted);
+    copy.aborted_fetch = own(outcome.aborted_fetch);
+    outcomes.push_back(copy);
+  }
+  void clear() {
+    outcomes.clear();
+    nodes_.clear();
+  }
+
+  std::vector<StepOutcome> outcomes;
+
+ private:
+  std::span<const NodeId> own(std::span<const NodeId> span) {
+    return nodes_.emplace_back(span.begin(), span.end());
+  }
+
+  std::deque<std::vector<NodeId>> nodes_;  // what the outcomes' spans view
+};
+
 TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
   // Chunk-granularity feedback must be invisible to the closed loop: a
   // mirror fed one observe_batch per fill()-chunk stays in request-level
   // lockstep with a twin fed every outcome individually through the
-  // scalar observe() forwarder, for the whole stream (the one-shard plan)
-  // and for every shard of a sharded plan. The batched side keeps owned
-  // copies of a chunk's outcomes — their spans die at the next step — and
-  // hands them over at once.
+  // scalar observe() forwarder (sim::AccountingSink, as run_split does),
+  // for the whole stream (the one-shard plan) and for every shard of a
+  // sharded plan. Both step through step_batch, which resolves the
+  // mirrors' packets against the instance's cache.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
   const fib::RouterSimConfig router = sim::fib_router_config(params, 33);
@@ -416,29 +443,21 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
     const auto alg_batched = sim::make_algorithm("tc", tree, params);
     std::array<Request, 64> buf_scalar{};
     std::array<Request, 64> buf_batched{};
-    std::vector<StepOutcome> chunk;
-    std::deque<std::vector<NodeId>> nodes;  // what the chunk's spans view
-    const auto own = [&nodes](std::span<const NodeId> span) {
-      return std::span<const NodeId>(
-          nodes.emplace_back(span.begin(), span.end()));
-    };
+    sim::RunResult result;
+    sim::AccountingSink each(result, *alg_scalar, &unit);
+    ChunkSink chunk;
     std::uint64_t requests = 0;
     while (true) {
       const std::size_t n = unit.fill(buf_scalar);
       ASSERT_EQ(batched.fill(buf_batched), n);
       if (n == 0) break;
-      chunk.clear();
-      nodes.clear();
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(buf_batched[i], buf_scalar[i]) << "request " << requests + i;
-        unit.observe(alg_scalar->step(buf_scalar[i]));
-        StepOutcome outcome = alg_batched->step(buf_batched[i]);
-        outcome.changed = own(outcome.changed);
-        outcome.also_evicted = own(outcome.also_evicted);
-        outcome.aborted_fetch = own(outcome.aborted_fetch);
-        chunk.push_back(outcome);
       }
-      batched.observe_batch(chunk);
+      alg_scalar->step_batch({buf_scalar.data(), n}, each);
+      chunk.clear();
+      alg_batched->step_batch({buf_batched.data(), n}, chunk);
+      batched.observe_batch(chunk.outcomes);
       requests += n;
     }
     ASSERT_GT(requests, 0u);

@@ -60,14 +60,6 @@ TEST(Registry, ExpectedOfflineEvaluatorsAreRegistered) {
   }
 }
 
-TEST(Registry, ExpectedPagingPoliciesAreRegistered) {
-  const auto names = sim::PagingRegistry::instance().names();
-  for (const char* expected : {"lru", "fifo", "fwf"}) {
-    EXPECT_TRUE(std::ranges::count(names, expected) == 1)
-        << "missing paging registration: " << expected;
-  }
-}
-
 // Every algorithm × a smoke workload: one simulator run must complete with
 // the subforest invariant validated after every step.
 TEST(Registry, EveryAlgorithmRunsOneSmokeTrace) {
@@ -136,8 +128,6 @@ TEST(Registry, DescribeCoversEveryRegisteredName) {
         sim::WorkloadRegistry::instance().names());
   check(sim::OfflineEvaluatorRegistry::instance().describe(),
         sim::OfflineEvaluatorRegistry::instance().names());
-  check(sim::PagingRegistry::instance().describe(),
-        sim::PagingRegistry::instance().names());
 }
 
 TEST(Registry, UnknownNamesThrowWithSuggestions) {
@@ -148,7 +138,6 @@ TEST(Registry, UnknownNamesThrowWithSuggestions) {
                CheckFailure);
   EXPECT_THROW((void)sim::evaluate_offline("nope", tree, {}, {}),
                CheckFailure);
-  EXPECT_THROW((void)sim::make_paging("nope", 4), CheckFailure);
 }
 
 TEST(Registry, DuplicateRegistrationIsRejected) {

@@ -199,9 +199,7 @@ int cmd_list() {
             << "workloads (--workload / gen-trace --kind):\n"
             << sim::WorkloadRegistry::instance().describe()
             << "offline evaluators (opt --evaluator):\n"
-            << sim::OfflineEvaluatorRegistry::instance().describe()
-            << "paging policies (Appendix C reduction):\n"
-            << sim::PagingRegistry::instance().describe();
+            << sim::OfflineEvaluatorRegistry::instance().describe();
   return 0;
 }
 
