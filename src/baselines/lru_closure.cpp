@@ -41,8 +41,10 @@ void LruClosure::touch(NodeId v) {
 void LruClosure::evict_one_root(NodeId protect) {
   // Evict the least-recently-used maximal root (a valid single-node
   // negative changeset); prefer victims outside T(protect) so an imminent
-  // fetch into that subtree does not immediately refetch them. Children of
-  // the victim become roots inheriting its recency.
+  // fetch into that subtree does not immediately refetch them. A recency
+  // tie goes to the root first in preorder, so the choice does not depend
+  // on how the tree numbers its nodes. Children of the victim become roots
+  // inheriting its recency.
   cache_.maximal_roots(roots_buf_);
   const auto& roots = roots_buf_;
   TC_CHECK(!roots.empty(), "evict_one_root on an empty cache");

@@ -45,7 +45,8 @@ class LruClosure final : public OnlineAlgorithm {
   StepOutcome handle_negative(NodeId v);
 
   /// Evicts one least-recently-used maximal root (appended to evict_buf_),
-  /// preferring victims outside T(protect).
+  /// preferring victims outside T(protect) and, among equally recent
+  /// roots, the first in preorder.
   void evict_one_root(NodeId protect);
 
   /// Recency of the maximal cached tree containing v is refreshed to the

@@ -118,7 +118,6 @@ void Subforest::maximal_roots(std::vector<NodeId>& out) const {
       out.push_back(tree_->from_preorder(r));
     }
   });
-  std::sort(out.begin(), out.end());
 }
 
 NodeId Subforest::cached_tree_root(NodeId v) const {

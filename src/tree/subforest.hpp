@@ -106,8 +106,8 @@ class Subforest {
       std::span<const NodeId> changeset) const;
 
   /// Cached nodes whose parent is not cached — the roots of the maximal
-  /// cached trees — in increasing id order. Scans the set bits of the
-  /// bitmap, not the tree: O(n / 64 + size() · log size()).
+  /// cached trees — in preorder (rank order), whatever the tree's ids.
+  /// Scans the set bits of the bitmap, not the tree: O(n / 64 + size()).
   [[nodiscard]] std::vector<NodeId> maximal_roots() const;
 
   // Output-buffer forms of the collection queries, for hot-path callers

@@ -176,10 +176,12 @@ TEST(Subforest, OutputBufferOverloadsMatchConvenienceForms) {
 }
 
 TEST(Subforest, SetBitScanMatchesAllNodeScan) {
-  // maximal_roots() and as_vector() scan the set bits of the rank bitmap
-  // and sort the translated ids. The reference is the all-node scan they
-  // replace. The tree's ids are not its preorder ranks, so a missing
-  // translation shows; its 200 ranks end in a partial word.
+  // maximal_roots() and as_vector() scan the set bits of the rank bitmap:
+  // the roots come in rank order and the cached ids sorted. The reference
+  // is the all-node scan they replace, over ranks for the roots and over
+  // ids for the cache. The tree's ids are not its preorder ranks, so a
+  // missing translation or a root sorted by id shows; its 200 ranks end in
+  // a partial word.
   Rng rng(31);
   const Tree t = trees::random_recursive(200, rng);
   ASSERT_FALSE(t.is_preorder_labeled());
@@ -204,12 +206,15 @@ TEST(Subforest, SetBitScanMatchesAllNodeScan) {
     }
     ASSERT_TRUE(cache.is_valid());
     std::vector<NodeId> roots;
+    for (const NodeId v : from) {
+      const NodeId p = t.parent(v);
+      if (cache.contains(v) && (p == kNoNode || !cache.contains(p))) {
+        roots.push_back(v);
+      }
+    }
     std::vector<NodeId> cached;
     for (NodeId v = 0; v < t.size(); ++v) {
-      if (!cache.contains(v)) continue;
-      cached.push_back(v);
-      const NodeId p = t.parent(v);
-      if (p == kNoNode || !cache.contains(p)) roots.push_back(v);
+      if (cache.contains(v)) cached.push_back(v);
     }
     ASSERT_EQ(cache.maximal_roots(), roots) << "trial " << trial;
     ASSERT_EQ(cache.as_vector(), cached) << "trial " << trial;
