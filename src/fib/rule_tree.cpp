@@ -58,49 +58,85 @@ BasicRuleTree<PrefixT> build_rule_tree(std::vector<PrefixT> prefixes) {
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                  prefixes.end());
   std::erase_if(prefixes, [](const PrefixT& p) { return p.length == 0; });
-  const std::size_t n = prefixes.size() + 1;
+  const auto n = static_cast<std::uint32_t>(prefixes.size() + 1);
+  // Position b of that order holds the root at 0 and prefixes[b - 1] after.
+  const auto prefix_at = [&](std::uint32_t b) -> const PrefixT& {
+    return prefixes[b - 1];
+  };
 
-  // Node ids follow (length, bits) order, parents first: a stable counting
-  // sort of the (bits, length) order by length.
-  std::array<NodeId, PrefixT::kWidth + 1> next_id{};
-  for (const PrefixT& p : prefixes) ++next_id[p.length];
-  NodeId first_id = 1;  // node 0 is the /0 default rule
-  for (NodeId& slot : next_id) {
-    const NodeId count = slot;
-    slot = first_id;
-    first_id += count;
-  }
-  std::vector<NodeId> id(prefixes.size());
-  std::vector<PrefixT> node_prefix(n);
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    id[i] = next_id[prefixes[i].length]++;
-    node_prefix[id[i]] = prefixes[i];
-  }
-
-  // One stack pass in preorder: after popping the prefixes that do not
-  // contain prefix i, the stack top is its longest proper ancestor.
-  std::vector<NodeId> parent(n, 0);
-  parent[0] = kNoNode;
-  std::vector<std::uint32_t> child_offset(n + 1, 0);
-  std::vector<std::size_t> open;  // positions in `prefixes`, outermost first
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    while (!open.empty() && !prefixes[open.back()].contains(prefixes[i])) {
+  // One stack pass in that order: after popping the prefixes that do not
+  // contain prefix b, the stack top is its longest proper ancestor.
+  std::vector<std::uint32_t> up(n);  // the parent's position
+  up[0] = kNoNode;
+  std::vector<std::uint32_t> open;  // positions, outermost first
+  for (std::uint32_t b = 1; b < n; ++b) {
+    while (!open.empty() && !prefix_at(open.back()).contains(prefix_at(b))) {
       open.pop_back();
     }
-    parent[id[i]] = open.empty() ? 0 : id[open.back()];
-    ++child_offset[parent[id[i]]];
-    open.push_back(i);
+    up[b] = open.empty() ? 0 : open.back();
+    open.push_back(b);
   }
-  // Child counts to CSR ranges: prefix sums leave each range's end in
-  // child_offset[v]; placing the children back to front, in reverse
-  // preorder, moves it to the range's start and sorts each range by bits.
-  for (std::size_t v = 1; v <= n; ++v) child_offset[v] += child_offset[v - 1];
-  std::vector<NodeId> child_list(n - 1);
-  for (std::size_t i = prefixes.size(); i-- > 0;) {
-    child_list[--child_offset[parent[id[i]]]] = id[i];
+
+  // The positions in (length, bits) order, parents first: a stable
+  // counting sort by length.
+  std::array<std::uint32_t, PrefixT::kWidth + 1> next{};
+  for (const PrefixT& p : prefixes) ++next[p.length];
+  std::uint32_t first = 0;
+  for (std::uint32_t& slot : next) {
+    const std::uint32_t count = slot;
+    slot = first;
+    first += count;
   }
-  return BasicRuleTree<PrefixT>{Tree(std::move(parent)),
-                                std::move(node_prefix),
+  std::vector<std::uint32_t> by_length(n - 1);
+  for (std::uint32_t b = 1; b < n; ++b) {
+    by_length[next[prefix_at(b).length]++] = b;
+  }
+
+  // Node ids are the Tree's preorder ranks with each node's children in
+  // (length, bits) order. Parents come first in the position order, so
+  // one reverse pass gives subtree sizes. Then, in (length, bits) order,
+  // each node takes its parent's rank cursor and moves it past its own
+  // subtree, and its own cursor starts just after it: `cursor` holds a
+  // node's subtree size until the node is placed, and its cursor after.
+  std::vector<std::uint32_t> cursor(n, 1);
+  for (std::uint32_t b = n - 1; b > 0; --b) cursor[up[b]] += cursor[b];
+  cursor[0] = 1;
+  std::vector<NodeId> rank(n);  // the root keeps rank 0
+  for (const std::uint32_t b : by_length) {
+    const std::uint32_t r = cursor[up[b]];
+    cursor[up[b]] = r + cursor[b];
+    rank[b] = r;
+    cursor[b] = r + 1;
+  }
+
+  // Scatter into rank order: the prefixes, the parents (in `cursor`'s
+  // buffer) and the child index. Child counts to CSR ranges: prefix sums
+  // leave each range's end in child_offset[v]; placing the children back
+  // to front, in reverse position order, moves it to the range's start
+  // and sorts each range by bits.
+  std::vector<PrefixT> node_prefix(n);
+  std::vector<NodeId> parent = std::move(cursor);
+  parent[0] = kNoNode;
+  std::vector<std::uint32_t> child_offset(n + 1, 0);
+  for (std::uint32_t b = 1; b < n; ++b) {
+    node_prefix[rank[b]] = prefix_at(b);
+    parent[rank[b]] = rank[up[b]];
+    ++child_offset[rank[up[b]]];
+  }
+  for (std::uint32_t v = 1; v <= n; ++v) {
+    child_offset[v] += child_offset[v - 1];
+  }
+  std::vector<NodeId> child_list = std::move(by_length);
+  for (std::uint32_t b = n - 1; b > 0; --b) {
+    child_list[--child_offset[rank[up[b]]]] = rank[b];
+  }
+  // Free the sorted input, the positions' parents and the ranks before
+  // the Tree adds its sizes and depths.
+  prefixes = std::vector<PrefixT>();
+  up = std::vector<std::uint32_t>();
+  rank = std::vector<NodeId>();
+  Tree tree(std::move(parent));
+  return BasicRuleTree<PrefixT>{std::move(tree), std::move(node_prefix),
                                 std::move(child_offset),
                                 std::move(child_list)};
 }

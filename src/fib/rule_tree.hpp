@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -34,9 +35,36 @@ struct BasicRuleTree {
   std::vector<PrefixT> prefix;  // per tree node
   /// The child index: v's children are child_list[child_offset[v] ..
   /// child_offset[v + 1]), sorted by prefix bits. It holds the same edges
-  /// as `tree`, whose children follow node ids instead.
+  /// as `tree`, whose children come in (length, bits) order instead.
   std::vector<std::uint32_t> child_offset;
   std::vector<NodeId> child_list;
+
+  /// Calls f(v) for every node in BasicPrefix's (bits, length) order, the
+  /// root first: a preorder walk of the child index, whose ranges are
+  /// sorted by bits. It keeps one child-index range per open level that
+  /// has children left, at most one per prefix length.
+  template <typename F>
+  void for_each_in_prefix_order(F&& f) const {
+    struct Range {
+      std::uint32_t next;
+      std::uint32_t end;
+    };
+    std::array<Range, PrefixT::kWidth + 1> open;
+    std::size_t depth = 0;
+    f(NodeId{0});
+    if (child_offset[0] != child_offset[1]) {
+      open[depth++] = {child_offset[0], child_offset[1]};
+    }
+    while (depth > 0) {
+      Range& range = open[depth - 1];
+      const NodeId c = child_list[range.next++];
+      if (range.next == range.end) --depth;
+      f(c);
+      if (child_offset[c] != child_offset[c + 1]) {
+        open[depth++] = {child_offset[c], child_offset[c + 1]};
+      }
+    }
+  }
 
   /// The child of `v` whose prefix contains `addr`, or kNoNode.
   [[nodiscard]] NodeId child_containing(NodeId v, const Bits& addr) const {
@@ -90,8 +118,10 @@ using RuleTree = BasicRuleTree<Prefix>;
 using RuleTree6 = BasicRuleTree<Prefix6>;
 
 /// Builds the rule tree from a set of prefixes. Duplicates are dropped; a
-/// /0 entry, if present, merges into the artificial root. Node ids are
-/// assigned in (length, bits) order, so parents precede children.
+/// /0 entry, if present, merges into the artificial root. Node ids are the
+/// tree's preorder ranks, with each node's children in (length, bits)
+/// order: the tree is_preorder_labeled(), and every subtree T(v) is the id
+/// interval [v, v + |T(v)|).
 template <typename PrefixT>
 [[nodiscard]] BasicRuleTree<PrefixT> build_rule_tree(
     std::vector<PrefixT> prefixes);

@@ -1,6 +1,7 @@
 #include "fib/traffic.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace treecache::fib {
 
@@ -9,13 +10,28 @@ BasicPacketSampler<PrefixT>::BasicPacketSampler(
     const BasicRuleTree<PrefixT>& rules, double zipf_skew, Rng& rng)
     : rules_(&rules),
       ranked_([&] {
-        // Rank the non-root rules in random order.
-        std::vector<Ranked> ranked;
-        ranked.reserve(rules.tree.size() - 1);
+        // Rank the non-root rules in random order: shuffle them from
+        // (length, bits) order, so a rank draws the same prefix however
+        // the tree numbers its nodes. The prefix-order walk lists them by
+        // (bits, length), and a stable counting sort by length places each
+        // record straight into its slot.
+        std::array<std::size_t, PrefixT::kWidth + 1> next{};
         for (NodeId v = 1; v < rules.tree.size(); ++v) {
-          ranked.push_back({rules.prefix[v], v, rules.child_offset[v],
-                            rules.child_offset[v + 1]});
+          ++next[rules.prefix[v].length];
         }
+        std::size_t first = 0;
+        for (std::size_t& slot : next) {
+          const std::size_t count = slot;
+          slot = first;
+          first += count;
+        }
+        std::vector<Ranked> ranked(rules.tree.size() - 1);
+        rules.for_each_in_prefix_order([&](NodeId v) {
+          if (v == 0) return;
+          const Ranked rule{rules.prefix[v], v, rules.child_offset[v],
+                            rules.child_offset[v + 1]};
+          ranked[next[rule.prefix.length]++] = rule;
+        });
         rng.shuffle(ranked);
         return ranked;
       }()),

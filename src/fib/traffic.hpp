@@ -38,6 +38,10 @@ struct RouterEvent {
 /// the popular ranks share cache lines. On IPv4 that is 32 bytes per rank
 /// (a 20-byte record beside the Zipf sampler's 12), so the producers of
 /// one router stream share one immutable sampler (RouterSource::split).
+/// The records are shuffled from the rules' (length, bits) order, not
+/// from node ids, so a seed gives every rank the same prefix however the
+/// rule tree labels its nodes; set-up writes each record once, straight
+/// into its slot, and allocates nothing else per rule.
 template <typename PrefixT>
 class BasicPacketSampler {
  public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <tuple>
 
 #include "fib/rule_tree.hpp"
 
@@ -18,28 +17,22 @@ BasicChurnReplay<PrefixT> make_churn_replay(
   named.insert(named.end(), ingest.churn.begin(), ingest.churn.end());
   fib::BasicRuleTree<PrefixT> fib_tree =
       fib::build_rule_tree(std::move(named));
-  // build_rule_tree numbers the nodes in (length, bits) order, so the churn
-  // sorted the same way resolves in one walk over the node ids.
+  // The churn sorted into BasicPrefix's (bits, length) order resolves in
+  // one merge against the tree's prefix-order walk.
   const std::vector<PrefixT>& churn = ingest.churn;
-  const auto length_then_bits = [](const PrefixT& a, const PrefixT& b) {
-    return std::tie(a.length, a.bits) < std::tie(b.length, b.bits);
-  };
   std::vector<std::size_t> order(churn.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
-    return length_then_bits(churn[a], churn[b]);
-  });
-  const std::vector<PrefixT>& prefix_of = fib_tree.prefix;
+  std::ranges::sort(order, {}, [&](std::size_t i) { return churn[i]; });
   std::vector<NodeId> churn_nodes(churn.size());
-  NodeId v = 0;
-  for (const std::size_t i : order) {
-    while (v < prefix_of.size() && length_then_bits(prefix_of[v], churn[i])) {
-      ++v;
+  std::size_t resolved = 0;
+  fib_tree.for_each_in_prefix_order([&](NodeId v) {
+    while (resolved < order.size() &&
+           churn[order[resolved]] == fib_tree.prefix[v]) {
+      churn_nodes[order[resolved++]] = v;
     }
-    TC_CHECK(v < prefix_of.size() && prefix_of[v] == churn[i],
-             "churned prefix missing from the replay tree");
-    churn_nodes[i] = v;
-  }
+  });
+  TC_CHECK(resolved == order.size(),
+           "churned prefix missing from the replay tree");
   return BasicChurnReplay<PrefixT>{std::move(fib_tree),
                                    std::move(churn_nodes)};
 }

@@ -4,15 +4,16 @@
 // rank hold each node's parent rank, subtree size and depth, 12 bytes per
 // node. A tree whose ids are not already its preorder ranks adds the
 // rank ↔ NodeId pair (the preorder sequence and each node's position in
-// it), 20 bytes per node in all; ShardPlan's shard trees and any tree
-// built in preorder need no such pair. Every other fact is derived on
-// demand rather than stored: the parent of a node is the id at its parent
-// rank, the children of rank r are r + 1 and then each next sibling
-// c + |T(c)|, T(v) is the rank interval [tin(v), tin(v) + size(v)), and
-// postorder is preorder reversed. That keeps every query the algorithm uses
-// O(1) and a child scan O(degree). Trees are immutable after construction;
-// algorithms keep their own per-node state in parallel arrays indexed by
-// NodeId or by preorder rank.
+// it), 20 bytes per node in all. ShardPlan's shard trees, the FIB rule
+// trees and any other tree built in preorder need no such pair; trees
+// numbered otherwise (level-order builders, most tree files) keep it.
+// Every other fact is derived on demand rather than stored: the parent of
+// a node is the id at its parent rank, the children of rank r are r + 1
+// and then each next sibling c + |T(c)|, T(v) is the rank interval
+// [tin(v), tin(v) + size(v)), and postorder is preorder reversed. That
+// keeps every query the algorithm uses O(1) and a child scan O(degree).
+// Trees are immutable after construction; algorithms keep their own
+// per-node state in parallel arrays indexed by NodeId or by preorder rank.
 #pragma once
 
 #include <cstddef>
@@ -82,7 +83,11 @@ class Tree {
   /// Builds a tree from `parent`, where parent[root] == kNoNode and every
   /// other entry is the node's parent. Throws CheckFailure unless the input
   /// describes exactly one tree (single root, no cycles, ids in range).
-  /// Children are ordered by id, so preorder visits them that way.
+  /// Children are ordered by id, so preorder visits them that way. An
+  /// array that already lists a preorder (every parent id below its
+  /// child's, and each node's id interval [v, v + |T(v)|) inside its
+  /// parent's) becomes the rank arrays in place, with no walk; any other
+  /// array is walked into preorder.
   explicit Tree(std::vector<NodeId> parent);
 
   /// The preorder-labelled tree of the rank slice [begin, end) of
@@ -204,7 +209,7 @@ class Tree {
 
   /// True iff NodeId already equals preorder rank, i.e. preorder() is the
   /// identity and the tree stores no rank ↔ NodeId pair. ShardPlan's shard
-  /// trees guarantee this.
+  /// trees and the FIB rule trees guarantee this.
   [[nodiscard]] bool is_preorder_labeled() const { return tin_.empty(); }
 
   /// All leaves of the tree, in id order.
@@ -222,6 +227,11 @@ class Tree {
 
  private:
   Tree() = default;
+
+  /// Builds the tree straight from `parent` when its ids already are the
+  /// preorder ranks, in 12 bytes per node and with no walk, and returns
+  /// true; returns false, taking nothing, for any other array. Needs root_.
+  bool adopt_preorder(std::vector<NodeId>& parent);
 
   /// height_ and max_degree_ from the rank arrays.
   void derive_shape();

@@ -220,17 +220,20 @@ void expect_same_tree(const Tree& actual, const Tree& expected) {
 TEST(ShardPlan, RemapTablesMatchElementwiseTranslation) {
   // The plan stores no id tables: shard_of, to_local and to_global are
   // arithmetic over preorder ranks. They must agree with the relabeling
-  // for every node, at every shard count, on random trees, on a FIB rule
-  // tree and on the 13-level deep universe, whose ids are not preorder
-  // ranks. route() must equal {shard_of, to_local} for both signs and for
-  // a packet, whose flag it keeps, and refuse a node past the universe in
-  // every build. Every shard tree, a rank slice of the universe, must
-  // equal the Tree built from its relabeled parent array.
+  // for every node, at every shard count, on a FIB rule tree, whose ids
+  // are its preorder ranks, and on random trees and the 13-level deep
+  // universe, whose ids are not, so translation stays covered. route()
+  // must equal {shard_of, to_local} for both signs and for a packet,
+  // whose flag it keeps, and refuse a node past the universe in every
+  // build. Every shard tree, a rank slice of the universe, must equal the
+  // Tree built from its relabeled parent array.
   Rng rng(13);
   const Tree recursive = trees::random_recursive(300, rng);
   const Tree bounded = trees::random_bounded_degree(200, 4, rng);
   const fib::RuleTree rt = fib::rule_tree_from_params(smoke_params());
-  ASSERT_FALSE(rt.tree.is_preorder_labeled());
+  ASSERT_TRUE(rt.tree.is_preorder_labeled());
+  ASSERT_FALSE(recursive.is_preorder_labeled());
+  ASSERT_FALSE(bounded.is_preorder_labeled());
   const Tree deep = testing_util::deep_universe();
   ASSERT_FALSE(deep.is_preorder_labeled());
   for (const Tree* tree : {&recursive, &bounded, &rt.tree, &deep}) {

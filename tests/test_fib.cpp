@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "fib/traffic.hpp"
 #include "rib/churn_source.hpp"
 #include "util/rng.hpp"
+#include "workload_trees.hpp"
 
 namespace treecache::fib {
 namespace {
@@ -123,7 +125,8 @@ TEST(RuleTree, LpmAndExactBasics) {
   const RuleTree rt = build_rule_tree<Prefix>(
       {Prefix::parse("10.0.0.0/8"), Prefix::parse("10.1.0.0/16"),
        Prefix::parse("192.168.0.0/16")});
-  // Ids in (length, bits) order: the /8, then the two /16s.
+  // Ids in preorder, children in (length, bits) order: the /8, the /16
+  // under it, then 192.168.0.0/16.
   EXPECT_EQ(rt.lpm(parse_address("10.1.2.3")), 2u);
   EXPECT_EQ(rt.lpm(parse_address("10.2.2.3")), 1u);
   EXPECT_EQ(rt.lpm(parse_address("192.168.9.9")), 3u);
@@ -224,6 +227,54 @@ TEST(RuleTree, ParentIsLongestProperAncestor) {
   check_parents<Prefix6>(11);
 }
 
+// build_rule_tree's ids are the tree's preorder ranks: each node's parent
+// is its longest proper containing prefix, the tree's children of a node
+// (its preorder) come in (length, bits) order, and the child index holds
+// the same children sorted by bits.
+template <typename PrefixT>
+void check_preorder_ids(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<PrefixT> rib = deep_rib<PrefixT>(2000, rng);
+  const BasicRuleTree<PrefixT> rt = build_rule_tree(rib);
+  const auto by_length_then_bits = [&](NodeId a, NodeId b) {
+    return std::tie(rt.prefix[a].length, rt.prefix[a].bits) <
+           std::tie(rt.prefix[b].length, rt.prefix[b].bits);
+  };
+  const auto by_bits = [&](NodeId a, NodeId b) {
+    return rt.prefix[a].bits < rt.prefix[b].bits;
+  };
+  ASSERT_TRUE(rt.tree.is_preorder_labeled());
+  ASSERT_EQ(rt.prefix.size(), rt.tree.size());
+  ASSERT_EQ(rt.child_offset.size(), rt.tree.size() + 1);
+  for (NodeId v = 0; v < rt.tree.size(); ++v) {
+    if (v > 0) {
+      PrefixT longest{};  // the default rule contains everything
+      for (const PrefixT& p : rib) {
+        if (p.length < rt.prefix[v].length && p.contains(rt.prefix[v]) &&
+            p.length > longest.length) {
+          longest = p;
+        }
+      }
+      ASSERT_EQ(rt.prefix[rt.tree.parent(v)], longest) << "v=" << v;
+    }
+    const auto kids = rt.tree.children(v);
+    const std::vector<NodeId> children(kids.begin(), kids.end());
+    EXPECT_TRUE(std::ranges::is_sorted(children, by_length_then_bits))
+        << "v=" << v;
+    const auto first = rt.child_list.begin() + rt.child_offset[v];
+    const auto last = rt.child_list.begin() + rt.child_offset[v + 1];
+    std::vector<NodeId> indexed(first, last);
+    EXPECT_TRUE(std::ranges::is_sorted(indexed, by_bits)) << "v=" << v;
+    std::ranges::sort(indexed);
+    EXPECT_EQ(indexed, children) << "v=" << v;
+  }
+}
+
+TEST(RuleTree, IdsArePreorderRanks) {
+  check_preorder_ids<Prefix>(83);
+  check_preorder_ids<Prefix6>(89);
+}
+
 /// FNV-1a-64 over the low `bytes` bytes of each mixed value, little-endian;
 /// an address mixes as its bits (IPv6: high limb, then low).
 struct Fnv1a {
@@ -242,21 +293,27 @@ struct Fnv1a {
   void mix(Address bits) { mix(bits, 4); }
 };
 
-/// FNV-1a-64 over every node's parent id (4 bytes), its prefix bits and
-/// its length.
+/// FNV-1a-64 over every node, in (length, bits) order: its parent's
+/// index in that order (4 bytes), its prefix bits and its length.
 template <typename PrefixT>
 std::uint64_t rule_tree_digest(const BasicRuleTree<PrefixT>& rt) {
+  const std::vector<NodeId> index = testing_util::length_bits_index(rt);
+  std::vector<NodeId> by_index(index.size());
+  for (NodeId v = 0; v < index.size(); ++v) by_index[index[v]] = v;
   Fnv1a digest;
-  for (NodeId v = 0; v < rt.tree.size(); ++v) {
-    digest.mix(rt.tree.parent(v), 4);
+  for (const NodeId v : by_index) {
+    const NodeId p = rt.tree.parent(v);
+    digest.mix(p == kNoNode ? kNoNode : index[p], 4);
     digest.mix(rt.prefix[v].bits);
     digest.mix(rt.prefix[v].length, 1);
   }
   return digest.hash;
 }
 
-// Node ids, parents and prefixes of every rule tree, pinned: the streams,
-// shard plans and costs built on a rule tree all key on its node ids.
+// Parents and prefixes of every rule tree, pinned: the streams, shard
+// plans and costs built on a rule tree all key on its shape. Nodes hash
+// through their (length, bits) index, so the pins hold whatever labels
+// build_rule_tree assigns.
 TEST(RuleTree, BuildsArePinned) {
   const std::uint64_t v4_golden[] = {
       0x9c79d65c3681ffa8ULL, 0x17704a51e38cbc6dULL, 0xe6f9433a34595837ULL};
@@ -305,19 +362,21 @@ TEST(RuleTree, DropsDuplicatesAndDefaultRoute) {
 
 /// FNV-1a-64 over 100,000 draws of a Zipf(1.0) sampler on a deaggregated
 /// 3,000-rule table: sample_rule's rule and sample_packet's address and
-/// match, alternating, then the RNG's next output.
+/// match, alternating, then the RNG's next output. Rules hash as their
+/// (length, bits) index.
 template <typename PrefixT>
 std::uint64_t sampler_digest(std::uint64_t seed) {
   Rng rng(seed);
   const BasicRuleTree<PrefixT> rt =
       build_rule_tree(deep_rib<PrefixT>(3000, rng));
+  const std::vector<NodeId> index = testing_util::length_bits_index(rt);
   const BasicPacketSampler<PrefixT> sampler(rt, 1.0, rng);
   Fnv1a digest;
   for (int draw = 0; draw < 50000; ++draw) {
-    digest.mix(sampler.sample_rule(rng), 4);
+    digest.mix(index[sampler.sample_rule(rng)], 4);
     const auto [addr, match] = sampler.sample_packet(rng);
     digest.mix(addr);
-    digest.mix(match, 4);
+    digest.mix(index[match], 4);
   }
   digest.mix(rng(), 8);
   return digest.hash;

@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "engine/shard_plan.hpp"
 #include "fib/fib_workloads.hpp"
@@ -30,6 +31,7 @@
 namespace treecache {
 namespace {
 
+using testing_util::length_bits_index;
 using testing_util::tree_for_workload;
 
 sim::Params smoke_params() {
@@ -227,14 +229,17 @@ TEST(RegisteredWorkloads, SplitKindAdvisesHowEachSourceScalesOut) {
 }
 
 /// FNV-1a-64 over each request's node (4 bytes, little-endian) and sign.
-std::uint64_t stream_digest(const Trace& trace) {
+/// A node hashes as its entry in `label` when one is given.
+std::uint64_t stream_digest(const Trace& trace,
+                            const std::vector<NodeId>& label = {}) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   const auto mix = [&hash](std::uint8_t byte) {
     hash = (hash ^ byte) * 0x100000001b3ULL;
   };
   for (const Request& r : trace) {
+    const NodeId node = label.empty() ? r.node : label[r.node];
     for (int shift = 0; shift < 32; shift += 8) {
-      mix(static_cast<std::uint8_t>(r.node >> shift));
+      mix(static_cast<std::uint8_t>(node >> shift));
     }
     mix(static_cast<std::uint8_t>(r.sign));
   }
@@ -245,7 +250,9 @@ std::uint64_t stream_digest(const Trace& trace) {
 // the right distribution but different ranks (a reordered CDF, a changed
 // search, an extra uniform01() per draw) keeps every statistical test
 // green and fails here. The goldens were recorded with the binary-search
-// Zipf sampler; a new registered workload needs its own entry.
+// Zipf sampler; a new registered workload needs its own entry. Rule-tree
+// nodes hash as their (length, bits) index, so the fib* pins hold
+// whatever labels build_rule_tree assigns.
 TEST(RegisteredWorkloads, SeededStreamsArePinned) {
   const std::map<std::string, std::uint64_t> golden = {
       {"churn", 0x8868c91771f334baULL},
@@ -265,13 +272,22 @@ TEST(RegisteredWorkloads, SeededStreamsArePinned) {
   const Tree generic_tree = trees::random_recursive(256, rng);
   const sim::Params params = smoke_params();
   const fib::RuleTree rule_tree = fib::rule_tree_from_params(params);
+  const std::vector<NodeId> rule_index = length_bits_index(rule_tree);
+  const rib::RealFibReplay& real = rib::shared_real_fib(params);
+  const std::vector<NodeId> real_index = length_bits_index(real.v4->fib);
 
   for (const std::string& name : sim::WorkloadRegistry::instance().names()) {
     SCOPED_TRACE("workload: " + name);
     const Tree& tree =
         tree_for_workload(name, params, rule_tree.tree, generic_tree);
     const auto source = sim::make_source(name, tree, params, 21);
-    const std::uint64_t digest = stream_digest(materialize(*source));
+    std::vector<NodeId> label;  // fib-real first: it also matches fib*
+    if (rib::is_real_fib_workload_name(name)) {
+      label = real_index;
+    } else if (fib::is_fib_workload_name(name)) {
+      label = rule_index;
+    }
+    const std::uint64_t digest = stream_digest(materialize(*source), label);
     const auto it = golden.find(name);
     if (it == golden.end()) {
       ADD_FAILURE() << "no golden digest for " << name << " (digest 0x"
@@ -289,9 +305,10 @@ TEST(RegisteredWorkloads, SeededStreamsArePinned) {
   params6.set("rib-feed",
               std::string(TREECACHE_TEST_DATA_DIR) + "/rib_v6.feed");
   params6.set("family", "6");
-  const auto source6 = sim::make_source(
-      "fib-real", rib::shared_real_fib(params6).tree(), params6, 21);
-  const std::uint64_t digest6 = stream_digest(materialize(*source6));
+  const rib::RealFibReplay& real6 = rib::shared_real_fib(params6);
+  const auto source6 = sim::make_source("fib-real", real6.tree(), params6, 21);
+  const std::vector<NodeId> index6 = length_bits_index(real6.v6->fib);
+  const std::uint64_t digest6 = stream_digest(materialize(*source6), index6);
   EXPECT_EQ(digest6, 0x767f94aaf3829e3eULL) << std::hex << "0x" << digest6;
 }
 

@@ -18,7 +18,9 @@
 //              --nodes N [--arity A] [--levels L] [--seed S]
 //              [--out tree.txt]
 //   gen-rib    --rules N [--deagg D] [--seed S] [--out tree.txt]
-//              [--prefixes prefixes.txt]
+//              [--prefixes prefixes.txt]; the rule tree's ids are its
+//              preorder ranks, and line v of --prefixes is node v's
+//              prefix
 //   gen-feed   --routes N --updates M [--family 4|6|46] [--seed S]
 //              [--withdraw-prob P] [--fresh-prob P] [--max-len L]
 //              [--max-len6 L] [--deagg D] [--format text|mrt]
