@@ -61,6 +61,7 @@ struct BasicRuleTree {
       if (range.next == range.end) --depth;
       f(c);
       if (child_offset[c] != child_offset[c + 1]) {
+        TC_DCHECK(depth < open.size(), "child index deeper than the width");
         open[depth++] = {child_offset[c], child_offset[c + 1]};
       }
     }

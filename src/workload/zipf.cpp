@@ -4,24 +4,15 @@
 
 namespace treecache {
 
-std::vector<double> zipf_weights(std::size_t n, double skew) {
-  TC_CHECK(n >= 1, "need at least one rank");
-  TC_CHECK(skew >= 0.0, "negative skew not supported");
-  std::vector<double> weights(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    weights[r] = 1.0 / std::pow(static_cast<double>(r + 1), skew);
-  }
-  return weights;
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double skew)
     : buckets_(static_cast<double>(n)) {
+  TC_CHECK(n >= 1, "need at least one rank");
+  TC_CHECK(skew >= 0.0, "negative skew not supported");
   TC_CHECK(n <= UINT32_MAX, "guide table entries are 32-bit ranks");
-  const auto weights = zipf_weights(n, skew);
   cdf_.resize(n);
   double acc = 0.0;
   for (std::size_t r = 0; r < n; ++r) {
-    acc += weights[r];
+    acc += 1.0 / std::pow(static_cast<double>(r + 1), skew);
     cdf_[r] = acc;
   }
   for (double& c : cdf_) c /= acc;

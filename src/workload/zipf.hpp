@@ -14,7 +14,8 @@
 // included, and cdf(n-1) = 1 > u ends it. Seeded streams are therefore the
 // ones a binary search gives, one uniform01() per draw. A bucket holds
 // n/m = 1 rank on average, so a draw takes O(1) expected steps. The table
-// costs 4 bytes per rank beside the CDF's 8.
+// costs 4 bytes per rank beside the CDF's 8, and the constructor allocates
+// nothing else: the weights accumulate straight into the CDF.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +59,5 @@ class ZipfSampler {
   std::vector<std::uint32_t> guide_;
   double buckets_;  // m, as the key's scale
 };
-
-/// Unnormalized Zipf weights 1/(r+1)^skew for ranks 0..n-1.
-[[nodiscard]] std::vector<double> zipf_weights(std::size_t n, double skew);
 
 }  // namespace treecache

@@ -424,7 +424,6 @@ TEST(TreePreorder, PreorderArraysBuildWithoutTheWalk) {
       EXPECT_EQ(t.depth(v), f.depth[v]) << "v=" << v;
     }
   }
-  EXPECT_EQ(Tree(late_child).preorder_index(3), 2u);
 
   // Invalid arrays throw on either path: no root, a second root, a parent
   // out of range, and a cycle after a parents-first start.

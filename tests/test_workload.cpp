@@ -135,8 +135,13 @@ TEST(Zipf, HigherSkewConcentratesMass) {
 }
 
 TEST(Zipf, WeightsAreMonotone) {
-  const auto w = zipf_weights(50, 1.0);
-  for (std::size_t i = 1; i < w.size(); ++i) EXPECT_LT(w[i], w[i - 1]);
+  // pmf(r) is proportional to 1/(r+1)^skew, so it falls with the rank.
+  const ZipfSampler zipf(50, 1.0);
+  for (std::size_t r = 1; r < zipf.size(); ++r) {
+    const double expected = 1.0 / static_cast<double>(r + 1);
+    EXPECT_LT(zipf.pmf(r), zipf.pmf(r - 1)) << "rank " << r;
+    EXPECT_NEAR(zipf.pmf(r) / zipf.pmf(0), expected, 1e-12) << "rank " << r;
+  }
 }
 
 TEST(Generators, TracesStayInRange) {
