@@ -131,7 +131,7 @@ BasicRuleTree<PrefixT> build_rule_tree(std::vector<PrefixT> prefixes) {
     child_list[--child_offset[rank[up[b]]]] = rank[b];
   }
   // Free the sorted input, the positions' parents and the ranks before
-  // the Tree adds its sizes and depths.
+  // the Tree's preorder walk adds its own 16 bytes per node.
   prefixes = std::vector<PrefixT>();
   up = std::vector<std::uint32_t>();
   rank = std::vector<NodeId>();

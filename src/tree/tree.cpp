@@ -20,7 +20,6 @@ Tree::Tree(std::vector<NodeId> parent) {
     }
   }
   TC_CHECK(root_ != kNoNode, "no root (every node has a parent)");
-  if (adopt_preorder(parent)) return;
 
   // First-child / next-sibling links, each child list in id order:
   // prepend every node to its parent's list, highest id first.
@@ -55,9 +54,7 @@ Tree::Tree(std::vector<NodeId> parent) {
   // The rank arrays take over the walk's buffers, so construction peaks
   // at 20 bytes per node. A parent's rank is below its children's, so
   // depths fill in rank order, and one reverse pass adds every subtree
-  // into its parent's once the subtree itself is complete. The ids are not
-  // the ranks (adopt_preorder took every array whose ids are), so the tree
-  // keeps the rank <-> NodeId pair.
+  // into its parent's once the subtree itself is complete.
   rank_parent_ = std::move(next_sibling);
   rank_parent_[0] = kNoNode;
   for (std::uint32_t r = 1; r < n; ++r) {
@@ -73,36 +70,15 @@ Tree::Tree(std::vector<NodeId> parent) {
   for (std::uint32_t r = static_cast<std::uint32_t>(n) - 1; r > 0; --r) {
     rank_size_[rank_parent_[r]] += rank_size_[r];
   }
-  derive_shape();
-}
 
-bool Tree::adopt_preorder(std::vector<NodeId>& parent) {
-  // Parents first: the root is node 0 and every other parent id is below
-  // its child's. Then one reverse pass completes each subtree size before
-  // adding it into the parent's.
-  const auto n = static_cast<std::uint32_t>(parent.size());
-  if (root_ != 0) return false;
-  for (std::uint32_t v = 1; v < n; ++v) {
-    if (parent[v] >= v) return false;
+  // Ids that already are the ranks need no rank ↔ NodeId pair.
+  bool labeled = true;
+  for (std::uint32_t r = 0; r < n && labeled; ++r) labeled = preorder_[r] == r;
+  if (labeled) {
+    tin_ = std::vector<std::uint32_t>();
+    preorder_ = std::vector<NodeId>();
   }
-  std::vector<std::uint32_t> size(n, 1);
-  for (std::uint32_t v = n - 1; v > 0; --v) size[parent[v]] += size[v];
-  // Every id interval [v, v + |T(v)|) inside its parent's makes each
-  // subtree its own interval: T(v)'s nodes all lie in [v, v + |T(v)|) and
-  // are as many. So the ids are the preorder ranks, children in id order.
-  for (std::uint32_t v = 1; v < n; ++v) {
-    const std::uint32_t p = parent[v];
-    if (std::uint64_t{v} + size[v] > std::uint64_t{p} + size[p]) return false;
-  }
-  rank_depth_.resize(n);
-  rank_depth_[0] = 0;
-  for (std::uint32_t v = 1; v < n; ++v) {
-    rank_depth_[v] = rank_depth_[parent[v]] + 1;
-  }
-  rank_size_ = std::move(size);
-  rank_parent_ = std::move(parent);
   derive_shape();
-  return true;
 }
 
 Tree Tree::top_level_slice(const Tree& universe, std::uint32_t begin,

@@ -83,11 +83,7 @@ class Tree {
   /// Builds a tree from `parent`, where parent[root] == kNoNode and every
   /// other entry is the node's parent. Throws CheckFailure unless the input
   /// describes exactly one tree (single root, no cycles, ids in range).
-  /// Children are ordered by id, so preorder visits them that way. An
-  /// array that already lists a preorder (every parent id below its
-  /// child's, and each node's id interval [v, v + |T(v)|) inside its
-  /// parent's) becomes the rank arrays in place, with no walk; any other
-  /// array is walked into preorder.
+  /// Children are ordered by id, so preorder visits them that way.
   explicit Tree(std::vector<NodeId> parent);
 
   /// The preorder-labelled tree of the rank slice [begin, end) of
@@ -227,11 +223,6 @@ class Tree {
 
  private:
   Tree() = default;
-
-  /// Builds the tree straight from `parent` when its ids already are the
-  /// preorder ranks, in 12 bytes per node and with no walk, and returns
-  /// true; returns false, taking nothing, for any other array. Needs root_.
-  bool adopt_preorder(std::vector<NodeId>& parent);
 
   /// height_ and max_degree_ from the rank arrays.
   void derive_shape();

@@ -199,13 +199,37 @@ TEST(RuleTree, ExactFindsEveryRuleAndNothingElse) {
   check_exact<Prefix6>(9);
 }
 
+// build_rule_tree's ids are the tree's preorder ranks: each node's parent
+// is its longest proper containing prefix, the tree's children of a node
+// (its preorder) come in (length, bits) order, and the child index holds
+// the same children sorted by bits.
 template <typename PrefixT>
 void check_parents(std::uint64_t seed) {
   Rng rng(seed);
   const BasicRuleTree<PrefixT> rt =
       build_rule_tree(deep_rib<PrefixT>(300, rng));
+  const auto by_length_then_bits = [&](NodeId a, NodeId b) {
+    return std::tie(rt.prefix[a].length, rt.prefix[a].bits) <
+           std::tie(rt.prefix[b].length, rt.prefix[b].bits);
+  };
+  const auto by_bits = [&](NodeId a, NodeId b) {
+    return rt.prefix[a].bits < rt.prefix[b].bits;
+  };
+  ASSERT_TRUE(rt.tree.is_preorder_labeled());
   ASSERT_EQ(rt.tree.size(), rt.prefix.size());
-  for (NodeId v = 1; v < rt.tree.size(); ++v) {
+  ASSERT_EQ(rt.child_offset.size(), rt.tree.size() + 1);
+  for (NodeId v = 0; v < rt.tree.size(); ++v) {
+    const auto kids = rt.tree.children(v);
+    const std::vector<NodeId> children(kids.begin(), kids.end());
+    EXPECT_TRUE(std::ranges::is_sorted(children, by_length_then_bits))
+        << "v=" << v;
+    const auto first = rt.child_list.begin() + rt.child_offset[v];
+    const auto last = rt.child_list.begin() + rt.child_offset[v + 1];
+    std::vector<NodeId> indexed(first, last);
+    EXPECT_TRUE(std::ranges::is_sorted(indexed, by_bits)) << "v=" << v;
+    std::ranges::sort(indexed);
+    EXPECT_EQ(indexed, children) << "v=" << v;
+    if (v == 0) continue;
     const NodeId p = rt.tree.parent(v);
     EXPECT_TRUE(rt.prefix[p].contains(rt.prefix[v]));
     EXPECT_LT(rt.prefix[p].length, rt.prefix[v].length);
@@ -225,54 +249,6 @@ void check_parents(std::uint64_t seed) {
 TEST(RuleTree, ParentIsLongestProperAncestor) {
   check_parents<Prefix>(7);
   check_parents<Prefix6>(11);
-}
-
-// build_rule_tree's ids are the tree's preorder ranks: each node's parent
-// is its longest proper containing prefix, the tree's children of a node
-// (its preorder) come in (length, bits) order, and the child index holds
-// the same children sorted by bits.
-template <typename PrefixT>
-void check_preorder_ids(std::uint64_t seed) {
-  Rng rng(seed);
-  const std::vector<PrefixT> rib = deep_rib<PrefixT>(2000, rng);
-  const BasicRuleTree<PrefixT> rt = build_rule_tree(rib);
-  const auto by_length_then_bits = [&](NodeId a, NodeId b) {
-    return std::tie(rt.prefix[a].length, rt.prefix[a].bits) <
-           std::tie(rt.prefix[b].length, rt.prefix[b].bits);
-  };
-  const auto by_bits = [&](NodeId a, NodeId b) {
-    return rt.prefix[a].bits < rt.prefix[b].bits;
-  };
-  ASSERT_TRUE(rt.tree.is_preorder_labeled());
-  ASSERT_EQ(rt.prefix.size(), rt.tree.size());
-  ASSERT_EQ(rt.child_offset.size(), rt.tree.size() + 1);
-  for (NodeId v = 0; v < rt.tree.size(); ++v) {
-    if (v > 0) {
-      PrefixT longest{};  // the default rule contains everything
-      for (const PrefixT& p : rib) {
-        if (p.length < rt.prefix[v].length && p.contains(rt.prefix[v]) &&
-            p.length > longest.length) {
-          longest = p;
-        }
-      }
-      ASSERT_EQ(rt.prefix[rt.tree.parent(v)], longest) << "v=" << v;
-    }
-    const auto kids = rt.tree.children(v);
-    const std::vector<NodeId> children(kids.begin(), kids.end());
-    EXPECT_TRUE(std::ranges::is_sorted(children, by_length_then_bits))
-        << "v=" << v;
-    const auto first = rt.child_list.begin() + rt.child_offset[v];
-    const auto last = rt.child_list.begin() + rt.child_offset[v + 1];
-    std::vector<NodeId> indexed(first, last);
-    EXPECT_TRUE(std::ranges::is_sorted(indexed, by_bits)) << "v=" << v;
-    std::ranges::sort(indexed);
-    EXPECT_EQ(indexed, children) << "v=" << v;
-  }
-}
-
-TEST(RuleTree, IdsArePreorderRanks) {
-  check_preorder_ids<Prefix>(83);
-  check_preorder_ids<Prefix6>(89);
 }
 
 /// FNV-1a-64 over the low `bytes` bytes of each mixed value, little-endian;

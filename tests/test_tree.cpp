@@ -6,7 +6,6 @@
 #include <limits>
 #include <set>
 
-#include "deep_universe.hpp"
 #include "tree/tree.hpp"
 #include "tree/tree_builder.hpp"
 #include "tree/tree_io.hpp"
@@ -375,62 +374,6 @@ TEST(TreePreorder, DerivedAccessorsMatchTheParentArray) {
   // tree is its own preorder: ids 0..n-1 in order.
   const auto pre = labeled.preorder();
   for (std::uint32_t r = 0; r < labeled.size(); ++r) EXPECT_EQ(pre[r], r);
-}
-
-TEST(TreePreorder, PreorderArraysBuildWithoutTheWalk) {
-  // A parent array that already lists a preorder becomes the rank arrays
-  // as it is: relabeled by rank, every random and builder tree equals the
-  // universe's own rank slice over all of it.
-  Rng rng(37);
-  std::vector<Tree> shapes;
-  shapes.push_back(trees::random_recursive(150, rng));
-  shapes.push_back(trees::random_bounded_degree(120, 3, rng));
-  shapes.push_back(trees::random_bounded_height(100, 4, rng));
-  shapes.push_back(trees::complete_kary(4, 3));
-  shapes.push_back(trees::caterpillar(6, 2));
-  shapes.push_back(trees::spider(4, 5));
-  shapes.push_back(trees::star(5));
-  shapes.push_back(trees::path(6));
-  shapes.push_back(trees::two_subtree_gadget(4));
-  for (const Tree& t : shapes) {
-    SCOPED_TRACE(testing::Message() << t.size() << " nodes");
-    std::vector<NodeId> by_rank(t.size());
-    for (std::uint32_t r = 0; r < t.size(); ++r) {
-      by_rank[r] = t.preorder_parent(r);
-    }
-    const Tree labeled(by_rank);
-    EXPECT_TRUE(labeled.is_preorder_labeled());
-    EXPECT_TRUE(labeled == Tree::top_level_slice(t, 0, t.size()));
-  }
-
-  // Parents first is not enough: node 3 hangs under 1 but follows 2, and
-  // the deep universe and a complete k-ary tree number each level before
-  // the next. These walk into preorder and keep the rank <-> id pair.
-  const std::vector<NodeId> late_child{kNoNode, 0, 0, 1};
-  std::vector<std::vector<NodeId>> parents_first;
-  parents_first.push_back(late_child);
-  parents_first.push_back(testing_util::deep_universe().parent_array());
-  parents_first.push_back(trees::complete_kary(3, 3).parent_array());
-  for (const std::vector<NodeId>& parent : parents_first) {
-    SCOPED_TRACE(testing::Message() << parent.size() << " nodes");
-    for (NodeId v = 1; v < parent.size(); ++v) ASSERT_LT(parent[v], v);
-    const Tree t(parent);
-    EXPECT_FALSE(t.is_preorder_labeled());
-    EXPECT_EQ(t.parent_array(), parent);
-    const ParentArrayFacts f = facts_of(parent);
-    const auto pre = t.preorder();
-    EXPECT_EQ(std::vector<NodeId>(pre.begin(), pre.end()), f.preorder);
-    for (NodeId v = 0; v < t.size(); ++v) {
-      EXPECT_EQ(t.depth(v), f.depth[v]) << "v=" << v;
-    }
-  }
-
-  // Invalid arrays throw on either path: no root, a second root, a parent
-  // out of range, and a cycle after a parents-first start.
-  EXPECT_THROW(Tree({1, 0}), CheckFailure);
-  EXPECT_THROW(Tree({kNoNode, 0, kNoNode}), CheckFailure);
-  EXPECT_THROW(Tree({kNoNode, 0, 7}), CheckFailure);
-  EXPECT_THROW(Tree({kNoNode, 0, 0, 4, 3}), CheckFailure);
 }
 
 TEST(TreePreorder, TopLevelSliceKeepsWholeSubtreesOnly) {
